@@ -135,7 +135,6 @@ class Model:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        self.sigma: np.ndarray | None = None  # singular values at factorization
         self.assert_shapes()
 
     @classmethod
@@ -155,8 +154,6 @@ class Model:
                 f"parameter store inconsistent with config: missing={sorted(missing)} "
                 f"extra={sorted(extra)} mismatched={bad}"
             )
-        if self.sigma is not None and self.config.factorized:
-            assert len(self.sigma) == self.config.r
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -174,9 +171,7 @@ class Model:
             name: Tensor(p.data.copy(), requires_grad=p.requires_grad)
             for name, p in self.params.items()
         }
-        m = Model(replace(self.config), cloned)
-        m.sigma = None if self.sigma is None else self.sigma.copy()
-        return m
+        return Model(replace(self.config), cloned)
 
     def num_params(self) -> int:
         return sum(p.data.size for p in self.params.values())

@@ -24,7 +24,7 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
-        """One bias-corrected update; aborts before mutating on NaN grads."""
+        """One bias-corrected update; aborts before mutating on NaN/inf grads."""
         if set(params) != set(self.m):
             raise RuntimeError(
                 "optimizer state out of sync with parameters "
@@ -33,8 +33,8 @@ class Adam:
         grads = {}
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if np.isnan(g).any():
-                raise FloatingPointError(f"NaN gradient on {name}; step aborted")
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient on {name}; step aborted")
             grads[name] = g
 
         self.step_count += 1

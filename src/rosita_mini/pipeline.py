@@ -12,6 +12,7 @@ losses under Adam.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .pruning import (ArchitectureTarget, ImportanceLedger, RemovalAmounts,
                       apply_surgery, record_batch_scores, select_prune_set)
 
 _blas_limiter = None
+_warned_uncapped = False
 
 
 def limit_worker_threads() -> int:
@@ -37,15 +39,20 @@ def limit_worker_threads() -> int:
 
     The cap applies to the BLAS pools doing the actual work. The default
     of one keeps every reduction order fixed (bit-reproducible runs) and
-    is faster anyway on desk-scale matrices.
+    is faster anyway on desk-scale matrices. Without threadpoolctl nothing
+    is capped, and the first call in the process says so on stderr.
     """
-    global _blas_limiter
+    global _blas_limiter, _warned_uncapped
     cap = max(1, int(os.environ.get("ROSITA_MINI_THREADS", "1")))
     try:
         from threadpoolctl import threadpool_limits
-        _blas_limiter = threadpool_limits(limits=cap)
     except ImportError:
-        pass
+        if not _warned_uncapped:
+            _warned_uncapped = True
+            print(f"rosita-mini: warning: threadpoolctl is not installed; the BLAS "
+                  f"thread cap of {cap} was not applied", file=sys.stderr)
+        return cap
+    _blas_limiter = threadpool_limits(limits=cap)
     return cap
 
 
@@ -266,6 +273,10 @@ class StagePlan:
 
 def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
+    unlabeled = int((data.labels < 0).sum())
+    if unlabeled:
+        raise ValueError(f"evaluate: {unlabeled} of {len(data.labels)} rows are unlabeled "
+                         "(label -1); evaluate on a labeled split")
     preds, labels = [], []
     with T.no_grad():
         for ids, mask, batch_labels in iter_batches(data, batch_size):

@@ -193,22 +193,10 @@ def head_importance(ledger: ImportanceLedger, layer: int, head_dim: int) -> np.n
     return ao.reshape(n_heads, head_dim * ao.shape[1]).sum(axis=1)
 
 
-def rank_importance(model: Model, ledger: ImportanceLedger | None = None) -> np.ndarray:
-    """Per-rank score.
-
-    At factorization time the singular values order the ranks; once
-    training has moved the factors that ordering is stale, so iterative
-    mode sums the Taylor scores of E_U column i and E_V row i instead.
-    """
+def rank_importance(model: Model, ledger: ImportanceLedger) -> np.ndarray:
+    """Per-rank score: summed Taylor scores of E_U column i and E_V row i."""
     if not model.config.factorized:
         raise RuntimeError("rank_importance: embedding is not factorized")
-    if ledger is None:
-        if model.sigma is None:
-            raise RuntimeError(
-                "rank_importance: no stored singular values; pass a ledger "
-                "for Taylor-based scores"
-            )
-        return model.sigma.copy()
     return (ledger.reported("emb.E_U").sum(axis=0)
             + ledger.reported("emb.E_V").sum(axis=1))
 
@@ -371,8 +359,6 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
         kept_idx = np.setdiff1d(np.arange(c.r), np.array(ranks))
         slice_param("emb.E_U", 1, kept_idx)
         slice_param("emb.E_V", 0, kept_idx)
-        if model.sigma is not None:
-            model.sigma = model.sigma[kept_idx]
 
     removed = [name for i in layer_units for name in _layer_param_names(i)]
 

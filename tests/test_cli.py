@@ -50,6 +50,13 @@ def test_eval_subcommand(workspace, capsys):
     assert 0.0 <= out["value"] <= 1.0
 
 
+def test_eval_unlabeled_split_exits_1(workspace, capsys):
+    rc = main(["eval", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+               "--data", str(workspace / "data"), "--split", "train_aug"])
+    assert rc == 1
+    assert "64 of 64 rows are unlabeled" in capsys.readouterr().err
+
+
 def test_eval_mcc_flag(workspace, capsys):
     rc = main(["eval", "--checkpoint", str(workspace / "run" / "teacher.rst"),
                "--data", str(workspace / "data"), "--metric", "mcc"])

@@ -1,4 +1,6 @@
-"""Jacobi SVD against eigenvalue/direct-norm oracles, truncation identities."""
+"""Jacobi SVD against eigenvalue/direct-norm/LAPACK oracles, truncation identities."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -62,6 +64,71 @@ def test_svd_sign_convention_reproducible():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         F.svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def assert_matches_lapack(w, res, r=None, tol=1e-12):
+    """The stated tolerance against np.linalg.svd: sigma within tol * sigma_1,
+    orthonormal factors to tol, and the rank-r truncation error equal to the
+    Eckart-Young optimum to tol relative."""
+    k = min(w.shape)
+    oracle = np.linalg.svd(w, compute_uv=False)
+    assert np.abs(res.sigma - oracle).max() <= tol * oracle[0]
+    np.testing.assert_allclose(res.U.T @ res.U, np.eye(k), rtol=0, atol=tol)
+    np.testing.assert_allclose(res.V @ res.V.T, np.eye(k), rtol=0, atol=tol)
+    if r is not None:
+        optimum = np.sqrt((oracle[r:] ** 2).sum())
+        err = F.reconstruction_error(w, *F.truncate(res, r))
+        assert abs(err - optimum) <= tol * optimum
+
+
+def test_svd_bench_shape_matches_lapack():
+    # the one_step_svd embedding: 4006 words x d_X 64 at init scale
+    w = np.random.default_rng(11).normal(0.0, 0.02, size=(4006, 64))
+    assert_matches_lapack(w, F.svd(w), r=10)
+
+
+def test_svd_odd_column_count():
+    w = np.random.default_rng(12).normal(size=(40, 7))
+    assert_matches_lapack(w, F.svd(w), r=3)
+
+
+def test_svd_rank_deficient_tall_completes_u():
+    rng = np.random.default_rng(14)
+    w = rng.normal(size=(60, 3)) @ rng.normal(size=(3, 8))
+    res = F.svd(w)
+    assert_matches_lapack(w, res)
+    np.testing.assert_array_equal(res.sigma[3:], 0.0)
+    assert np.linalg.norm(w - res.reconstruct()) <= 1e-11 * np.linalg.norm(w)
+
+
+def test_svd_exactly_orthogonal_columns():
+    # every column pair has gamma == 0 from the start: identity rotations
+    w = np.zeros((6, 4))
+    w[[0, 2, 3, 5], [2, 0, 3, 1]] = [1.0, 4.0, 2.0, 3.0]
+    res = F.svd(w)
+    np.testing.assert_array_equal(res.sigma, [4.0, 3.0, 2.0, 1.0])
+    np.testing.assert_array_equal(res.reconstruct(), w)
+
+
+def test_svd_equal_norm_columns_rotate():
+    # equal column norms make zeta zero; the pair still needs a 45 degree turn
+    w = np.array([[1.0, 0.6], [0.0, 0.8]])
+    assert_matches_lapack(w, F.svd(w), r=1)
+
+
+def test_svd_convergence_error_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(F, "_MAX_SWEEPS", 1)
+    with pytest.raises(F.ConvergenceError, match="1 sweeps"):
+        F.svd(np.random.default_rng(15).normal(size=(30, 8)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_robin_meets_every_pair_once(n):
+    seen = []
+    for p, q in F._round_robin(n):
+        assert len(set(p) | set(q)) == 2 * len(p)  # disjoint within a round
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
 
 def test_truncate_full_rank_reconstructs():

@@ -2,6 +2,7 @@
 optimizer surgery, and end-to-end determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ class TestAdam:
             opt.step({"p": p, "q": q}, 1e-3)
         assert p.data[0] == 1.0 and q.data[0] == 2.0
         assert opt.step_count == 0
+
+    def test_inf_gradient_aborts_without_mutation(self):
+        params = {"p": Tensor(np.array([1.0, -1.0]), requires_grad=True),
+                  "q": Tensor(np.array([2.0]), requires_grad=True)}
+        params["p"].grad, params["q"].grad = np.array([0.5, -0.5]), np.array([1.0])
+        opt = Adam(params)
+        opt.step(params, 1e-3)  # nonzero moments, so a mutation would show
+        before = {n: (p.data.copy(), opt.m[n].copy(), opt.v[n].copy())
+                  for n, p in params.items()}
+        params["q"].grad = np.array([np.inf])
+        with pytest.raises(FloatingPointError, match="q"):
+            opt.step(params, 1e-3)
+        assert opt.step_count == 1
+        for n, (data, m, v) in before.items():
+            np.testing.assert_array_equal(params[n].data, data)
+            np.testing.assert_array_equal(opt.m[n], m)
+            np.testing.assert_array_equal(opt.v[n], v)
 
     def test_state_out_of_sync_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -230,6 +248,28 @@ def tiny_model_dict(info, **over):
              max_len=info["max_len"], n_classes=2, head_dim=8)
     d.update(over)
     return d
+
+
+def test_thread_cap_warns_once_without_threadpoolctl(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+    monkeypatch.setattr(PL, "_warned_uncapped", False)
+    monkeypatch.setenv("ROSITA_MINI_THREADS", "3")
+    assert PL.limit_worker_threads() == 3
+    assert PL.limit_worker_threads() == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "threadpoolctl" in err[0] and "cap of 3" in err[0]
+
+
+def test_evaluate_rejects_unlabeled_rows(task_dir):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    model = Model.init(ModelConfig(**tiny_model_dict(info)), 0)
+    with pytest.raises(ValueError, match="64 of 64 rows are unlabeled"):
+        PL.evaluate(model, splits["train_aug"])
+    dev = splits["dev"]
+    dev.labels[3] = -1
+    with pytest.raises(ValueError, match="1 of 32 rows"):
+        PL.evaluate(model, dev)
 
 
 class TestRunStage:

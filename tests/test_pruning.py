@@ -289,20 +289,6 @@ class TestHeadImportance:
 
 
 class TestRankImportance:
-    def test_fresh_svd_uses_singular_values(self):
-        from rosita_mini import factorization as F
-        cfg = small_config(r=3, vocab_size=3, d_X=12)
-        # embedding diag(3,2,1) padded into a 3 x 12 matrix
-        w = np.zeros((3, 12))
-        w[:3, :3] = np.diag([3.0, 2.0, 1.0])
-        res = F.svd(w)
-        e_u, e_v = F.truncate(res, 3)
-        model = Model.init(cfg, 25)
-        model.params["emb.E_U"] = Tensor(e_u, requires_grad=True)
-        model.params["emb.E_V"] = Tensor(e_v, requires_grad=True)
-        model.sigma = res.sigma[:3].copy()
-        np.testing.assert_allclose(P.rank_importance(model), [3.0, 2.0, 1.0], atol=1e-10)
-
     def test_zero_gradient_taylor_scores_zero(self):
         cfg = small_config()
         model = Model.init(cfg, 26)
@@ -326,8 +312,9 @@ class TestRankImportance:
 
     def test_unfactorized_rejected(self):
         model = Model.init(small_config(r=0), 29)
+        ledger = ImportanceLedger(model, "one_step_average")
         with pytest.raises(RuntimeError, match="factorized"):
-            P.rank_importance(model)
+            P.rank_importance(model, ledger)
 
 
 class TestSelectPruneSet:
