@@ -1,14 +1,18 @@
 """Binary checkpoint container: magic "RSTA", versioned header, f32 payload.
 
-Layout: 4 magic bytes, little-endian u32 format version, u32 header
-length, UTF-8 JSON header (config, seed, stage id, parameter/optimizer
-manifests), then the raw arrays in manifest order as little-endian
-float32, row-major. Save -> load -> save is byte-identical.
+Layout: 4 magic bytes, little-endian u32 format version (2), u32 header
+length, UTF-8 JSON header (config, seed, stage id, parameter manifest),
+then the parameter arrays in manifest order as little-endian float32,
+row-major. Save -> load -> save is byte-identical. Version 1 files, which
+also had an "adam" header key for an optimizer payload, are rejected.
+Files are written to a temporary sibling and renamed into place, so a
+failed save leaves any earlier file at the path untouched.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,11 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .model import Model, ModelConfig, param_shapes
-from .optim import Adam
 from .tensor import Tensor
 
 MAGIC = b"RSTA"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -33,59 +36,42 @@ class Checkpoint:
     params: dict[str, np.ndarray]  # float32 as stored
     seed: int
     stage: str
-    adam: dict | None  # {"step", "beta1", "beta2", "eps", "m": {...}, "v": {...}}
 
     def to_model(self) -> Model:
         params = {name: Tensor(arr.astype(np.float64), requires_grad=True)
                   for name, arr in self.params.items()}
         return Model(self.config, params)
 
-    def to_adam(self, model: Model) -> Adam:
-        if self.adam is None:
-            raise CheckpointError("checkpoint carries no optimizer state")
-        opt = Adam(model.parameters(), beta1=self.adam["beta1"],
-                   beta2=self.adam["beta2"], eps=self.adam["eps"])
-        opt.step_count = self.adam["step"]
-        opt.m = {k: v.astype(np.float64) for k, v in self.adam["m"].items()}
-        opt.v = {k: v.astype(np.float64) for k, v in self.adam["v"].items()}
-        return opt
-
 
 def _f32(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype="<f4")
 
 
-def save_checkpoint(path, model: Model, optimizer: Adam | None = None,
-                    seed: int = 0, stage: str = "") -> None:
+def save_checkpoint(path, model: Model, seed: int = 0, stage: str = "") -> None:
     names = list(param_shapes(model.config))  # canonical order
     header: dict = {
         "config": model.config.to_dict(),
         "seed": int(seed),
         "stage": str(stage),
         "params": [[name, list(model.params[name].shape)] for name in names],
-        "adam": None,
     }
     payload = [_f32(model.params[name].data) for name in names]
-    if optimizer is not None:
-        header["adam"] = {
-            "step": optimizer.step_count,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "entries": [[name, list(optimizer.m[name].shape)] for name in names],
-        }
-        for name in names:
-            payload.append(_f32(optimizer.m[name]))
-            payload.append(_f32(optimizer.v[name]))
 
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for arr in payload:
-            fh.write(arr.tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", FORMAT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for arr in payload:
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -133,18 +119,7 @@ def load_checkpoint(path) -> Checkpoint:
         return arr.reshape(shape).copy()
 
     params = {name: take(shape) for name, shape in manifest}
-    adam = None
-    if header.get("adam") is not None:
-        meta = header["adam"]
-        m, v = {}, {}
-        for name, shape in meta["entries"]:
-            if name not in expected or tuple(shape) != expected[name]:
-                raise CheckpointError(f"{path}: optimizer entry {name} mismatches config")
-            m[name] = take(shape)
-            v[name] = take(shape)
-        adam = {"step": meta["step"], "beta1": meta["beta1"], "beta2": meta["beta2"],
-                "eps": meta["eps"], "m": m, "v": v}
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
     return Checkpoint(config=config, params=params, seed=header.get("seed", 0),
-                      stage=header.get("stage", ""), adam=adam)
+                      stage=header.get("stage", ""))

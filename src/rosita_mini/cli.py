@@ -14,17 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import generate_marker_task, load_task_dir
 from .factorization import factorize_model_embedding
 from .metrics import MetricsWriter
 from .model import Model, ModelConfig, count_params
-from .pipeline import (PruneSpec, StagePlan, StageSpec, evaluate,
-                       limit_worker_threads, run_plan, run_stage)
-from .presets import PRESETS, build_preset, plan_scratch
-from .pruning import (ArchitectureTarget, ImportanceLedger, head_importance,
-                      neuron_importance, rank_importance)
+from .pipeline import (PruneSpec, StagePlan, StageSpec, collect_one_step_scores,
+                       evaluate, limit_worker_threads, run_plan, run_stage)
+from .presets import build_preset
+from .pruning import (ArchitectureTarget, head_importance, neuron_importance,
+                      rank_importance)
 from .sweeps import LR_KIND_ALIASES, sweep_architectures, sweep_frequency
 
 
@@ -45,15 +44,15 @@ def _load_data(args, max_len: int | None = None):
     return vocab, splits, info
 
 
-def _model_config(raw: dict, vocab, info: dict) -> ModelConfig:
+def _with_data_defaults(model: dict, vocab, info: dict) -> dict:
     """Fill vocab_size / max_len / n_classes from the data dir when omitted."""
-    merged = dict(raw)
+    merged = dict(model)
     merged.setdefault("vocab_size", len(vocab))
     if "max_len" in info:
         merged.setdefault("max_len", info["max_len"])
     if "n_classes" in info:
         merged.setdefault("n_classes", info["n_classes"])
-    return ModelConfig(**merged)
+    return merged
 
 
 def cmd_make_data(args) -> int:
@@ -72,7 +71,7 @@ def cmd_finetune(args) -> int:
     cfg = _read_json(args.config)
     train = cfg.get("train", {})
     vocab, splits, info = _load_data(args, cfg.get("model", {}).get("max_len"))
-    model_cfg = _model_config(cfg["model"], vocab, info)
+    model_cfg = ModelConfig.from_dict(_with_data_defaults(cfg["model"], vocab, info))
     model = Model.init(model_cfg, np.random.default_rng(args.seed))
 
     stage = StageSpec(name="finetune", dataset=train.get("dataset", "train"),
@@ -125,17 +124,14 @@ def cmd_prune_one_step(args) -> int:
 def _plan_from_file(path, vocab, info) -> StagePlan:
     raw = _read_json(path)
     if "preset" in raw:
-        model = dict(raw["model"])
-        model.setdefault("vocab_size", len(vocab))
-        if "max_len" in info:
-            model.setdefault("max_len", info["max_len"])
-        if "n_classes" in info:
-            model.setdefault("n_classes", info["n_classes"])
-        name = raw["preset"]
-        if name == "scratch":
-            return plan_scratch(model, raw["target_model"], raw.get("hp"))
-        return build_preset(name, model, raw["target"], raw.get("hp"))
-    return StagePlan.from_dict(raw)
+        plan = build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
+    else:
+        plan = StagePlan.from_dict(raw)
+    plan.model = _with_data_defaults(plan.model, vocab, info)
+    for stage in plan.stages:
+        if stage.model is not None:
+            stage.model = _with_data_defaults(stage.model, vocab, info)
+    return plan
 
 
 def cmd_run_plan(args) -> int:
@@ -160,12 +156,7 @@ def cmd_sweep_architectures(args) -> int:
 def cmd_sweep_frequency(args) -> int:
     vocab, splits, info = _load_data(args)
     cfg = _read_json(args.config)
-    model = dict(cfg["model"])
-    model.setdefault("vocab_size", len(vocab))
-    if "max_len" in info:
-        model.setdefault("max_len", info["max_len"])
-    if "n_classes" in info:
-        model.setdefault("n_classes", info["n_classes"])
+    model = _with_data_defaults(cfg["model"], vocab, info)
     fractions = [float(f) for f in args.fractions.split(",")]
     kinds = args.lr_schedule.split(",")
     unknown = [k for k in kinds if k not in LR_KIND_ALIASES]
@@ -197,21 +188,11 @@ def cmd_inspect(args) -> int:
     model = ck.to_model()
     out = {"config": model.config.to_dict(),
            "param_count": count_params(model.config),
-           "stage": ck.stage, "seed": ck.seed,
-           "has_optimizer_state": ck.adam is not None}
+           "stage": ck.stage, "seed": ck.seed}
     if args.data:
         vocab, splits, info = _load_data(args, model.config.max_len)
-        from .model import cross_entropy
-        from .data import iter_batches
-        ledger = ImportanceLedger(model, "one_step_average")
-        for ids, mask, labels in iter_batches(splits["train"], 32):
-            sel = labels >= 0
-            if not sel.all():
-                continue
-            model.zero_grad()
-            loss = cross_entropy(model.forward(ids, mask).logits, labels)
-            loss.backward(leaves=model.parameters().values())
-            pruning.record_batch_scores(ledger, model)
+        stage = StageSpec(name="inspect", dataset="train", epochs=1, batch_size=32)
+        ledger = collect_one_step_scores(model, None, stage, splits["train"], None)
         importance = {}
         for layer in range(model.config.L):
             importance[f"layer{layer}"] = {

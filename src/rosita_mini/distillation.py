@@ -7,7 +7,7 @@ layers (layer 0 = embedding output on both sides).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,21 +138,4 @@ def hidden_mse(trace_teacher: ForwardTrace, trace_student: ForwardTrace,
         diff = T.sub(s_hidden[l_s], t_hidden[l_t].detach())
         term = T.sum_all(T.scale(T.mul(diff, diff), weight))
         total = term if total is None else T.add(total, term)
-    return total
-
-
-def kd_total_loss(config: KDConfig, z_teacher: Tensor, z_student: Tensor,
-                  trace_teacher: ForwardTrace, trace_student: ForwardTrace,
-                  layer_map: LayerMap | None = None,
-                  mask: np.ndarray | None = None) -> Tensor:
-    """Active-loss combination: use_pred * L_pred + use_hidden * weight * L_hidden."""
-    total = None
-    if config.use_pred:
-        total = soft_cross_entropy(z_teacher, z_student, config.temperature)
-    if config.use_hidden:
-        if layer_map is None:
-            raise ValueError("hidden distillation needs a layer map")
-        hidden = T.scale(hidden_mse(trace_teacher, trace_student, layer_map, mask),
-                         config.hidden_weight)
-        total = hidden if total is None else T.add(total, hidden)
     return total

@@ -9,7 +9,7 @@ so distillation can read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class ForwardTrace:
 
     logits: Tensor
     hidden: list[Tensor]
-    mask: np.ndarray
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -185,18 +184,6 @@ class Model:
 # building blocks
 
 
-def self_attention_head(x: Tensor, W_Qi: Tensor, W_Ki: Tensor, W_Vi: Tensor) -> Tensor:
-    """Single attention head on a (seq, d_X) input, scaled by sqrt(head_dim)."""
-    if x.data.ndim != 2 or W_Qi.shape[0] != x.shape[-1]:
-        raise ShapeError(f"self_attention_head: got x {x.shape}, W_Q {W_Qi.shape}")
-    head_dim = W_Qi.shape[1]
-    q = T.matmul(x, W_Qi)
-    k = T.matmul(x, W_Ki)
-    v = T.matmul(x, W_Vi)
-    scores = T.scale(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / math.sqrt(head_dim))
-    return T.matmul(T.softmax_rows(scores), v)
-
-
 def _split_heads(t: Tensor, H: int, head_dim: int) -> Tensor:
     b, s, _ = t.shape
     return T.swapaxes(T.reshape(t, (b, s, H, head_dim)), 1, 2)
@@ -287,7 +274,7 @@ def forward(model: Model, token_ids, mask, dropout_rate: float = 0.0,
             x = T.dropout(x, dropout_rate, dropout_key, 2 * i + 2)
         hidden.append(x)
     logits = T.add(T.matmul(T.first_token(x), model.params["cls.W"]), model.params["cls.b"])
-    return ForwardTrace(logits=logits, hidden=hidden, mask=mask)
+    return ForwardTrace(logits=logits, hidden=hidden)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -325,9 +325,9 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
     return total, parts
 
 
-def _collect_one_step_scores(student: Model, teacher: Model | None,
-                             stage: StageSpec, data: EncodedDataset,
-                             layer_map: LayerMap | None) -> ImportanceLedger:
+def collect_one_step_scores(student: Model, teacher: Model | None,
+                            stage: StageSpec, data: EncodedDataset,
+                            layer_map: LayerMap | None) -> ImportanceLedger:
     """Dataset-averaged Taylor scores with the stage's active loss."""
     ledger = ImportanceLedger(student, "one_step_average")
     for ids, mask, labels in iter_batches(data, stage.batch_size):
@@ -358,7 +358,7 @@ def one_step_prune(student: Model, teacher: Model | None, stage: StageSpec,
     )
     ledger = None
     if amounts.heads_per_layer or amounts.neurons_per_layer or amounts.ranks:
-        ledger = _collect_one_step_scores(student, teacher, stage, data, layer_map)
+        ledger = collect_one_step_scores(student, teacher, stage, data, layer_map)
     if amounts.any():
         units = select_prune_set(ledger, student, amounts)
         apply_surgery(student, units)
@@ -419,6 +419,11 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
             student.zero_grad()
             loss, parts = _batch_loss(student, teacher, stage, layer_map,
                                       ids, mask, labels, dropout_key + step)
+            if not np.isfinite(loss.item()):
+                raise FloatingPointError(
+                    f"stage {stage.name!r}: training loss is {loss.item()} at "
+                    f"step {step + 1}"
+                )
             loss.backward(leaves=student.parameters().values())
             if ledger is not None:
                 record_batch_scores(ledger, student)

@@ -1,8 +1,9 @@
 """Plan builders for the standard pruning + distillation strategies.
 
-Every preset starts by fine-tuning the full-size model on the labeled
-split; distillation stages then run on the augmented split with teacher
-predictions throughout and hidden states only in the final stage.
+Every distillation preset starts by fine-tuning the full-size model on
+the labeled split; distillation stages then run on the augmented split
+with teacher predictions throughout and hidden states only in the final
+stage. The scratch preset is the baseline without pruning or distillation.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ def _width_target(target: dict) -> ArchitectureTarget:
                               r=target.get("r"))
 
 
-def plan_scratch(model: dict, target_model: dict, hp: dict | None = None) -> StagePlan:
-    """Baseline: train the target-shaped architecture from scratch, no KD."""
+def plan_scratch(model: dict, target: dict, hp: dict | None = None) -> StagePlan:
+    """Baseline: train the base model reshaped to the target dimensions from
+    scratch, with cross-entropy only and no KD."""
     hp = _hp(hp)
     stage = StageSpec(name="scratch", dataset="train", epochs=hp["finetune_epochs"],
                       batch_size=hp["batch_size"], lr_kind=hp["lr_kind"],
-                      base_lr=hp["finetune_lr"], model=target_model,
+                      base_lr=hp["finetune_lr"], model={**model, **target},
                       dropout=hp["dropout"])
     return StagePlan(model=model, stages=[stage])
 
@@ -127,14 +129,12 @@ PRESETS = {
     "one_step_two_stage": plan_one_step_two_stage,
     "iterative_width_two_stage": plan_iterative_width_two_stage,
     "iterative_width_depth_three_stage": plan_iterative_width_depth_three_stage,
-    "scratch": None,  # needs target_model instead of target; handled in cli
+    "scratch": plan_scratch,
 }
 
 
 def build_preset(name: str, model: dict, target: dict,
                  hp: dict | None = None) -> StagePlan:
-    if name == "scratch":
-        raise ValueError("the scratch preset is built from plan_scratch directly")
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
     return PRESETS[name](model, target, hp)

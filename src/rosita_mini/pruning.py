@@ -117,7 +117,7 @@ def weight_taylor_scores(model: Model) -> dict[str, np.ndarray]:
 
 
 class ImportanceLedger:
-    """Accumulated per-weight Taylor scores plus batch/step counters.
+    """Accumulated per-weight Taylor scores plus a batch counter.
 
     one_step_average reports the score mean over recorded batches;
     iterative_accumulate reports the raw sum since the last pruning event
@@ -132,7 +132,6 @@ class ImportanceLedger:
         self.mode = mode
         self.scores: dict[str, np.ndarray] = {}
         self.batches_seen = 0
-        self.steps_since_last_prune = 0
         self._init_scores(model)
 
     def _init_scores(self, model: Model) -> None:
@@ -155,7 +154,6 @@ class ImportanceLedger:
                 )
             self.scores[name] += s
         self.batches_seen += 1
-        self.steps_since_last_prune += 1
 
     def reported(self, name: str) -> np.ndarray:
         if self.batches_seen == 0:
@@ -167,7 +165,6 @@ class ImportanceLedger:
     def reset_after_prune(self, model: Model) -> None:
         self._init_scores(model)
         self.batches_seen = 0
-        self.steps_since_last_prune = 0
 
 
 def record_batch_scores(ledger: ImportanceLedger, model: Model) -> None:
@@ -376,14 +373,3 @@ def _layer_param_names(i: int) -> list[str]:
     p = f"layer{i}."
     return [p + n for n in ("W_Q", "W_K", "W_V", "W_AO", "b_AO", "ln1_g", "ln1_b",
                             "W_FI", "b_FI", "W_FO", "b_FO", "ln2_g", "ln2_b")]
-
-
-def drop_layers(model: Model, target_layers: int) -> SurgeryReport:
-    """Keep the first target_layers transformer layers, dropping the rest."""
-    c = model.config
-    if not 1 <= target_layers <= c.L:
-        raise ValueError(f"target layer count {target_layers} outside [1, {c.L}]")
-    if target_layers == c.L:
-        return SurgeryReport(kept={}, removed=[], config=c)
-    prune_set = [UnitId("layer", i) for i in range(target_layers, c.L)]
-    return apply_surgery(model, prune_set)

@@ -139,11 +139,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, leaves=None) -> None:
-    """Free-function form of Tensor.backward."""
-    loss.backward(leaves=leaves)
-
-
 def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -424,17 +419,6 @@ def sum_all(a) -> Tensor:
 
     def bwd(g):
         a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
-
-    return _node(data, (a,), bwd)
-
-
-def mean_all(a) -> Tensor:
-    a = _ensure(a)
-    n = a.data.size
-    data = np.asarray(a.data.mean())
-
-    def bwd(g):
-        a.accumulate_grad(np.broadcast_to(g / n, a.shape).copy())
 
     return _node(data, (a,), bwd)
 

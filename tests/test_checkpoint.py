@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from rosita_mini import checkpoint as C
 from rosita_mini import tensor as T
 from rosita_mini.checkpoint import (CheckpointError, load_checkpoint,
                                     save_checkpoint)
 from rosita_mini.model import Model, ModelConfig
-from rosita_mini.optim import Adam
 
 
 def make_model(seed=0, **over):
@@ -23,24 +23,6 @@ def test_save_load_save_byte_identical(tmp_path):
     save_checkpoint(p1, model, seed=42, stage="teach")
     loaded = load_checkpoint(p1)
     save_checkpoint(p2, loaded.to_model(), seed=loaded.seed, stage=loaded.stage)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_round_trip_with_optimizer(tmp_path):
-    model = make_model(2)
-    opt = Adam(model.parameters())
-    rng = np.random.default_rng(3)
-    for p in model.parameters().values():
-        p.grad = rng.normal(size=p.shape)
-    opt.step(model.parameters(), 1e-3)
-
-    p1, p2 = tmp_path / "a.rst", tmp_path / "b.rst"
-    save_checkpoint(p1, model, optimizer=opt, seed=0, stage="s")
-    ck = load_checkpoint(p1)
-    model2 = ck.to_model()
-    opt2 = ck.to_adam(model2)
-    assert opt2.step_count == 1
-    save_checkpoint(p2, model2, optimizer=opt2, seed=0, stage="s")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -83,6 +65,51 @@ def test_version_mismatch_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def test_format_version_1_rejected(tmp_path):
+    path = tmp_path / "m.rst"
+    save_checkpoint(path, make_model(7))
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="format version 1, reader supports 2"):
+        load_checkpoint(path)
+
+
+def test_header_has_no_optimizer_key(tmp_path):
+    path = tmp_path / "m.rst"
+    save_checkpoint(path, make_model(7), seed=3, stage="s")
+    import json
+    import struct
+    _, header_len = struct.unpack("<II", path.read_bytes()[4:12])
+    header = json.loads(path.read_bytes()[12:12 + header_len])
+    assert sorted(header) == ["config", "params", "seed", "stage"]
+
+
+class _FailingArray(np.ndarray):
+    writes = 0
+
+    def tobytes(self, order="C"):
+        _FailingArray.writes += 1
+        if _FailingArray.writes == 3:
+            raise OSError("disk full")
+        return np.ndarray.tobytes(np.asarray(self), order)
+
+
+def test_failed_save_keeps_existing_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.rst"
+    save_checkpoint(path, make_model(12), seed=1, stage="old")
+    before = path.read_bytes()
+
+    monkeypatch.setattr(_FailingArray, "writes", 0)
+    monkeypatch.setattr(C, "_f32", lambda arr: np.ascontiguousarray(
+        arr, dtype="<f4").view(_FailingArray))
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, make_model(13), seed=2, stage="new")
+    assert _FailingArray.writes == 3
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rst"]
 
 
 def test_truncated_payload_rejected(tmp_path):

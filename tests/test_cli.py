@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from rosita_mini.checkpoint import load_checkpoint
-from rosita_mini.cli import main
+from rosita_mini.cli import _plan_from_file, main
+from rosita_mini.data import load_task_dir
 from rosita_mini.metrics import read_ndjson
+from rosita_mini.model import ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,50 @@ def test_run_plan_preset_file(workspace, capsys):
     out = json.loads(capsys.readouterr().out.strip())
     assert [s["stage"] for s in out] == ["finetune", "kd_prune"]
     assert (workspace / "plan_out" / "stage1_kd_prune.rst").exists()
+
+
+def test_run_plan_explicit_stages_fill_model_defaults(workspace, capsys):
+    tiny = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
+    plan = {"version": 1, "model": tiny,
+            "stages": [{"name": "ft", "dataset": "train", "epochs": 1, "batch_size": 16},
+                       {"name": "small", "dataset": "train", "epochs": 1,
+                        "batch_size": 16, "model": {**tiny, "L": 1}}]}
+    (workspace / "explicit.json").write_text(json.dumps(plan))
+    rc = main(["run-plan", "--plan", str(workspace / "explicit.json"),
+               "--data", str(workspace / "data"),
+               "--out", str(workspace / "explicit_out")])
+    assert rc == 0, capsys.readouterr().err
+    assert load_checkpoint(workspace / "explicit_out" / "stage1_small.rst").config.L == 1
+
+
+def test_run_plan_scratch_preset_uses_target(workspace, capsys):
+    plan = {"preset": "scratch",
+            "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+            "target": {"H": 1, "L": 1, "d_I": 16, "r": 4},
+            "hp": {"finetune_epochs": 1, "batch_size": 16}}
+    (workspace / "scratch.json").write_text(json.dumps(plan))
+    rc = main(["run-plan", "--plan", str(workspace / "scratch.json"),
+               "--data", str(workspace / "data"),
+               "--out", str(workspace / "scratch_out")])
+    assert rc == 0, capsys.readouterr().err
+    cfg = load_checkpoint(workspace / "scratch_out" / "stage0_scratch.rst").config
+    assert (cfg.H, cfg.L, cfg.d_I, cfg.r, cfg.d_X) == (1, 1, 16, 4, 16)
+
+
+def test_readme_plan_examples_load(workspace):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Plans\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```json\n")[1:]]
+    assert any('"stages"' in b for b in blocks)  # the explicit stage list
+    info = json.loads((workspace / "data" / "task.json").read_text())
+    vocab, _ = load_task_dir(workspace / "data", info["max_len"])
+    for block in blocks:
+        (workspace / "readme_plan.json").write_text(block)
+        plan = _plan_from_file(workspace / "readme_plan.json", vocab, info)
+        assert ModelConfig.from_dict(plan.model).vocab_size == len(vocab)
+        for stage in plan.stages:
+            if stage.model is not None:
+                ModelConfig.from_dict(stage.model)
 
 
 def test_sweep_frequency_subcommand(workspace, capsys):

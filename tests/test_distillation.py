@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosita_mini import distillation as D
+from rosita_mini import pipeline as PL
 from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, ForwardTrace
+from rosita_mini.pipeline import StageSpec
 from rosita_mini.tensor import Tensor, ShapeError
 
 
-def make_trace(states, logits=None, mask=None):
-    b, s, _ = states[0].shape
+def make_trace(states, logits=None):
+    b = states[0].shape[0]
     return ForwardTrace(
         logits=Tensor(logits if logits is not None else np.zeros((b, 2))),
         hidden=[Tensor(h) for h in states],
-        mask=mask if mask is not None else np.ones((b, s)),
     )
 
 
@@ -185,34 +186,43 @@ class TestBuildLayerMap:
 
 
 class TestKDTotalLoss:
-    def _traces(self, seed=7):
+    """The training loss composed by pipeline._batch_loss on tiny models."""
+
+    def _loss(self, kd, seed=7):
+        cfg = ModelConfig(H=2, L=2, d_X=8, d_I=6, r=0, vocab_size=9, max_len=5,
+                          n_classes=2, head_dim=4)
+        teacher, student = Model.init(cfg, seed), Model.init(cfg, seed + 1)
+        teacher.freeze()
         rng = np.random.default_rng(seed)
-        t_states = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
-        s_states = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
-        zt, zs = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        return (make_trace(t_states, zt), make_trace(s_states, zs),
-                Tensor(zt), Tensor(zs))
+        ids = rng.integers(0, cfg.vocab_size, size=(3, 5))
+        mask = np.ones((3, 5))
+        mask[0, 3:] = 0.0
+        labels = rng.integers(0, cfg.n_classes, size=3)
+        stage = StageSpec(name="kd", dataset="train_aug", epochs=1,
+                          teacher="original", kd=kd)
+        lm = D.build_layer_map(2, 2)
+        total, parts = PL._batch_loss(student, teacher, stage, lm, ids, mask, labels)
+        with T.no_grad():
+            t, s = teacher.forward(ids, mask), student.forward(ids, mask)
+        return total, parts, t, s, lm, mask
 
     def test_pred_only(self):
-        t, s, zt, zs = self._traces()
-        cfg = D.KDConfig(use_pred=True, use_hidden=False)
-        loss = D.kd_total_loss(cfg, zt, zs, t, s)
-        assert abs(loss.item() - D.soft_cross_entropy(zt, zs).item()) < 1e-12
+        total, parts, t, s, _, _ = self._loss(D.KDConfig(use_pred=True, use_hidden=False))
+        assert abs(total.item() - D.soft_cross_entropy(t.logits, s.logits).item()) < 1e-12
+        assert parts["loss_cross"] is None and parts["loss_hidden"] is None
 
     def test_zero_weight_hidden(self):
-        t, s, zt, zs = self._traces()
-        lm = D.build_layer_map(2, 2)
-        cfg = D.KDConfig(use_pred=True, use_hidden=True, hidden_weight=0.0)
-        loss = D.kd_total_loss(cfg, zt, zs, t, s, lm)
-        assert abs(loss.item() - D.soft_cross_entropy(zt, zs).item()) < 1e-12
+        total, parts, t, s, _, _ = self._loss(
+            D.KDConfig(use_pred=True, use_hidden=True, hidden_weight=0.0))
+        assert parts["loss_hidden"] > 0
+        assert abs(total.item() - parts["loss_pred"]) < 1e-12
+        assert abs(total.item() - D.soft_cross_entropy(t.logits, s.logits).item()) < 1e-12
 
     def test_sum_of_components(self):
-        t, s, zt, zs = self._traces()
-        lm = D.build_layer_map(2, 2)
-        cfg = D.KDConfig(use_pred=True, use_hidden=True, hidden_weight=1.0)
-        loss = D.kd_total_loss(cfg, zt, zs, t, s, lm)
-        expect = D.soft_cross_entropy(zt, zs).item() + D.hidden_mse(t, s, lm).item()
-        assert abs(loss.item() - expect) < 1e-12
+        total, parts, t, s, lm, mask = self._loss(
+            D.KDConfig(use_pred=True, use_hidden=True, hidden_weight=1.0))
+        assert abs(total.item() - (parts["loss_pred"] + parts["loss_hidden"])) < 1e-12
+        assert abs(parts["loss_hidden"] - D.hidden_mse(t, s, lm, mask).item()) < 1e-12
 
     def test_no_loss_active_rejected(self):
         with pytest.raises(ValueError):

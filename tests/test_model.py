@@ -1,13 +1,15 @@
 """Encoder blocks against direct numpy oracles, parameter counting, and
 gradient checks on a small config."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rosita_mini import model as M
 from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, count_params, cross_entropy
-from rosita_mini.tensor import Tensor, finite_diff_check
+from rosita_mini.tensor import ShapeError, Tensor, finite_diff_check
 
 
 def tiny_config(**over):
@@ -27,26 +29,39 @@ def full_mask(ids):
     return np.ones_like(ids, dtype=float)
 
 
+def self_attention_head(x: Tensor, W_Qi: Tensor, W_Ki: Tensor, W_Vi: Tensor) -> Tensor:
+    """Single attention head on a (seq, d_X) input, scaled by sqrt(head_dim);
+    the per-head oracle that multi_head is checked against."""
+    if x.data.ndim != 2 or W_Qi.shape[0] != x.shape[-1]:
+        raise ShapeError(f"self_attention_head: got x {x.shape}, W_Q {W_Qi.shape}")
+    head_dim = W_Qi.shape[1]
+    q = T.matmul(x, W_Qi)
+    k = T.matmul(x, W_Ki)
+    v = T.matmul(x, W_Vi)
+    scores = T.scale(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / math.sqrt(head_dim))
+    return T.matmul(T.softmax_rows(scores), v)
+
+
 class TestSelfAttentionHead:
     def test_single_token_softmax_is_one(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 8)))
         wq, wk, wv = (Tensor(rng.normal(size=(8, 4))) for _ in range(3))
-        out = M.self_attention_head(x, wq, wk, wv)
+        out = self_attention_head(x, wq, wk, wv)
         np.testing.assert_allclose(out.data, x.data @ wv.data, atol=1e-12)
 
     def test_zero_values_zero_output(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(3, 8)))
         wq, wk = Tensor(rng.normal(size=(8, 4))), Tensor(rng.normal(size=(8, 4)))
-        out = M.self_attention_head(x, wq, wk, Tensor(np.zeros((8, 4))))
+        out = self_attention_head(x, wq, wk, Tensor(np.zeros((8, 4))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 8))
         wq, wk, wv = rng.normal(size=(8, 4)), rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        out = M.self_attention_head(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv))
+        out = self_attention_head(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv))
         q, k, v = x @ wq, x @ wk, x @ wv
         expect = np_softmax(q @ k.T / np.sqrt(4)) @ v
         assert np.abs(out.data - expect).max() < 1e-10
@@ -63,7 +78,7 @@ class TestMultiHead:
         x = Tensor(rng.normal(size=(1, 5, 8)))
         layer = self._layer(model)
         out = M.multi_head(x, layer, cfg)
-        head = M.self_attention_head(
+        head = self_attention_head(
             Tensor(x.data[0]), layer["W_Q"], layer["W_K"], layer["W_V"])
         proj = head.data @ layer["W_AO"].data + layer["b_AO"].data
         expect = T.layer_norm(Tensor(x.data[0] + proj), layer["ln1_g"],

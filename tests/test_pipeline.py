@@ -323,6 +323,20 @@ class TestRunStage:
         assert rows[0]["H"] == 1 and rows[0]["L"] == 1
         assert rows[0]["d_I"] == 8 and rows[0]["r"] == 4
 
+    def test_non_finite_loss_names_stage_and_step(self, task_dir, tmp_path):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        stage = StageSpec(name="ft", dataset="train", epochs=1, batch_size=16)
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 3)
+        model.params["cls.b"].data[0] = np.nan
+        before = {k: v.data.copy() for k, v in model.params.items()}
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            with pytest.raises(FloatingPointError,
+                               match=r"stage 'ft': training loss is nan at step 1$"):
+                run_stage(stage, model, None, splits, metrics, np.random.default_rng(3))
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(v.data, before[k])
+
 
 class TestRunPlan:
     def test_three_stage_preset_end_to_end(self, task_dir, tmp_path):

@@ -8,7 +8,7 @@ from rosita_mini import pruning as P
 from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, cross_entropy, count_params
 from rosita_mini.pruning import (ImportanceLedger, RemovalAmounts, UnitId,
-                                 apply_surgery, drop_layers, record_batch_scores,
+                                 apply_surgery, record_batch_scores,
                                  select_prune_set, weight_taylor_scores)
 from rosita_mini.tensor import Tensor
 
@@ -137,7 +137,7 @@ class TestLedger:
         # independent re-summation oracle
         for name in total:
             np.testing.assert_allclose(ledger.reported(name), total[name], atol=1e-15)
-        assert ledger.steps_since_last_prune == 4
+        assert ledger.batches_seen == 4
 
     def test_reset_after_prune(self):
         cfg = small_config()
@@ -148,7 +148,6 @@ class TestLedger:
         record_batch_scores(ledger, model)
         ledger.reset_after_prune(model)
         assert ledger.batches_seen == 0
-        assert ledger.steps_since_last_prune == 0
         with pytest.raises(RuntimeError):
             ledger.reported("layer0.W_FI")
 
@@ -457,11 +456,16 @@ class TestApplySurgery:
         np.testing.assert_array_equal(axes_ao[0], np.r_[0:4, 8:12])
 
 
+def remove_last_layers(model, k):
+    """Layer removal as the pipeline does it: keep-first selection + surgery."""
+    return apply_surgery(model, select_prune_set(None, model, RemovalAmounts(layers=k)))
+
+
 class TestDropLayers:
     def test_noop_at_full_depth(self):
         model = Model.init(small_config(L=3), 44)
         before = {k: v.data.copy() for k, v in model.params.items()}
-        report = drop_layers(model, 3)
+        report = remove_last_layers(model, 0)
         assert report.removed == []
         for k, v in model.params.items():
             assert (v.data == before[k]).all()
@@ -473,7 +477,7 @@ class TestDropLayers:
         ids, mask, _ = random_batch(cfg, rng)
         with T.no_grad():
             full = model.forward(ids, mask)
-        drop_layers(model, 2)
+        remove_last_layers(model, 2)
         with T.no_grad():
             short = model.forward(ids, mask)
         assert len(short.hidden) == 3
@@ -485,12 +489,14 @@ class TestDropLayers:
         model = Model.init(cfg, 47)
         per_layer = count_params(small_config(L=2)) - count_params(small_config(L=1))
         before = model.num_params()
-        drop_layers(model, 1)
+        report = remove_last_layers(model, 3)
         assert before - model.num_params() == 3 * per_layer
+        assert report.config.L == 1 and len(report.removed) == 3 * 13
 
     def test_out_of_range(self):
         model = Model.init(small_config(L=2), 48)
-        with pytest.raises(ValueError):
-            drop_layers(model, 0)
-        with pytest.raises(ValueError):
-            drop_layers(model, 3)
+        with pytest.raises(ValueError, match="leaves none"):
+            remove_last_layers(model, 2)
+        with pytest.raises(ValueError, match="keeps the first layers"):
+            apply_surgery(model, [UnitId("layer", 0)])
+        assert model.config.L == 2
