@@ -20,7 +20,8 @@ from .factorization import factorize_model_embedding
 from .metrics import MetricsWriter
 from .model import Model, ModelConfig, count_params
 from .pipeline import (PruneSpec, StagePlan, StageSpec, collect_one_step_scores,
-                       evaluate, limit_worker_threads, run_plan, run_stage)
+                       evaluate, limit_worker_threads, one_step_prune, run_plan,
+                       run_stage)
 from .presets import build_preset
 from .pruning import (ArchitectureTarget, head_importance, neuron_importance,
                       rank_importance)
@@ -89,9 +90,8 @@ def cmd_finetune(args) -> int:
     ckpt = out / "teacher.rst"
     save_checkpoint(ckpt, model, seed=args.seed, stage="finetune")
     result = {"checkpoint": str(ckpt), "param_count": count_params(model_cfg)}
-    if "dev" in splits:
-        result["dev_metric"] = evaluate(model, splits["dev"],
-                                        info.get("metric", "accuracy"))
+    if "eval_metric" in metrics.last:
+        result["dev_metric"] = metrics.last["eval_metric"]
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -106,7 +106,6 @@ def cmd_prune_one_step(args) -> int:
     stage = StageSpec(name="prune", dataset="train", epochs=1,
                       batch_size=args.batch_size,
                       prune=PruneSpec(mode="one_step", target=target))
-    from .pipeline import one_step_prune
     one_step_prune(model, None, stage, splits["train"], None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("run-plan", cmd_run_plan, help="execute a multi-stage plan")
     p.add_argument("--plan", required=True)

@@ -46,10 +46,6 @@ class KDConfig:
         if self.hidden_weight < 0:
             raise ValueError("hidden_weight must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {"use_pred": self.use_pred, "use_hidden": self.use_hidden,
-                "hidden_weight": self.hidden_weight, "temperature": self.temperature}
-
 
 def build_layer_map(teacher_layers: int, student_layers: int) -> LayerMap:
     """Even selection when L_student divides L_teacher; otherwise drop the

@@ -41,16 +41,18 @@ class MetricsWriter:
     """Append-only NDJSON stream; every line carries the schema version.
 
     Records are serialized with sorted keys so identical runs produce
-    byte-identical files.
+    byte-identical files. `last` is the row written last (None before any).
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w", encoding="utf-8")
+        self.last: dict | None = None
 
     def write(self, record: dict) -> None:
         row = {"schema_version": SCHEMA_VERSION, **record}
+        self.last = row
         self._fh.write(json.dumps(row, sort_keys=True) + "\n")
         self._fh.flush()
 

@@ -9,7 +9,7 @@ so distillation can read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -62,11 +62,7 @@ class ModelConfig:
         return self.r > 0
 
     def to_dict(self) -> dict:
-        return {
-            "H": self.H, "L": self.L, "d_X": self.d_X, "d_I": self.d_I,
-            "r": self.r, "vocab_size": self.vocab_size, "max_len": self.max_len,
-            "n_classes": self.n_classes, "head_dim": self.head_dim, "eps": self.eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

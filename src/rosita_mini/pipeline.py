@@ -152,12 +152,6 @@ class PruneSpec:
         d["target"] = ArchitectureTarget.from_dict(d["target"])
         return cls(**d)
 
-    def to_dict(self) -> dict:
-        out = {"mode": self.mode, "target": self.target.to_dict()}
-        if self.mode == "iterative":
-            out.update(prune_fraction=self.prune_fraction, n_events=self.n_events)
-        return out
-
 
 @dataclass
 class StageSpec:
@@ -173,10 +167,6 @@ class StageSpec:
     prune: PruneSpec | None = None
     use_cross: bool | None = None     # default: no KD configured
     model: dict | None = None         # fresh-init config override
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    eval_every: int | None = None
     dropout: float = 0.0
 
     def __post_init__(self):
@@ -203,21 +193,6 @@ class StageSpec:
         if d.get("prune") is not None:
             d["prune"] = PruneSpec.from_dict(d["prune"])
         return cls(**d)
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "dataset": self.dataset, "epochs": self.epochs,
-               "teacher": self.teacher, "student_init": self.student_init,
-               "batch_size": self.batch_size, "lr_kind": self.lr_kind,
-               "base_lr": self.base_lr, "use_cross": self.use_cross,
-               "beta1": self.beta1, "beta2": self.beta2, "adam_eps": self.adam_eps,
-               "eval_every": self.eval_every, "dropout": self.dropout}
-        if self.kd is not None:
-            out["kd"] = self.kd.to_dict()
-        if self.prune is not None:
-            out["prune"] = self.prune.to_dict()
-        if self.model is not None:
-            out["model"] = self.model
-        return out
 
 
 PLAN_SCHEMA_VERSION = 1
@@ -260,11 +235,6 @@ class StagePlan:
         d = dict(d)
         d["stages"] = [StageSpec.from_dict(s) for s in d["stages"]]
         return cls(**d)
-
-    def to_dict(self) -> dict:
-        return {"version": self.version, "model": self.model,
-                "allow_hidden_outside_final": self.allow_hidden_outside_final,
-                "stages": [s.to_dict() for s in self.stages]}
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +338,13 @@ def one_step_prune(student: Model, teacher: Model | None, stage: StageSpec,
 
 def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
               datasets: dict[str, EncodedDataset], metrics: MetricsWriter,
-              rng: np.random.Generator, eval_split: str = "dev",
-              eval_kind: str = "accuracy") -> Model:
+              rng: np.random.Generator, eval_kind: str = "accuracy") -> Model:
     """Execute one stage: optional one-step prune, then the training loop
-    with optional iterative pruning events; returns the trained student."""
+    with optional iterative pruning events; returns the trained student.
+
+    When a "dev" split is loaded, it is evaluated every max(1, T // 25)
+    steps and at the last step T, so the stage's last record carries the
+    final student's dev metric."""
     if stage.dataset not in datasets:
         raise KeyError(f"stage {stage.name!r}: dataset {stage.dataset!r} not loaded")
     data = datasets[stage.dataset]
@@ -406,9 +379,8 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
         events = schedule_events(prune_schedule)
         ledger = ImportanceLedger(student, "iterative_accumulate")
 
-    optimizer = Adam(student.parameters(), beta1=stage.beta1, beta2=stage.beta2,
-                     eps=stage.adam_eps)
-    eval_every = stage.eval_every or max(1, total_steps // 25)
+    optimizer = Adam(student.parameters())
+    eval_every = max(1, total_steps // 25)
     dropout_key = int(rng.integers(2 ** 31)) if stage.dropout else 0
 
     step = 0
@@ -447,10 +419,9 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                 "param_count": count_params(student.config),
             }
             if step % eval_every == 0 or step == total_steps:
-                if eval_split in datasets:
+                if "dev" in datasets:
                     record["eval_metric_kind"] = eval_kind
-                    record["eval_metric"] = evaluate(student, datasets[eval_split],
-                                                     eval_kind)
+                    record["eval_metric"] = evaluate(student, datasets["dev"], eval_kind)
             metrics.write(record)
             if step >= total_steps:
                 done = True
@@ -464,9 +435,17 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     return student
 
 
+def stage_summary(student: Model, metrics: MetricsWriter, **fields) -> dict:
+    """Summary row of a finished stage: `fields`, the student's config and
+    size, and the dev metric that the stage's last record carries."""
+    last = metrics.last
+    return {**fields, "config": student.config.to_dict(),
+            "param_count": count_params(student.config),
+            **{k: last[k] for k in ("eval_metric_kind", "eval_metric") if k in last}}
+
+
 def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
-             seed: int = 0, eval_split: str = "dev",
-             eval_kind: str = "accuracy") -> list[dict]:
+             seed: int = 0, eval_kind: str = "accuracy") -> list[dict]:
     """Run all stages in order, checkpointing each student.
 
     Teachers are reloaded from the previous stage's written checkpoint, so
@@ -498,7 +477,7 @@ def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
 
         with MetricsWriter(out_dir / f"stage{k}_{stage.name}.ndjson") as metrics:
             student = run_stage(stage, student, teacher, datasets, metrics, rng,
-                                eval_split, eval_kind)
+                                eval_kind)
 
         ckpt_path = out_dir / f"stage{k}_{stage.name}.rst"
         save_checkpoint(ckpt_path, student, seed=seed, stage=stage.name)
@@ -506,11 +485,6 @@ def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
             original_path = ckpt_path
         previous_path = ckpt_path
 
-        summary = {"stage": stage.name, "checkpoint": str(ckpt_path),
-                   "config": student.config.to_dict(),
-                   "param_count": count_params(student.config)}
-        if eval_split in datasets:
-            summary["eval_metric_kind"] = eval_kind
-            summary["eval_metric"] = evaluate(student, datasets[eval_split], eval_kind)
-        summaries.append(summary)
+        summaries.append(stage_summary(student, metrics, stage=stage.name,
+                                       checkpoint=str(ckpt_path)))
     return summaries

@@ -8,6 +8,8 @@ stage. The scratch preset is the baseline without pruning or distillation.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .distillation import KDConfig
 from .pipeline import PruneSpec, StagePlan, StageSpec
 from .pruning import ArchitectureTarget
@@ -58,11 +60,7 @@ def _width_target(target: dict) -> ArchitectureTarget:
 def plan_scratch(model: dict, target: dict, hp: dict | None = None) -> StagePlan:
     """Baseline: train the base model reshaped to the target dimensions from
     scratch, with cross-entropy only and no KD."""
-    hp = _hp(hp)
-    stage = StageSpec(name="scratch", dataset="train", epochs=hp["finetune_epochs"],
-                      batch_size=hp["batch_size"], lr_kind=hp["lr_kind"],
-                      base_lr=hp["finetune_lr"], model={**model, **target},
-                      dropout=hp["dropout"])
+    stage = replace(_finetune_stage(_hp(hp)), name="scratch", model={**model, **target})
     return StagePlan(model=model, stages=[stage])
 
 

@@ -44,11 +44,6 @@ class RemovalAmounts:
         return bool(self.heads_per_layer or self.neurons_per_layer
                     or self.ranks or self.layers)
 
-    def to_dict(self) -> dict:
-        return {"heads_per_layer": self.heads_per_layer,
-                "neurons_per_layer": self.neurons_per_layer,
-                "ranks": self.ranks, "layers": self.layers}
-
 
 @dataclass(frozen=True)
 class ArchitectureTarget:
@@ -86,11 +81,6 @@ class ArchitectureTarget:
         if extra:
             raise ValueError(f"unknown target dimensions {sorted(extra)}")
         return cls(**d)
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in
-                (("H", self.H), ("L", self.L), ("d_I", self.d_I), ("r", self.r))
-                if v is not None}
 
 
 def _prunable_names(config: ModelConfig) -> list[str]:

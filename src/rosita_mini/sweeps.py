@@ -10,6 +10,7 @@ pruning fraction and schedule.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,9 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .data import EncodedDataset
 from .metrics import MetricsWriter
-from .model import count_params
-from .pipeline import (PruneSpec, StagePlan, StageSpec, evaluate, limit_worker_threads,
-                       run_plan, run_stage)
-from .presets import (_hp, _kd_stage, _width_target,
+from .pipeline import (PruneSpec, StagePlan, limit_worker_threads, run_plan, run_stage,
+                       stage_summary)
+from .presets import (_finetune_stage, _hp, _kd_stage, _width_target,
                       plan_iterative_width_depth_three_stage,
                       plan_iterative_width_two_stage)
 from .pruning import ArchitectureTarget
@@ -28,7 +28,7 @@ from .pruning import ArchitectureTarget
 
 def sweep_architectures(teacher_ckpt, archs: list[dict],
                         datasets: dict[str, EncodedDataset], out_dir, seed: int = 0,
-                        hp: dict | None = None, eval_split: str = "dev",
+                        hp: dict | None = None,
                         eval_kind: str = "accuracy") -> list[dict]:
     """One-step prune the fine-tuned model to each architecture, fine-tune
     with cross-entropy, and report the dev metric per architecture.
@@ -43,21 +43,12 @@ def sweep_architectures(teacher_ckpt, archs: list[dict],
     for idx, arch in enumerate(archs):
         name, target = arch["name"], ArchitectureTarget.from_dict(arch["target"])
         student = load_checkpoint(teacher_ckpt).to_model()
-        stage = StageSpec(name=f"arch_{name}", dataset="train",
-                          epochs=hp["finetune_epochs"], batch_size=hp["batch_size"],
-                          lr_kind=hp["lr_kind"], base_lr=hp["finetune_lr"],
-                          prune=PruneSpec(mode="one_step", target=target))
+        stage = replace(_finetune_stage(hp), name=f"arch_{name}",
+                        prune=PruneSpec(mode="one_step", target=target))
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         with MetricsWriter(out_dir / f"arch_{name}.ndjson") as metrics:
-            run_stage(stage, student, None, datasets, metrics, rng,
-                      eval_split, eval_kind)
-        row = {"name": name, "target": arch["target"],
-               "config": student.config.to_dict(),
-               "param_count": count_params(student.config)}
-        if eval_split in datasets:
-            row["eval_metric_kind"] = eval_kind
-            row["eval_metric"] = evaluate(student, datasets[eval_split], eval_kind)
-        rows.append(row)
+            run_stage(stage, student, None, datasets, metrics, rng, eval_kind)
+        rows.append(stage_summary(student, metrics, name=name, target=arch["target"]))
     _write_summary(out_dir, rows)
     return rows
 
@@ -69,7 +60,7 @@ LR_KIND_ALIASES = {"linear": "linear_decay", "linear_decay": "linear_decay",
 def sweep_frequency(model: dict, target: dict, fractions: list[float],
                     lr_kinds: list[str], seeds: list[int],
                     datasets: dict[str, EncodedDataset], out_dir,
-                    hp: dict | None = None, eval_split: str = "dev",
+                    hp: dict | None = None,
                     eval_kind: str = "accuracy") -> list[dict]:
     """Grid over (pruning fraction, lr schedule, seed) for the final
     width-pruning KD stage; one metrics file per cell."""
@@ -87,8 +78,7 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
         else:
             plan = plan_iterative_width_two_stage(model, target, hp)
         precursor = StagePlan(model=plan.model, stages=plan.stages[:-1])
-        run_plan(precursor, datasets, precursor_dir, seed=seed,
-                 eval_split=eval_split, eval_kind=eval_kind)
+        run_plan(precursor, datasets, precursor_dir, seed=seed, eval_kind=eval_kind)
         last = len(precursor.stages) - 1
         teacher_path = sorted(precursor_dir.glob(f"stage{last}_*.rst"))[0]
 
@@ -108,15 +98,9 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
                     np.random.SeedSequence([seed, hash_cell(fraction, kind)]))
                 with MetricsWriter(out_dir / f"{cell}.ndjson") as metrics:
                     run_stage(stage, student, teacher, datasets, metrics, rng,
-                              eval_split, eval_kind)
-                row = {"fraction": fraction, "lr_kind": kind, "seed": seed,
-                       "config": student.config.to_dict(),
-                       "param_count": count_params(student.config)}
-                if eval_split in datasets:
-                    row["eval_metric_kind"] = eval_kind
-                    row["eval_metric"] = evaluate(student, datasets[eval_split],
-                                                  eval_kind)
-                rows.append(row)
+                              eval_kind)
+                rows.append(stage_summary(student, metrics, fraction=fraction,
+                                          lr_kind=kind, seed=seed))
     _write_summary(out_dir, rows)
     return rows
 

@@ -105,19 +105,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Small operator sugar; the heavy lifting stays in the module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     """Iterative DFS postorder; each node appears exactly once."""

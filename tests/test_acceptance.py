@@ -7,11 +7,7 @@ implemented; ROADMAP item 5 plans them as an opt-in harness outside
 this suite.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 from rosita_mini import factorization as F
 from rosita_mini import presets
@@ -19,7 +15,7 @@ from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
 from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import build_layer_map, hidden_mse, soft_cross_entropy
-from rosita_mini.metrics import eval_metric, read_ndjson
+from rosita_mini.metrics import eval_metric
 from rosita_mini.model import Model, ModelConfig, count_params, cross_entropy
 from rosita_mini.pipeline import run_plan, schedule_events, schedule_for_target
 from rosita_mini.pruning import ArchitectureTarget, UnitId, apply_surgery

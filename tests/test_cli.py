@@ -1,13 +1,18 @@
 """CLI surface: subcommand contracts, exit codes, artifact shapes."""
 
+import argparse
+import ast
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from rosita_mini import cli
+from rosita_mini import pipeline as PL
 from rosita_mini.checkpoint import load_checkpoint
-from rosita_mini.cli import _plan_from_file, main
+from rosita_mini.cli import _plan_from_file, build_parser, main
 from rosita_mini.data import load_task_dir
 from rosita_mini.metrics import read_ndjson
 from rosita_mini.model import ModelConfig
@@ -41,6 +46,22 @@ def test_finetune_writes_checkpoint_and_metrics(workspace):
     rows = read_ndjson(workspace / "run" / "finetune.ndjson")
     assert len(rows) == 9  # 48/16 batches x 3 epochs
     assert all("schema_version" in r for r in rows)
+
+
+def test_finetune_dev_metric_is_last_record(workspace, capsys, monkeypatch):
+    calls = []
+    for module in (PL, cli):
+        real = module.evaluate
+        monkeypatch.setattr(module, "evaluate",
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    rc = main(["finetune", "--config", str(workspace / "ft.json"), "--data",
+               str(workspace / "data"), "--out", str(workspace / "ft_again"),
+               "--seed", "1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out.strip())
+    rows = read_ndjson(workspace / "ft_again" / "finetune.ndjson")
+    assert out["dev_metric"] == rows[-1]["eval_metric"]
+    assert len(calls) == sum("eval_metric" in r for r in rows)
 
 
 def test_eval_subcommand(workspace, capsys):
@@ -90,6 +111,15 @@ def test_prune_one_step_subcommand(workspace, capsys):
     assert ck.config.L == 1
 
 
+def test_prune_one_step_rejects_seed(workspace, capsys):
+    # one_step_prune draws no RNG; the pruned checkpoint keeps the input's seed
+    with pytest.raises(SystemExit) as exc:
+        main(["prune-one-step", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+              "--target", '{"H":1}', "--data", str(workspace / "data"),
+              "--out", str(workspace / "pruned_seed"), "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_factorize_embedding_subcommand(workspace, capsys):
     rc = main(["factorize-embedding", "--checkpoint",
                str(workspace / "run" / "teacher.rst"), "--rank", "4",
@@ -128,6 +158,19 @@ def test_run_plan_explicit_stages_fill_model_defaults(workspace, capsys):
                "--out", str(workspace / "explicit_out")])
     assert rc == 0, capsys.readouterr().err
     assert load_checkpoint(workspace / "explicit_out" / "stage1_small.rst").config.L == 1
+
+
+@pytest.mark.parametrize("field", ["beta1", "beta2", "adam_eps", "eval_every"])
+def test_run_plan_rejects_removed_stage_fields(workspace, capsys, field):
+    plan = {"version": 1,
+            "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+            "stages": [{"name": "ft", "dataset": "train", "epochs": 1, field: 5}]}
+    (workspace / "removed_field.json").write_text(json.dumps(plan))
+    rc = main(["run-plan", "--plan", str(workspace / "removed_field.json"),
+               "--data", str(workspace / "data"),
+               "--out", str(workspace / "removed_field_out")])
+    assert rc == 1
+    assert field in capsys.readouterr().err
 
 
 def test_run_plan_scratch_preset_uses_target(workspace, capsys):
@@ -175,6 +218,9 @@ def test_sweep_frequency_subcommand(workspace, capsys):
     assert len(rows) == 2
     files = sorted(p.name for p in (workspace / "sweep_out").glob("f*.ndjson"))
     assert files == ["f0.5_linear_decay_seed0.ndjson", "f1_linear_decay_seed0.ndjson"]
+    for row, name in zip(rows, files):
+        last = read_ndjson(workspace / "sweep_out" / name)[-1]
+        assert row["eval_metric"] == last["eval_metric"]
     assert (workspace / "sweep_out" / "summary.tsv").exists()
 
 
@@ -193,6 +239,32 @@ def test_sweep_architectures_subcommand(workspace, capsys):
     assert [r["name"] for r in rows] == ["a", "b"]
     assert rows[0]["config"]["H"] == 1
     assert (workspace / "archs_out" / "arch_a.ndjson").exists()
+    for row in rows:
+        last = read_ndjson(workspace / "archs_out" / f"arch_{row['name']}.ndjson")[-1]
+        assert row["eval_metric"] == last["eval_metric"]
+
+
+def _args_reads(fn) -> set[str]:
+    """`args.<name>` reads in fn and in the cli helpers it passes args to."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "args"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            reads |= _args_reads(getattr(cli, node.func.id))
+    return reads
+
+
+def test_every_cli_flag_is_read():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subparsers.choices.items():
+        reads = _args_reads(parser.get_default("fn"))
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in reads, f"{name}: {action.dest} is never read"
 
 
 def test_unknown_subcommand_exits_2(capsys):

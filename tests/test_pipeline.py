@@ -3,14 +3,15 @@ optimizer surgery, and end-to-end determinism."""
 
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rosita_mini import pipeline as PL
-from rosita_mini import presets
-from rosita_mini.checkpoint import load_checkpoint
-from rosita_mini.data import EncodedDataset, generate_marker_task, load_task_dir
+from rosita_mini import presets, sweeps
+from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
+from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import KDConfig
 from rosita_mini.metrics import MetricsWriter, read_ndjson
 from rosita_mini.model import Model, ModelConfig
@@ -230,9 +231,9 @@ class TestPlanValidation:
                        n_classes=2, head_dim=4),
             target=dict(H=2, L=2, d_I=16, r=4),
             hp=dict(width_events=2, depth_events=2))
-        blob = json.dumps(plan.to_dict())
+        blob = json.dumps(asdict(plan))
         again = StagePlan.from_dict(json.loads(blob))
-        assert again.to_dict() == plan.to_dict()
+        assert again == plan
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +377,26 @@ class TestRunPlan:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes(), name
 
+    def test_summary_reuses_last_step_eval(self, task_dir, tmp_path, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        plan = presets.plan_one_step_one_stage(
+            model=tiny_model_dict(info),
+            target=dict(H=1, L=1, d_I=16, r=4),
+            hp=dict(finetune_epochs=1, kd_epochs=1, batch_size=16))
+        calls = []
+        real = PL.evaluate
+        monkeypatch.setattr(PL, "evaluate", lambda *a, **k: calls.append(1) or real(*a, **k))
+        summaries = run_plan(plan, splits, tmp_path / "out", seed=3)
+        assert len(summaries) == 2
+        evaluated = 0
+        for k, summary in enumerate(summaries):
+            rows = read_ndjson(tmp_path / "out" / f"stage{k}_{summary['stage']}.ndjson")
+            evaluated += sum("eval_metric" in r for r in rows)
+            assert summary["eval_metric"] == rows[-1]["eval_metric"]
+            assert summary["eval_metric_kind"] == rows[-1]["eval_metric_kind"]
+        assert len(calls) == evaluated
+
     def test_different_seed_differs(self, task_dir, tmp_path):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
@@ -386,3 +407,23 @@ class TestRunPlan:
         a = (tmp_path / "s1" / "stage0_scratch.ndjson").read_bytes()
         b = (tmp_path / "s2" / "stage0_scratch.ndjson").read_bytes()
         assert a != b
+
+
+def test_sweep_architectures_keeps_hp_dropout(task_dir, tmp_path, monkeypatch):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    teacher = tmp_path / "teacher.rst"
+    save_checkpoint(teacher, Model.init(ModelConfig(**tiny_model_dict(info)), 4),
+                    seed=4, stage="finetune")
+    stages = []
+
+    def capture(stage, *args, **kwargs):
+        stages.append(stage)
+        return run_stage(stage, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "run_stage", capture)
+    archs = [{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"d_I": 16}}]
+    sweeps.sweep_architectures(teacher, archs, splits, tmp_path / "out",
+                               hp={"dropout": 0.25, "finetune_epochs": 1,
+                                   "batch_size": 16})
+    assert [s.dropout for s in stages] == [0.25, 0.25]

@@ -1,8 +1,6 @@
 """Tensor core: op values against independent oracles, gradients against
 central finite differences, and the basic autodiff contracts."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
