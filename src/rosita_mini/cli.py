@@ -68,19 +68,22 @@ def cmd_make_data(args) -> int:
     return 0
 
 
+# the keys of a finetune config's "train" block, with their defaults
+_TRAIN_DEFAULTS = {"dataset": "train", "epochs": 10, "batch_size": 32,
+                   "lr_kind": "linear_decay", "base_lr": 1e-3, "dropout": 0.0}
+
+
 def cmd_finetune(args) -> int:
     cfg = _read_json(args.config)
     train = cfg.get("train", {})
+    unknown = sorted(set(train) - set(_TRAIN_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown train keys {unknown}; known: {sorted(_TRAIN_DEFAULTS)}")
     vocab, splits, info = _load_data(args, cfg.get("model", {}).get("max_len"))
     model_cfg = ModelConfig.from_dict(_with_data_defaults(cfg["model"], vocab, info))
     model = Model.init(model_cfg, np.random.default_rng(args.seed))
 
-    stage = StageSpec(name="finetune", dataset=train.get("dataset", "train"),
-                      epochs=train.get("epochs", 10),
-                      batch_size=train.get("batch_size", 32),
-                      lr_kind=train.get("lr_kind", "linear_decay"),
-                      base_lr=train.get("base_lr", 1e-3),
-                      dropout=train.get("dropout", 0.0))
+    stage = StageSpec(name="finetune", **{**_TRAIN_DEFAULTS, **train})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with MetricsWriter(out / "finetune.ndjson") as metrics:

@@ -6,12 +6,17 @@ fine-tuned original or the previous stage's student, always reloaded from
 the written checkpoint so chaining is bit-exact), initializes its student,
 optionally prunes (one-step before training, or iteratively at scheduled
 steps during it), and trains with cross-entropy and/or distillation
-losses under Adam.
+losses under Adam. Where the process has a spare CPU, a stage's dev
+evals run in a forked child process, on the student as it was at that
+step, while training goes on; the metrics records are the ones an inline
+eval writes.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,16 +39,21 @@ _blas_limiter = None
 _warned_uncapped = False
 
 
+def _thread_cap() -> int:
+    return max(1, int(os.environ.get("ROSITA_MINI_THREADS", "1")))
+
+
 def limit_worker_threads() -> int:
     """Cap numerical worker threads at ROSITA_MINI_THREADS (default 1).
 
-    The cap applies to the BLAS pools doing the actual work. The default
-    of one keeps every reduction order fixed (bit-reproducible runs) and
-    is faster anyway on desk-scale matrices. Without threadpoolctl nothing
-    is capped, and the first call in the process says so on stderr.
+    The cap applies to the BLAS pools doing the actual work, process-wide,
+    so a forked dev-eval child inherits it. The default of one keeps every
+    reduction order fixed (bit-reproducible runs) and is faster anyway on
+    desk-scale matrices. Without threadpoolctl nothing is capped, and the
+    first call in the process says so on stderr.
     """
     global _blas_limiter, _warned_uncapped
-    cap = max(1, int(os.environ.get("ROSITA_MINI_THREADS", "1")))
+    cap = _thread_cap()
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
@@ -336,6 +346,134 @@ def one_step_prune(student: Model, teacher: Model | None, stage: StageSpec,
         factorize_model_embedding(student, target.r)
 
 
+def _fork_evals() -> bool:
+    """Whether dev evals can overlap training in a forked child: fork must
+    exist and the process must have CPUs for two BLAS-capped workers."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus >= 2 * _thread_cap()
+
+
+def _serve_evals(requests: int, replies: int, data: EncodedDataset, kind: str) -> None:
+    """The forked eval child: for each (config, arrays) read from `requests`,
+    send the pickled outcome of `evaluate` down `replies`. It ends, without
+    running any of the parent's exit code, when `requests` is closed."""
+    try:
+        gc.freeze()  # inherited objects are the parent's to collect
+        with os.fdopen(requests, "rb") as rx, os.fdopen(replies, "wb") as tx:
+            while True:
+                try:
+                    config, arrays = pickle.load(rx)
+                except EOFError:
+                    break
+                model = Model(config, {name: T.Tensor(a) for name, a in arrays.items()})
+                try:
+                    outcome = (True, evaluate(model, data, kind), "")
+                except BaseException as exc:
+                    import traceback
+                    outcome = (False, exc, traceback.format_exc())
+                try:
+                    blob = pickle.dumps(outcome)
+                except Exception:
+                    blob = pickle.dumps((False, RuntimeError(repr(outcome[1])), outcome[2]))
+                tx.write(blob)
+                tx.flush()
+    finally:
+        os._exit(0)
+
+
+class _DevEvals:
+    """A stage's dev evals, run in one forked child process while the
+    parent goes on training.
+
+    Each eval sends the child a copy of the student's config and arrays as
+    they are at that step. The record of an eval step, and every record
+    after it, is held until that eval's metric is back and is then written
+    in step order: the stream is byte-identical to evaluating inline. At
+    most one eval is in flight. Leaving the `with` block waits for it,
+    writes what is held and ends the child; an exception raised by the
+    eval is raised again in the parent (from Python 3.11 with the child's
+    traceback as a note). Where `_fork_evals()` is false, each eval runs
+    inline.
+    """
+
+    def __init__(self, metrics: MetricsWriter, data: EncodedDataset | None, kind: str):
+        self._metrics = metrics
+        self._data, self._kind = data, kind
+        self._pid = 0  # the child, if there is one
+        self._tx = self._rx = None
+        self._held: list[dict] = []  # an eval's record and the ones after it
+
+    def write(self, record: dict) -> None:
+        if self._held:
+            import select
+            if select.select([self._rx], [], [], 0)[0]:  # the eval is back
+                self._collect()
+        if self._held:
+            self._held.append(record)
+        else:
+            self._metrics.write(record)
+
+    def submit(self, record: dict, model: Model) -> None:
+        """Evaluate `model` as it is now into `record["eval_metric"]`."""
+        self._collect()
+        record["eval_metric_kind"] = self._kind
+        if not self._pid:
+            record["eval_metric"] = evaluate(model, self._data, self._kind)
+            self._metrics.write(record)
+            return
+        arrays = {name: p.data for name, p in model.params.items()}
+        pickle.dump((model.config, arrays), self._tx, protocol=pickle.HIGHEST_PROTOCOL)
+        self._tx.flush()
+        self._held = [record]
+
+    def _collect(self) -> None:
+        """Wait for the eval in flight, then write its record and the held ones."""
+        if not self._held:
+            return
+        held, self._held = self._held, []
+        try:
+            ok, value, child_tb = pickle.load(self._rx)
+        except EOFError:
+            raise RuntimeError("the dev eval process ended without a result") from None
+        if not ok:
+            if hasattr(value, "add_note"):  # Python 3.11 and later
+                value.add_note(f"raised in the dev eval process:\n{child_tb}")
+            raise value
+        held[0]["eval_metric"] = value
+        for record in held:
+            self._metrics.write(record)
+
+    def __enter__(self):
+        # forked before the training steps grow the heap, so the child
+        # keeps few pages that the parent goes on to rewrite
+        if self._data is not None and _fork_evals():
+            child_rx, tx = os.pipe()
+            rx, child_tx = os.pipe()
+            self._pid = os.fork()
+            if self._pid == 0:
+                os.close(tx)
+                os.close(rx)
+                _serve_evals(child_rx, child_tx, self._data, self._kind)
+            os.close(child_rx)
+            os.close(child_tx)
+            self._tx, self._rx = os.fdopen(tx, "wb"), os.fdopen(rx, "rb")
+        return self
+
+    def __exit__(self, *exc):
+        try:
+            self._collect()
+        finally:
+            if self._pid:
+                self._tx.close()  # the child's EOF
+                self._rx.close()
+                os.waitpid(self._pid, 0)
+                self._pid = 0
+        return False
+
+
 def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
               datasets: dict[str, EncodedDataset], metrics: MetricsWriter,
               rng: np.random.Generator, eval_kind: str = "accuracy") -> Model:
@@ -344,7 +482,9 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
 
     When a "dev" split is loaded, it is evaluated every max(1, T // 25)
     steps and at the last step T, so the stage's last record carries the
-    final student's dev metric."""
+    final student's dev metric. Each eval may run in a forked child,
+    overlapping the next training steps; the records are the ones an
+    inline eval writes (see `_DevEvals`)."""
     if stage.dataset not in datasets:
         raise KeyError(f"stage {stage.name!r}: dataset {stage.dataset!r} not loaded")
     data = datasets[stage.dataset]
@@ -386,46 +526,46 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     step = 0
     event_idx = 0
     done = False
-    while not done:
-        for ids, mask, labels in iter_batches(data, stage.batch_size, rng):
-            student.zero_grad()
-            loss, parts = _batch_loss(student, teacher, stage, layer_map,
-                                      ids, mask, labels, dropout_key + step)
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(
-                    f"stage {stage.name!r}: training loss is {loss.item()} at "
-                    f"step {step + 1}"
-                )
-            loss.backward(leaves=student.parameters().values())
-            if ledger is not None:
-                record_batch_scores(ledger, student)
-            optimizer.step(student.parameters(), lr_at(schedule, step))
-            step += 1
+    with _DevEvals(metrics, datasets.get("dev"), eval_kind) as evals:
+        while not done:
+            for ids, mask, labels in iter_batches(data, stage.batch_size, rng):
+                student.zero_grad()
+                loss, parts = _batch_loss(student, teacher, stage, layer_map,
+                                          ids, mask, labels, dropout_key + step)
+                if not np.isfinite(loss.item()):
+                    raise FloatingPointError(
+                        f"stage {stage.name!r}: training loss is {loss.item()} at "
+                        f"step {step + 1}"
+                    )
+                loss.backward(leaves=student.parameters().values())
+                if ledger is not None:
+                    record_batch_scores(ledger, student)
+                optimizer.step(student.parameters(), lr_at(schedule, step))
+                step += 1
 
-            while event_idx < len(events) and events[event_idx][0] == step:
-                _, amounts = events[event_idx]
-                units = select_prune_set(ledger, student, amounts)
-                report = apply_surgery(student, units)
-                optimizer.apply_surgery(report)
-                ledger.reset_after_prune(student)
-                layer_map = fresh_layer_map()
-                event_idx += 1
+                while event_idx < len(events) and events[event_idx][0] == step:
+                    _, amounts = events[event_idx]
+                    units = select_prune_set(ledger, student, amounts)
+                    report = apply_surgery(student, units)
+                    optimizer.apply_surgery(report)
+                    ledger.reset_after_prune(student)
+                    layer_map = fresh_layer_map()
+                    event_idx += 1
 
-            record = {
-                "stage": stage.name, "step": step,
-                "lr": lr_at(schedule, step - 1), **parts,
-                "H": student.config.H, "L": student.config.L,
-                "d_I": student.config.d_I, "r": student.config.r,
-                "param_count": count_params(student.config),
-            }
-            if step % eval_every == 0 or step == total_steps:
-                if "dev" in datasets:
-                    record["eval_metric_kind"] = eval_kind
-                    record["eval_metric"] = evaluate(student, datasets["dev"], eval_kind)
-            metrics.write(record)
-            if step >= total_steps:
-                done = True
-                break
+                record = {
+                    "stage": stage.name, "step": step,
+                    "lr": lr_at(schedule, step - 1), **parts,
+                    "H": student.config.H, "L": student.config.L,
+                    "d_I": student.config.d_I, "r": student.config.r,
+                    "param_count": count_params(student.config),
+                }
+                if "dev" in datasets and (step % eval_every == 0 or step == total_steps):
+                    evals.submit(record, student)
+                else:
+                    evals.write(record)
+                if step >= total_steps:
+                    done = True
+                    break
 
     if event_idx != len(events):
         raise RuntimeError(

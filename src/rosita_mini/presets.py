@@ -31,9 +31,11 @@ HP_DEFAULTS = {
 
 
 def _hp(overrides: dict | None) -> dict:
-    hp = dict(HP_DEFAULTS)
-    hp.update(overrides or {})
-    return hp
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(HP_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown hp keys {unknown}; known: {sorted(HP_DEFAULTS)}")
+    return {**HP_DEFAULTS, **overrides}
 
 
 def _finetune_stage(hp: dict) -> StageSpec:

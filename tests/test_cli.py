@@ -49,11 +49,17 @@ def test_finetune_writes_checkpoint_and_metrics(workspace):
 
 
 def test_finetune_dev_metric_is_last_record(workspace, capsys, monkeypatch):
-    calls = []
+    calls = workspace / "eval_calls"  # counted in a file: evals may run in a child
+
+    def counted(real):
+        def evaluate(*a, **k):
+            with open(calls, "a") as fh:
+                fh.write("x")
+            return real(*a, **k)
+        return evaluate
+
     for module in (PL, cli):
-        real = module.evaluate
-        monkeypatch.setattr(module, "evaluate",
-                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        monkeypatch.setattr(module, "evaluate", counted(module.evaluate))
     rc = main(["finetune", "--config", str(workspace / "ft.json"), "--data",
                str(workspace / "data"), "--out", str(workspace / "ft_again"),
                "--seed", "1"])
@@ -61,7 +67,7 @@ def test_finetune_dev_metric_is_last_record(workspace, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out.strip())
     rows = read_ndjson(workspace / "ft_again" / "finetune.ndjson")
     assert out["dev_metric"] == rows[-1]["eval_metric"]
-    assert len(calls) == sum("eval_metric" in r for r in rows)
+    assert len(calls.read_text()) == sum("eval_metric" in r for r in rows)
 
 
 def test_eval_subcommand(workspace, capsys):
@@ -185,6 +191,32 @@ def test_run_plan_scratch_preset_uses_target(workspace, capsys):
     assert rc == 0, capsys.readouterr().err
     cfg = load_checkpoint(workspace / "scratch_out" / "stage0_scratch.rst").config
     assert (cfg.H, cfg.L, cfg.d_I, cfg.r, cfg.d_X) == (1, 1, 16, 4, 16)
+
+
+def test_run_plan_rejects_unknown_hp_key(workspace, capsys):
+    plan = {"preset": "scratch",
+            "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+            "target": {"H": 1, "L": 1, "d_I": 16},
+            "hp": {"finetune_epoch": 1, "batch_size": 16}}
+    (workspace / "hp_typo.json").write_text(json.dumps(plan))
+    rc = main(["run-plan", "--plan", str(workspace / "hp_typo.json"),
+               "--data", str(workspace / "data"),
+               "--out", str(workspace / "hp_typo_out")])
+    assert rc == 1
+    assert "'finetune_epoch'" in capsys.readouterr().err
+    assert not (workspace / "hp_typo_out").exists()
+
+
+def test_finetune_rejects_unknown_train_keys(workspace, capsys):
+    cfg = {"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+           "train": {"epochs": 1, "eval_every": 5, "batchsize": 8}}
+    (workspace / "ft_typo.json").write_text(json.dumps(cfg))
+    rc = main(["finetune", "--config", str(workspace / "ft_typo.json"), "--data",
+               str(workspace / "data"), "--out", str(workspace / "ft_typo_out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'batchsize'" in err and "'eval_every'" in err
+    assert not (workspace / "ft_typo_out").exists()
 
 
 def test_readme_plan_examples_load(workspace):

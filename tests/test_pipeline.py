@@ -1,8 +1,11 @@
 """Schedules, Adam against a hand-stepped oracle, stage/plan execution,
 optimizer surgery, and end-to-end determinism."""
 
+import hashlib
 import json
+import os
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -339,6 +342,176 @@ class TestRunStage:
             np.testing.assert_array_equal(v.data, before[k])
 
 
+def _wait_for(path, timeout=30.0) -> bool:
+    """Poll for `path` to exist; the way a forked eval waits on its parent."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def _param_digest(model: Model) -> str:
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode())
+        h.update(model.params[name].data.tobytes())
+    return h.hexdigest()
+
+
+class TestOverlappedEval:
+    """run_stage evaluates the dev split in a forked child, on the student
+    of the eval's step, while training goes on; the records stay the ones
+    an inline eval writes."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def iterative_stage():
+        # 2 epochs x 3 batches = 6 steps, an eval at each; surgery at steps 1, 3
+        return StageSpec(
+            name="iter", dataset="train", epochs=2, batch_size=16,
+            prune=PruneSpec(mode="iterative", target=ArchitectureTarget(H=1, d_I=16, r=4),
+                            prune_fraction=0.5, n_events=2))
+
+    def test_forks_only_with_cpus_for_two_capped_workers(self, monkeypatch):
+        monkeypatch.delenv("ROSITA_MINI_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not PL._fork_evals()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert PL._fork_evals()
+        monkeypatch.setenv("ROSITA_MINI_THREADS", "2")
+        assert not PL._fork_evals()
+
+    def test_forked_and_inline_evals_write_the_same_bytes(self, task_dir, tmp_path,
+                                                          monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        streams = []
+        for fork in (True, False):
+            monkeypatch.setattr(PL, "_fork_evals", lambda: fork)
+            student = Model.init(ModelConfig(**tiny_model_dict(info, H=3, head_dim=4)), 1)
+            with MetricsWriter(tmp_path / f"{fork}.ndjson") as metrics:
+                run_stage(self.iterative_stage(), student, None, splits, metrics,
+                          np.random.default_rng(1))
+            streams.append((tmp_path / f"{fork}.ndjson").read_bytes())
+        self.assert_no_child_left()
+        assert streams[0] == streams[1]
+        assert b'"eval_metric"' in streams[0]
+
+    def test_eval_sees_the_student_of_its_step(self, task_dir, tmp_path, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        student = Model.init(ModelConfig(**tiny_model_dict(info, H=3, head_dim=4)), 1)
+        # count_params runs once per step in the parent, when the record is
+        # built: after the optimizer step and any surgery
+        at_step = []
+        real_count = PL.count_params
+
+        def count_params(config):
+            at_step.append(_param_digest(student))
+            (tmp_path / f"built{len(at_step)}").touch()
+            return real_count(config)
+
+        evals = []  # in the child, which serves every eval of the stage
+
+        def evaluate(model, data, kind="accuracy"):
+            # hold the step-k eval until the parent has built step k+1's record
+            evals.append(1)
+            waited = len(evals) == 6 or _wait_for(tmp_path / f"built{len(evals) + 1}")
+            return [_param_digest(model), os.getpid(), waited]
+
+        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "count_params", count_params)
+        monkeypatch.setattr(PL, "evaluate", evaluate)
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            run_stage(self.iterative_stage(), student, None, splits, metrics,
+                      np.random.default_rng(1))
+        self.assert_no_child_left()
+        rows = read_ndjson(tmp_path / "m.ndjson")
+        assert [r["step"] for r in rows] == list(range(1, 7))
+        assert [r["H"] for r in rows] == [2, 2, 1, 1, 1, 1]
+        assert [r["eval_metric"][0] for r in rows] == at_step
+        assert len(set(at_step)) == 6
+        assert all(r["eval_metric"][1] != os.getpid() for r in rows)
+        assert all(r["eval_metric"][2] for r in rows)
+
+    def test_eval_error_comes_out_of_run_stage(self, task_dir, tmp_path, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        stage = StageSpec(name="ft", dataset="train", epochs=2, batch_size=16)
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 6)
+        calls = []
+
+        def evaluate(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("eval failed")
+            return 0.5
+
+        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "evaluate", evaluate)
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            with pytest.raises(ValueError) as excinfo:
+                run_stage(stage, model, None, splits, metrics, np.random.default_rng(6))
+        assert type(excinfo.value) is ValueError and excinfo.value.args == ("eval failed",)
+        if sys.version_info >= (3, 11):
+            assert "in evaluate" in excinfo.value.__notes__[0]
+        self.assert_no_child_left()
+        assert [r["step"] for r in read_ndjson(tmp_path / "m.ndjson")] == [1]
+
+    def test_child_ending_without_a_result_is_an_error(self, task_dir, tmp_path,
+                                                       monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        stage = StageSpec(name="ft", dataset="train", epochs=1, batch_size=16)
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 6)
+        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "evaluate", lambda *args: os._exit(3))
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            with pytest.raises(RuntimeError, match="ended without a result"):
+                run_stage(stage, model, None, splits, metrics, np.random.default_rng(6))
+        self.assert_no_child_left()
+
+    def test_nan_loss_keeps_records_before_it(self, task_dir, tmp_path, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        # 17 epochs x 3 batches = 51 steps: an eval every 2 steps
+        stage = StageSpec(name="ft", dataset="train", epochs=17, batch_size=16)
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 7)
+        losses, evals, nan_seen = [], [], tmp_path / "nan_seen"
+        real_loss, real_eval = PL._batch_loss, PL.evaluate
+
+        def batch_loss(*args, **kwargs):
+            loss, parts = real_loss(*args, **kwargs)
+            losses.append(1)
+            if len(losses) == 6:
+                nan_seen.touch()
+                loss = Tensor(np.nan)
+            return loss, parts
+
+        def evaluate(*args, **kwargs):
+            evals.append(1)
+            if len(evals) == 2:  # keep the step-4 eval in flight past step 6
+                assert _wait_for(nan_seen)
+            return real_eval(*args, **kwargs)
+
+        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "_batch_loss", batch_loss)
+        monkeypatch.setattr(PL, "evaluate", evaluate)
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            with pytest.raises(FloatingPointError, match="at step 6$"):
+                run_stage(stage, model, None, splits, metrics, np.random.default_rng(7))
+        self.assert_no_child_left()
+        rows = read_ndjson(tmp_path / "m.ndjson")
+        assert [r["step"] for r in rows] == [1, 2, 3, 4, 5]
+        assert ["eval_metric" in r for r in rows] == [False, True, False, True, False]
+
+
 class TestRunPlan:
     def test_three_stage_preset_end_to_end(self, task_dir, tmp_path):
         path, info = task_dir
@@ -384,9 +557,15 @@ class TestRunPlan:
             model=tiny_model_dict(info),
             target=dict(H=1, L=1, d_I=16, r=4),
             hp=dict(finetune_epochs=1, kd_epochs=1, batch_size=16))
-        calls = []
+        calls = tmp_path / "eval_calls"  # counted in a file: evals may run in a child
         real = PL.evaluate
-        monkeypatch.setattr(PL, "evaluate", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+        def evaluate(*a, **k):
+            with open(calls, "a") as fh:
+                fh.write("x")
+            return real(*a, **k)
+
+        monkeypatch.setattr(PL, "evaluate", evaluate)
         summaries = run_plan(plan, splits, tmp_path / "out", seed=3)
         assert len(summaries) == 2
         evaluated = 0
@@ -395,7 +574,7 @@ class TestRunPlan:
             evaluated += sum("eval_metric" in r for r in rows)
             assert summary["eval_metric"] == rows[-1]["eval_metric"]
             assert summary["eval_metric_kind"] == rows[-1]["eval_metric_kind"]
-        assert len(calls) == evaluated
+        assert len(calls.read_text()) == evaluated
 
     def test_different_seed_differs(self, task_dir, tmp_path):
         path, info = task_dir

@@ -94,6 +94,24 @@ def test_softmax_neg_inf_mask_entries():
     np.testing.assert_allclose(out.data, [[0.5, 0.0, 0.5]])
 
 
+@pytest.mark.parametrize("s", [1, 4, 14, 40])
+def test_softmax_matches_max_reduction_formula_bitwise(s):
+    """The column-wise max gives the same bits as the max(-1) formula,
+    with masked (-inf) keys as the attention mask makes them."""
+    rng = np.random.default_rng(s)
+    x = rng.standard_normal((3, 2, s, s)) * 10
+    x[:, :, :, 1:][rng.random((3, 2, s, s - 1)) < 0.4] = -np.inf
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    expected = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(T.softmax_rows(Tensor(x)).data, expected)
+
+
+def test_softmax_row_without_finite_entry_rejected():
+    with pytest.raises(ValueError, match="no finite entry"):
+        T.softmax_rows(Tensor([[0.0, 1.0], [-np.inf, -np.inf]]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=6),
                 min_size=1, max_size=5).filter(lambda rows: len({len(r) for r in rows}) == 1))
