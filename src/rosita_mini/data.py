@@ -59,16 +59,6 @@ def split_text(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def build_vocab(texts, lowercase: bool = True) -> Vocab:
-    """Vocabulary ordered by descending frequency, ties alphabetical."""
-    counts: dict[str, int] = {}
-    for text in texts:
-        for tok in split_text(text.lower() if lowercase else text):
-            counts[tok] = counts.get(tok, 0) + 1
-    ordered = sorted(counts, key=lambda t: (-counts[t], t))
-    return Vocab(list(RESERVED) + ordered, lowercase=lowercase)
-
-
 def tokenize(text: str, vocab: Vocab, max_len: int,
              text_b: str | None = None) -> tuple[list[int], list[int]]:
     """[CLS] tokens [SEP] (text_b tokens [SEP]) padded/truncated to max_len."""

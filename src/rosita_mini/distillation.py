@@ -96,7 +96,7 @@ def soft_cross_entropy(z_teacher: Tensor, z_student: Tensor,
 
     def bwd(g):
         p_s = np.exp(log_p_s)
-        z_student.accumulate_grad(g * (p_s - p_t) / (b * tau))
+        z_student.accumulate_grad(g * (p_s - p_t) / (b * tau), owned=True)
 
     return T._node(data, (z_student,), bwd)
 

@@ -8,7 +8,6 @@ so distillation can read them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -180,11 +179,6 @@ class Model:
 # building blocks
 
 
-def _split_heads(t: Tensor, H: int, head_dim: int) -> Tensor:
-    b, s, _ = t.shape
-    return T.swapaxes(T.reshape(t, (b, s, H, head_dim)), 1, 2)
-
-
 def multi_head(x: Tensor, layer: dict[str, Tensor], config: ModelConfig,
                mask_bias: np.ndarray | None = None) -> Tensor:
     """Multi-head attention + output projection + residual + layer norm.
@@ -194,25 +188,19 @@ def multi_head(x: Tensor, layer: dict[str, Tensor], config: ModelConfig,
     """
     if config.H < 1:
         raise ValueError("a layer must retain at least one attention head")
-    H, hd = config.H, config.head_dim
-    b, s, _ = x.shape
-    q = _split_heads(T.matmul(x, layer["W_Q"]), H, hd)
-    k = _split_heads(T.matmul(x, layer["W_K"]), H, hd)
-    v = _split_heads(T.matmul(x, layer["W_V"]), H, hd)
-    scores = T.scale(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / math.sqrt(hd))
-    if mask_bias is not None:
-        scores = T.add_const(scores, mask_bias)
-    ctx = T.matmul(T.softmax_rows(scores), v)  # (B, H, S, hd)
-    ctx = T.reshape(T.swapaxes(ctx, 1, 2), (b, s, H * hd))
-    proj = T.add(T.matmul(ctx, layer["W_AO"]), layer["b_AO"])
-    return T.layer_norm(T.add(x, proj), layer["ln1_g"], layer["ln1_b"], config.eps)
+    q = T.linear(x, layer["W_Q"])
+    k = T.linear(x, layer["W_K"])
+    v = T.linear(x, layer["W_V"])
+    ctx = T.attention(q, k, v, config.H, mask_bias)
+    proj = T.linear(ctx, layer["W_AO"], layer["b_AO"])
+    return T.layer_norm(x, layer["ln1_g"], layer["ln1_b"], config.eps, proj)
 
 
 def ffn(x: Tensor, layer: dict[str, Tensor], config: ModelConfig) -> Tensor:
     """Position-wise FFN (ReLU between two linears) + residual + layer norm."""
-    h = T.relu(T.add(T.matmul(x, layer["W_FI"]), layer["b_FI"]))
-    out = T.add(T.matmul(h, layer["W_FO"]), layer["b_FO"])
-    return T.layer_norm(T.add(x, out), layer["ln2_g"], layer["ln2_b"], config.eps)
+    h = T.relu(T.linear(x, layer["W_FI"], layer["b_FI"]))
+    out = T.linear(h, layer["W_FO"], layer["b_FO"])
+    return T.layer_norm(x, layer["ln2_g"], layer["ln2_b"], config.eps, out)
 
 
 def embed(model: Model, token_ids: np.ndarray, positions: np.ndarray) -> Tensor:
@@ -225,12 +213,12 @@ def embed(model: Model, token_ids: np.ndarray, positions: np.ndarray) -> Tensor:
     if pos.size and pos.max() >= c.max_len:
         raise IndexError(f"position {int(pos.max())} >= max_len {c.max_len}")
     if c.factorized:
-        tok = T.matmul(T.gather_rows(model.params["emb.E_U"], ids), model.params["emb.E_V"])
+        tok = T.linear(T.gather_rows(model.params["emb.E_U"], ids), model.params["emb.E_V"])
     else:
         tok = T.gather_rows(model.params["emb.W"], ids)
     posv = T.gather_rows(model.params["emb.P"], pos)
-    return T.layer_norm(T.add(tok, posv), model.params["emb.ln_g"],
-                        model.params["emb.ln_b"], c.eps)
+    return T.layer_norm(tok, model.params["emb.ln_g"], model.params["emb.ln_b"],
+                        c.eps, posv)
 
 
 def _layer_slice(params: dict[str, Tensor], i: int) -> dict[str, Tensor]:
@@ -269,7 +257,7 @@ def forward(model: Model, token_ids, mask, dropout_rate: float = 0.0,
         if dropout_rate:
             x = T.dropout(x, dropout_rate, dropout_key, 2 * i + 2)
         hidden.append(x)
-    logits = T.add(T.matmul(T.first_token(x), model.params["cls.W"]), model.params["cls.b"])
+    logits = T.linear(T.first_token(x), model.params["cls.W"], model.params["cls.b"])
     return ForwardTrace(logits=logits, hidden=hidden)
 
 
@@ -293,7 +281,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def bwd(g):
         p = np.exp(z - lse)
         p[rows, labels] -= 1.0
-        logits.accumulate_grad(g * p / b)
+        logits.accumulate_grad(g * p / b, owned=True)
 
     return T._node(data, (logits,), bwd)
 

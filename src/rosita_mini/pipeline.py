@@ -14,6 +14,8 @@ eval writes.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import gc
 import os
 import pickle
@@ -35,35 +37,60 @@ from .optim import Adam
 from .pruning import (ArchitectureTarget, ImportanceLedger, RemovalAmounts,
                       apply_surgery, record_batch_scores, select_prune_set)
 
-_blas_limiter = None
 _warned_uncapped = False
 
+# thread-count entry points of the OpenBLAS builds numpy ships with
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
 
-def _thread_cap() -> int:
-    return max(1, int(os.environ.get("ROSITA_MINI_THREADS", "1")))
 
-
-def limit_worker_threads() -> int:
-    """Cap numerical worker threads at ROSITA_MINI_THREADS (default 1).
-
-    The cap applies to the BLAS pools doing the actual work, process-wide,
-    so a forked dev-eval child inherits it. The default of one keeps every
-    reduction order fixed (bit-reproducible runs) and is faster anyway on
-    desk-scale matrices. Without threadpoolctl nothing is capped, and the
-    first call in the process says so on stderr.
-    """
-    global _blas_limiter, _warned_uncapped
-    cap = _thread_cap()
+@functools.cache
+def _openblas():
+    """The (set, get) thread-count functions of the OpenBLAS that numpy
+    loaded, found among the files mapped into this process; None when no
+    known OpenBLAS is mapped (an MKL or Accelerate numpy, or no /proc)."""
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = sorted({line.split()[-1] for line in maps.splitlines()
+                    if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for pattern in _OPENBLAS_SYMBOLS:
+            set_fn = getattr(lib, pattern.format("set"), None)
+            get_fn = getattr(lib, pattern.format("get"), None)
+            if set_fn is not None and get_fn is not None:
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                return set_fn, get_fn
+    return None
+
+
+def limit_worker_threads() -> int | None:
+    """Cap the BLAS threads at ROSITA_MINI_THREADS (default 1) and return
+    the count that OpenBLAS reports afterwards.
+
+    The cap is set through the OpenBLAS that numpy loaded, process-wide,
+    so it overrides OPENBLAS_NUM_THREADS and a forked dev-eval child
+    inherits it. The default of one keeps every reduction order fixed
+    (bit-reproducible runs) and is faster anyway on desk-scale matrices.
+    Where no known OpenBLAS is loaded nothing is capped: the call returns
+    None, the first such call says so on stderr, and dev evals run inline.
+    """
+    global _warned_uncapped
+    cap = max(1, int(os.environ.get("ROSITA_MINI_THREADS", "1")))
+    blas = _openblas()
+    if blas is None:
         if not _warned_uncapped:
             _warned_uncapped = True
-            print(f"rosita-mini: warning: threadpoolctl is not installed; the BLAS "
-                  f"thread cap of {cap} was not applied", file=sys.stderr)
-        return cap
-    _blas_limiter = threadpool_limits(limits=cap)
-    return cap
+            print(f"rosita-mini: warning: no OpenBLAS found in this process; the BLAS "
+                  f"thread cap of {cap} was not applied, and dev evals run inline",
+                  file=sys.stderr)
+        return None
+    set_threads, get_threads = blas
+    set_threads(cap)
+    return get_threads()
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +375,15 @@ def one_step_prune(student: Model, teacher: Model | None, stage: StageSpec,
 
 def _fork_evals() -> bool:
     """Whether dev evals can overlap training in a forked child: fork must
-    exist and the process must have CPUs for two BLAS-capped workers."""
-    if not hasattr(os, "fork"):
+    exist, and the process must have CPUs for two workers of the BLAS
+    thread count that OpenBLAS reports. Where that count is unknown (no
+    known OpenBLAS), evals run inline."""
+    blas = _openblas()
+    if not hasattr(os, "fork") or blas is None:
         return False
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return cpus >= 2 * _thread_cap()
+    return cpus >= 2 * blas[1]()
 
 
 def _serve_evals(requests: int, replies: int, data: EncodedDataset, kind: str) -> None:

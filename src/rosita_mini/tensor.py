@@ -3,12 +3,24 @@
 Just enough autodiff for an encoder forward pass and its losses: each op
 returns a new Tensor holding the value plus a closure that routes the
 upstream gradient to the op's inputs. `backward()` replays the closures
-in reverse topological order. Data lives in row-major numpy arrays and
-is treated as immutable once a tensor is built.
+in reverse topological order and consumes the graph as it goes. Data
+lives in row-major numpy arrays and is treated as immutable once a
+tensor is built.
+
+The encoder's sub-layers are single nodes: `linear` (matmul plus bias),
+`attention` (head split, scaled and masked softmax, weighted sum and
+head merge) and `layer_norm` of a sum (residual plus layer norm). Each
+fused node runs the same numpy products, on operands of the same shapes
+and memory layouts, as the chain of elementary ops it replaces, so its
+values and gradients are bit-identical to that chain.
+
+Gradient arrays are owned, not copied: an op hands an input the array
+it has just computed for that input alone, and the input keeps it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -72,10 +84,12 @@ class Tensor:
     def detach(self) -> Tensor:
         return Tensor(self.data)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into .grad. `owned` says the caller has just computed g for
+        this tensor alone, so the first one is kept instead of copied;
+        without it g may alias a buffer that another input also gets."""
         if self.grad is None:
-            # copy: g may alias an upstream buffer shared with another parent
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -83,20 +97,28 @@ class Tensor:
         self.grad = None
 
     def backward(self, leaves=None) -> None:
-        """Backpropagate from this scalar through the recorded graph.
+        """Backpropagate from this scalar through the recorded graph, and
+        consume the graph.
 
-        Every tensor on a path from a requires_grad leaf to this loss gets
-        its grad populated. Leaves passed in `leaves` that the graph never
-        reached are set to zero gradients, so "loss independent of w" reads
-        as dw == 0 rather than missing.
+        Every requires_grad leaf on a path to this loss gets its grad
+        populated. Once an interior node's closure has run, the node drops
+        its grad, parents and closure, so the activations the graph holds
+        are freed as the walk proceeds and no graph outlives its backward;
+        a graph can be walked once. Leaves passed in `leaves` that the graph
+        never reached are set to zero gradients, so "loss independent of w"
+        reads as dw == 0 rather than missing.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()  # reverse topological order
+            if node._backward is None:
+                continue  # a leaf: it keeps its grad
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), None
         if leaves is not None:
             for leaf in leaves:
                 if leaf.grad is None:
@@ -173,7 +195,7 @@ def sub(a, b) -> Tensor:
         if a.tracked:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.tracked:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
+            b.accumulate_grad(_unbroadcast(-g, b.shape), owned=True)
 
     return _node(data, (a, b), bwd)
 
@@ -184,9 +206,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.tracked:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.tracked:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _node(data, (a, b), bwd)
 
@@ -198,18 +220,7 @@ def scale(a, c) -> Tensor:
     data = a.data * c
 
     def bwd(g):
-        a.accumulate_grad(_unbroadcast(g * c, a.shape))
-
-    return _node(data, (a,), bwd)
-
-
-def add_const(a, c) -> Tensor:
-    """Add a constant ndarray (attention mask bias); gradient passes through."""
-    a = _ensure(a)
-    data = a.data + np.asarray(c, dtype=np.float64)
-
-    def bwd(g):
-        a.accumulate_grad(_unbroadcast(g, a.shape))
+        a.accumulate_grad(_unbroadcast(g * c, a.shape), owned=True)
 
     return _node(data, (a,), bwd)
 
@@ -231,7 +242,7 @@ def matmul(a, b) -> Tensor:
     def bwd(g):
         if a.tracked:
             ga = g @ b.data.swapaxes(-1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
         if b.tracked:
             if b.data.ndim == 2 and a.data.ndim > 2:
                 # batched input against a shared weight: collapse the batch
@@ -240,29 +251,89 @@ def matmul(a, b) -> Tensor:
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
-            b.accumulate_grad(gb)
+            b.accumulate_grad(gb, owned=True)
 
     return _node(data, (a, b), bwd)
 
 
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = _ensure(a)
-    data = np.ascontiguousarray(a.data.swapaxes(ax1, ax2))
+def linear(x, w, b=None) -> Tensor:
+    """x @ w, plus the bias b if given: (..., k) x (k, n) -> (..., n).
+
+    One node with the products of `matmul` and then `add`: the batched
+    (..., k) @ (k, n) forward, and the same transposed views in backward.
+    """
+    x, w = _ensure(x), _ensure(w)
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape}")
+    data = x.data @ w.data
+    if b is not None:
+        b = _ensure(b)
+        if b.shape != (w.shape[1],):
+            raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
+        data += b.data
 
     def bwd(g):
-        a.accumulate_grad(g.swapaxes(ax1, ax2))
+        if b is not None and b.tracked:
+            b.accumulate_grad(_unbroadcast(g, b.shape), owned=True)
+        if x.tracked:
+            x.accumulate_grad(g @ w.data.T, owned=True)
+        if w.tracked:  # one product over all the batch rows
+            k, n = w.shape
+            w.accumulate_grad(x.data.reshape(-1, k).T @ g.reshape(-1, n), owned=True)
 
-    return _node(data, (a,), bwd)
+    return _node(data, (x, w) if b is None else (x, w, b), bwd)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _ensure(a)
-    data = a.data.reshape(shape)
+def attention(q, k, v, n_heads: int, mask_bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention, as one node.
+
+    q, k and v are (B, S, H*hd) projections. The node splits them into H
+    heads of width hd, computes softmax(q k^T / sqrt(hd) + mask_bias) v
+    per head, and merges the heads back into (B, S, H*hd), head index
+    major. mask_bias is a constant that broadcasts against the (B, H, S, S)
+    scores; -inf removes a key. Products and their operand layouts are
+    those of the per-op chain (split, matmul, scale, add, softmax_rows,
+    matmul, merge), in forward and backward alike.
+    """
+    q, k, v = _ensure(q), _ensure(k), _ensure(v)
+    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape \
+            or n_heads < 1 or q.shape[-1] % n_heads:
+        raise ShapeError(f"attention: q, k, v must share a (B, S, H*hd) shape with "
+                         f"H = {n_heads}, got {q.shape}, {k.shape}, {v.shape}")
+    bsz, s, width = q.shape
+    hd = width // n_heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def split(t):  # (B, S, H*hd) -> (B, S, H, hd)
+        return t.reshape(bsz, s, n_heads, hd)
+
+    qh = np.ascontiguousarray(split(q.data).swapaxes(1, 2))         # (B, H, S, hd)
+    kt = np.ascontiguousarray(split(k.data).transpose(0, 2, 3, 1))  # (B, H, hd, S)
+    vh = np.ascontiguousarray(split(v.data).swapaxes(1, 2))
+    scores = qh @ kt
+    scores *= scale
+    if mask_bias is not None:
+        scores += mask_bias
+    p = _softmax(scores, "attention")
+    data = np.ascontiguousarray((p @ vh).swapaxes(1, 2)).reshape(bsz, s, width)
+
+    def merge(gh):  # (B, H, S, hd) -> (B, S, H*hd), a view where possible
+        return gh.swapaxes(1, 2).reshape(bsz, s, width)
 
     def bwd(g):
-        a.accumulate_grad(g.reshape(a.shape))
+        gctx = split(g).swapaxes(1, 2)
+        gp = gctx @ vh.swapaxes(-1, -2)
+        if v.tracked:
+            v.accumulate_grad(merge(p.swapaxes(-1, -2) @ gctx), owned=True)
+        dot = (gp * p).sum(axis=-1, keepdims=True)
+        gs = (gp - dot) * p * scale
+        if q.tracked:
+            q.accumulate_grad(merge(gs @ kt.swapaxes(-1, -2)), owned=True)
+        if k.tracked:
+            gkt = qh.swapaxes(-1, -2) @ gs
+            k.accumulate_grad(gkt.transpose(0, 3, 1, 2).reshape(bsz, s, width), owned=True)
 
-    return _node(data, (a,), bwd)
+    return _node(data, (q, k, v), bwd)
 
 
 def gather_rows(table, indices) -> Tensor:
@@ -283,7 +354,7 @@ def gather_rows(table, indices) -> Tensor:
     def bwd(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.shape[1]))
-        table.accumulate_grad(gt)
+        table.accumulate_grad(gt, owned=True)
 
     return _node(data, (table,), bwd)
 
@@ -298,7 +369,7 @@ def first_token(a) -> Tensor:
     def bwd(g):
         ga = np.zeros_like(a.data)
         ga[:, 0, :] = g
-        a.accumulate_grad(ga)
+        a.accumulate_grad(ga, owned=True)
 
     return _node(data, (a,), bwd)
 
@@ -313,21 +384,19 @@ def relu(a) -> Tensor:
 
     def bwd(g):
         # subgradient at 0 is 0
-        a.accumulate_grad(g * (a.data > 0))
+        a.accumulate_grad(g * (a.data > 0), owned=True)
 
     return _node(data, (a,), bwd)
 
 
-def softmax_rows(a) -> Tensor:
+def _softmax(x: np.ndarray, op: str) -> np.ndarray:
     """Row-stabilized softmax over the last axis.
 
     NaN input raises; -inf entries are allowed and get weight 0 (additive
     attention masking), as long as each row keeps at least one finite entry.
     """
-    a = _ensure(a)
-    x = a.data
     if np.isnan(x).any():
-        raise ValueError("softmax_rows: NaN in input")
+        raise ValueError(f"{op}: NaN in input")
     # np.maximum over the columns gives the same values as max(-1), 3-10x
     # faster on a short last axis (S <= 24; the marker task's default rows
     # give S = 14). From S = 32 on, its strided column reads make it the
@@ -337,21 +406,34 @@ def softmax_rows(a) -> Tensor:
         m = np.maximum(m, x[..., j])
     m = m[..., None]
     if not np.isfinite(m).all():
-        raise ValueError("softmax_rows: a row has no finite entry")
+        raise ValueError(f"{op}: a row has no finite entry")
     e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows(a) -> Tensor:
+    """Row-stabilized softmax over the last axis (see `_softmax`)."""
+    a = _ensure(a)
+    y = _softmax(a.data, "softmax_rows")
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        a.accumulate_grad((g - dot) * y)
+        a.accumulate_grad((g - dot) * y, owned=True)
 
     return _node(y, (a,), bwd)
 
 
-def layer_norm(x, gamma, beta, eps: float) -> Tensor:
-    """Normalize the last axis to mean 0 / population variance 1, then affine."""
+def layer_norm(x, gamma, beta, eps: float, y=None) -> Tensor:
+    """Normalize the last axis of x, or of x + y, to mean 0 / population
+    variance 1, then affine.
+
+    With y, the sum is part of the node (a residual add plus its layer
+    norm), and both summands get the gradient of the sum.
+    """
     x, gamma, beta = _ensure(x), _ensure(gamma), _ensure(beta)
-    d = x.data.shape[-1] if x.data.ndim else 0
+    y = None if y is None else _ensure(y)
+    total = x.data if y is None else x.data + y.data
+    d = total.shape[-1] if total.ndim else 0
     if d == 0:
         raise ShapeError("layer_norm: last dimension must be nonzero")
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -359,8 +441,8 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
             f"layer_norm: gamma/beta must have shape ({d},), "
             f"got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+    mu = total.mean(axis=-1, keepdims=True)
+    centered = total - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
@@ -368,19 +450,22 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
 
     def bwd(g):
         if gamma.tracked:
-            gamma.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+            gamma.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
         if beta.tracked:
-            beta.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if x.tracked:
+            beta.accumulate_grad(g.reshape(-1, d).sum(axis=0), owned=True)
+        if x.tracked or (y is not None and y.tracked):
             dxhat = g * gamma.data
             gx = inv_std / d * (
                 d * dxhat
                 - dxhat.sum(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
             )
-            x.accumulate_grad(gx)
+            if x.tracked:  # with y, x gets a copy: y may own gx
+                x.accumulate_grad(_unbroadcast(gx, x.shape), owned=y is None)
+            if y is not None and y.tracked:
+                y.accumulate_grad(_unbroadcast(gx, y.shape), owned=True)
 
-    return _node(data, (x, gamma, beta), bwd)
+    return _node(data, (x, gamma, beta) if y is None else (x, y, gamma, beta), bwd)
 
 
 def dropout(a, rate: float, key: int, counter: int) -> Tensor:
@@ -398,7 +483,7 @@ def dropout(a, rate: float, key: int, counter: int) -> Tensor:
     mask = (gen.random(a.shape) >= rate) / (1.0 - rate)
 
     def bwd(g):
-        a.accumulate_grad(g * mask)
+        a.accumulate_grad(g * mask, owned=True)
 
     return _node(a.data * mask, (a,), bwd)
 
@@ -412,39 +497,6 @@ def sum_all(a) -> Tensor:
     data = np.asarray(a.data.sum())
 
     def bwd(g):
-        a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
+        a.accumulate_grad(np.broadcast_to(g, a.shape).copy(), owned=True)
 
     return _node(data, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def finite_diff_check(f, x: Tensor, h: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    f maps a Tensor to a scalar Tensor. Per coordinate i the comparison is
-    |analytic_i - central_i| / (|central_i| + 1e-8); the max over all
-    coordinates is returned.
-    """
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    out.backward(leaves=[probe])
-    analytic = probe.grad.copy()
-
-    numeric = np.zeros_like(probe.data)
-    flat = probe.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f(probe).item()
-            flat[i] = orig - h
-            down = f(probe).item()
-            flat[i] = orig
-            num_flat[i] = (up - down) / (2.0 * h)
-
-    err = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
-    return float(err.max()) if err.size else 0.0

@@ -5,10 +5,11 @@ import pytest
 
 from rosita_mini import data as D
 from rosita_mini.data import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, EncodedDataset,
-                              Example, Vocab, build_vocab, generate_marker_task,
+                              Example, Vocab, generate_marker_task,
                               iter_batches, load_task_dir, load_tsv, save_tsv,
                               tokenize)
 from rosita_mini.metrics import MetricsWriter, eval_metric, read_ndjson
+from support import build_vocab
 
 
 def demo_vocab():

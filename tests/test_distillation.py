@@ -11,6 +11,7 @@ from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, ForwardTrace
 from rosita_mini.pipeline import StageSpec
 from rosita_mini.tensor import Tensor, ShapeError
+from support import finite_diff_check
 
 
 def make_trace(states, logits=None):
@@ -39,7 +40,7 @@ class TestSoftCrossEntropy:
         def f(t):
             return D.soft_cross_entropy(zt, t)
 
-        err = T.finite_diff_check(f, Tensor(z.copy()))
+        err = finite_diff_check(f, Tensor(z.copy()))
         # analytic gradient is exactly zero at z_S = z_T
         probe = Tensor(z.copy(), requires_grad=True)
         D.soft_cross_entropy(zt, probe).backward(leaves=[probe])
@@ -61,7 +62,7 @@ class TestSoftCrossEntropy:
         rng = np.random.default_rng(1)
         zt = Tensor(rng.normal(size=(4, 3)))
         zs = rng.normal(size=(4, 3))
-        err = T.finite_diff_check(lambda t: D.soft_cross_entropy(zt, t, 2.0), Tensor(zs))
+        err = finite_diff_check(lambda t: D.soft_cross_entropy(zt, t, 2.0), Tensor(zs))
         assert err < 1e-6
 
     def test_shape_mismatch(self):

@@ -9,7 +9,9 @@ import pytest
 from rosita_mini import model as M
 from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, count_params, cross_entropy
-from rosita_mini.tensor import ShapeError, Tensor, finite_diff_check
+from rosita_mini.tensor import ShapeError, Tensor
+from support import (finite_diff_check, padding_bias, unfused_attention,
+                     unfused_layer_norm, unfused_linear)
 
 
 def tiny_config(**over):
@@ -29,42 +31,38 @@ def full_mask(ids):
     return np.ones_like(ids, dtype=float)
 
 
-def self_attention_head(x: Tensor, W_Qi: Tensor, W_Ki: Tensor, W_Vi: Tensor) -> Tensor:
-    """Single attention head on a (seq, d_X) input, scaled by sqrt(head_dim);
-    the per-head oracle that multi_head is checked against."""
-    if x.data.ndim != 2 or W_Qi.shape[0] != x.shape[-1]:
+def self_attention_head(x, W_Qi, W_Ki, W_Vi) -> np.ndarray:
+    """Single attention head on a (seq, d_X) array, scaled by sqrt(head_dim);
+    the plain-numpy oracle that multi_head is checked against."""
+    if x.ndim != 2 or W_Qi.shape[0] != x.shape[-1]:
         raise ShapeError(f"self_attention_head: got x {x.shape}, W_Q {W_Qi.shape}")
-    head_dim = W_Qi.shape[1]
-    q = T.matmul(x, W_Qi)
-    k = T.matmul(x, W_Ki)
-    v = T.matmul(x, W_Vi)
-    scores = T.scale(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / math.sqrt(head_dim))
-    return T.matmul(T.softmax_rows(scores), v)
+    q, k, v = x @ W_Qi, x @ W_Ki, x @ W_Vi
+    return np_softmax(q @ k.T / math.sqrt(W_Qi.shape[1])) @ v
 
 
 class TestSelfAttentionHead:
     def test_single_token_softmax_is_one(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 8)))
-        wq, wk, wv = (Tensor(rng.normal(size=(8, 4))) for _ in range(3))
+        x = rng.normal(size=(1, 8))
+        wq, wk, wv = (rng.normal(size=(8, 4)) for _ in range(3))
         out = self_attention_head(x, wq, wk, wv)
-        np.testing.assert_allclose(out.data, x.data @ wv.data, atol=1e-12)
+        np.testing.assert_allclose(out, x @ wv, atol=1e-12)
 
     def test_zero_values_zero_output(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(3, 8)))
-        wq, wk = Tensor(rng.normal(size=(8, 4))), Tensor(rng.normal(size=(8, 4)))
-        out = self_attention_head(x, wq, wk, Tensor(np.zeros((8, 4))))
-        np.testing.assert_array_equal(out.data, 0.0)
+        x = rng.normal(size=(3, 8))
+        wq, wk = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
+        out = self_attention_head(x, wq, wk, np.zeros((8, 4)))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 8))
         wq, wk, wv = rng.normal(size=(8, 4)), rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        out = self_attention_head(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv))
+        out = self_attention_head(x, wq, wk, wv)
         q, k, v = x @ wq, x @ wk, x @ wv
         expect = np_softmax(q @ k.T / np.sqrt(4)) @ v
-        assert np.abs(out.data - expect).max() < 1e-10
+        assert np.abs(out - expect).max() < 1e-10
 
 
 class TestMultiHead:
@@ -79,8 +77,8 @@ class TestMultiHead:
         layer = self._layer(model)
         out = M.multi_head(x, layer, cfg)
         head = self_attention_head(
-            Tensor(x.data[0]), layer["W_Q"], layer["W_K"], layer["W_V"])
-        proj = head.data @ layer["W_AO"].data + layer["b_AO"].data
+            x.data[0], layer["W_Q"].data, layer["W_K"].data, layer["W_V"].data)
+        proj = head @ layer["W_AO"].data + layer["b_AO"].data
         expect = T.layer_norm(Tensor(x.data[0] + proj), layer["ln1_g"],
                               layer["ln1_b"], cfg.eps)
         np.testing.assert_allclose(out.data[0], expect.data, atol=1e-10)
@@ -132,6 +130,42 @@ class TestMultiHead:
             expect = layer["ln1_g"].data * (pre - mu) / np.sqrt(var + cfg.eps) \
                 + layer["ln1_b"].data
             assert np.abs(out.data[b] - expect).max() < 1e-10
+
+
+def unfused_encoder_layer(x, p, heads, eps, mask_bias):
+    """multi_head then ffn, built from the per-op chains."""
+    q, k, v = (unfused_linear(x, p[name]) for name in ("W_Q", "W_K", "W_V"))
+    ctx = unfused_attention(q, k, v, heads, mask_bias)
+    h = unfused_layer_norm(x, p["ln1_g"], p["ln1_b"], eps,
+                           unfused_linear(ctx, p["W_AO"], p["b_AO"]))
+    f = unfused_linear(T.relu(unfused_linear(h, p["W_FI"], p["b_FI"])), p["W_FO"], p["b_FO"])
+    return unfused_layer_norm(h, p["ln2_g"], p["ln2_b"], eps, f)
+
+
+@pytest.mark.parametrize("s", [6, 14])
+@pytest.mark.parametrize("heads", [8, 2])
+@pytest.mark.parametrize("masked", [False, True])
+def test_encoder_layer_is_bitwise_the_unfused_chain(s, heads, masked):
+    """Values and every gradient, including the four that sum into the
+    layer input, in the same order as the per-op graph sums them."""
+    cfg = tiny_config(H=heads, d_X=48, head_dim=6, d_I=24)
+    model = Model.init(cfg, s + heads)
+    rng = np.random.default_rng(s * heads)
+    x0, weight = rng.normal(size=(3, s, 48)), rng.normal(size=(3, s, 48))
+    bias = padding_bias(rng, 3, s) if masked else None
+
+    def run(layer_fn):
+        params = {name: Tensor(p.data, requires_grad=True)
+                  for name, p in M._layer_slice(model.params, 0).items()}
+        x = Tensor(x0, requires_grad=True)
+        out = layer_fn(x, params)
+        T.sum_all(T.mul(out, Tensor(weight))).backward()
+        return {"out": out.data, "x": x.grad, **{n: p.grad for n, p in params.items()}}
+
+    fused = run(lambda x, p: M.ffn(M.multi_head(x, p, cfg, bias), p, cfg))
+    unfused = run(lambda x, p: unfused_encoder_layer(x, p, heads, cfg.eps, bias))
+    for name, want in unfused.items():
+        assert fused[name].tobytes() == want.tobytes(), name
 
 
 class TestFFN:

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import time
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from rosita_mini import pipeline as PL
 from rosita_mini import presets, sweeps
+from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
 from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import KDConfig
@@ -254,14 +256,55 @@ def tiny_model_dict(info, **over):
     return d
 
 
-def test_thread_cap_warns_once_without_threadpoolctl(monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+def test_thread_cap_reads_back_from_openblas(monkeypatch):
+    blas = PL._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS is mapped into this process, so no thread count "
+                    "can be set or read back")
+    set_threads, get_threads = blas
+    set_threads(2)
+    monkeypatch.setenv("ROSITA_MINI_THREADS", "1")
+    assert PL.limit_worker_threads() == 1
+    assert get_threads() == 1
+
+
+def test_thread_cap_warns_once_without_openblas(monkeypatch, capsys):
+    monkeypatch.setattr(PL, "_openblas", lambda: None)
     monkeypatch.setattr(PL, "_warned_uncapped", False)
     monkeypatch.setenv("ROSITA_MINI_THREADS", "3")
-    assert PL.limit_worker_threads() == 3
-    assert PL.limit_worker_threads() == 3
+    assert PL.limit_worker_threads() is None
+    assert PL.limit_worker_threads() is None
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "threadpoolctl" in err[0] and "cap of 3" in err[0]
+    assert len(err) == 1 and "no OpenBLAS" in err[0] and "cap of 3" in err[0]
+    assert not PL._fork_evals()
+
+
+def test_step_graph_is_freed_before_the_next_forward(task_dir, tmp_path, monkeypatch):
+    """backward consumes each step's graph, so none of its activations is
+    reachable when the next step's forward starts."""
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    forward = Model.forward
+    earlier: list[weakref.ref] = []  # the activations of earlier steps
+    live_at: list[int] = []  # the forwards that found some still reachable
+
+    def watched(self, *args, **kwargs):
+        if not T._grad_enabled():
+            return forward(self, *args, **kwargs)
+        if any(ref() is not None for ref in earlier):
+            live_at.append(len(earlier))
+        trace = forward(self, *args, **kwargs)
+        earlier.extend(weakref.ref(t.data) for t in (trace.logits, *trace.hidden))
+        return trace
+
+    monkeypatch.setattr(Model, "forward", watched)
+    stage = StageSpec(name="ft", dataset="train", epochs=2, batch_size=16)
+    model = Model.init(ModelConfig(**tiny_model_dict(info)), 0)
+    with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+        run_stage(stage, model, None, {"train": splits["train"]}, metrics,
+                  np.random.default_rng(0))
+    assert len(earlier) == 6 * 4  # 6 steps of logits and 3 hidden states
+    assert live_at == []
 
 
 def test_evaluate_rejects_unlabeled_rows(task_dir):
@@ -379,12 +422,17 @@ class TestOverlappedEval:
                             prune_fraction=0.5, n_events=2))
 
     def test_forks_only_with_cpus_for_two_capped_workers(self, monkeypatch):
-        monkeypatch.delenv("ROSITA_MINI_THREADS", raising=False)
+        reported = [1]  # the thread count OpenBLAS reports
+        monkeypatch.setattr(PL, "_openblas", lambda: (None, lambda: reported[0]))
+        monkeypatch.setenv("ROSITA_MINI_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert not PL._fork_evals()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert PL._fork_evals()
-        monkeypatch.setenv("ROSITA_MINI_THREADS", "2")
+        reported[0] = 2  # the reported count decides, not the requested one
+        assert not PL._fork_evals()
+        monkeypatch.setattr(PL, "_openblas", lambda: None)  # the cap could not be applied
+        reported[0] = 1
         assert not PL._fork_evals()
 
     def test_forked_and_inline_evals_write_the_same_bytes(self, task_dir, tmp_path,

@@ -1,5 +1,6 @@
 """Tensor core: op values against independent oracles, gradients against
-central finite differences, and the basic autodiff contracts."""
+central finite differences, the fused nodes against the op chains they
+replace, and the basic autodiff contracts."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosita_mini import tensor as T
-from rosita_mini.tensor import Tensor, ShapeError, finite_diff_check
+from rosita_mini.tensor import Tensor, ShapeError
+from support import (finite_diff_check, padding_bias, unfused_attention,
+                     unfused_layer_norm, unfused_linear)
 
 
 def test_matmul_identity():
@@ -274,8 +277,125 @@ def test_determinism_bit_identical():
     assert (s1 == s2).all()
 
 
-def test_swapaxes_reshape_roundtrip_gradient():
-    x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4)), requires_grad=True)
-    y = T.reshape(T.swapaxes(x, 1, 2), (2, 12))
-    T.sum_all(T.mul(y, y)).backward()
-    np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
+# ---------------------------------------------------------------------------
+# fused nodes: bit-identical to the unfused chain, and correct gradients
+
+
+def _value_and_grads(build, arrays, weight):
+    """build(*leaves) and the gradient of sum(build(*leaves) * weight)
+    with respect to every leaf."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*leaves)
+    T.sum_all(T.mul(out, Tensor(weight))).backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def assert_bitwise(fused, unfused, arrays, weight):
+    got = _value_and_grads(fused, arrays, weight)
+    want = _value_and_grads(unfused, arrays, weight)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), \
+            "output differs" if i == 0 else f"gradient of input {i - 1} differs"
+
+
+FUSED_CASES = [(s, heads, masked) for s in (6, 14) for heads in (8, 2)
+               for masked in (False, True)]
+
+
+@pytest.mark.parametrize("s,heads,masked", FUSED_CASES)
+def test_attention_is_bitwise_the_unfused_chain(s, heads, masked):
+    rng = np.random.default_rng(100 * s + heads)
+    bsz, width = 3, 48  # head widths 6 and 24: 1/sqrt(hd) is not a power of 2
+    qkv = [rng.normal(size=(bsz, s, width)) for _ in range(3)]
+    bias = padding_bias(rng, bsz, s) if masked else None
+    assert_bitwise(lambda q, k, v: T.attention(q, k, v, heads, bias),
+                   lambda q, k, v: unfused_attention(q, k, v, heads, bias),
+                   qkv, rng.normal(size=(bsz, s, width)))
+
+
+@pytest.mark.parametrize("s", [6, 14])
+@pytest.mark.parametrize("rows", [(3,), ()])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_is_bitwise_matmul_then_add(s, rows, bias):
+    rng = np.random.default_rng(s)
+    arrays = [rng.normal(size=rows + (s, 32)), rng.normal(size=(32, 24))]
+    if bias:
+        arrays.append(rng.normal(size=24))
+    assert_bitwise(T.linear, unfused_linear, arrays, rng.normal(size=rows + (s, 24)))
+
+
+@pytest.mark.parametrize("s", [6, 14])
+@pytest.mark.parametrize("y_shape", ["same", "broadcast"])
+def test_two_input_layer_norm_is_bitwise_add_then_layer_norm(s, y_shape):
+    rng = np.random.default_rng(s)
+    x = rng.normal(size=(3, s, 32))
+    y = rng.normal(size=x.shape if y_shape == "same" else (s, 32))
+    gamma, beta = 1.0 + 0.1 * rng.normal(size=32), rng.normal(size=32)
+
+    def build(norm):
+        # both summands also feed a second node, whose backward adds into
+        # their grads while they wait for their own backward
+        def f(x, y, g, b):
+            xs, ys = T.scale(x, 1.5), T.scale(y, 0.5)
+            return T.add(norm(xs, g, b, 1e-12, ys), T.mul(xs, ys))
+        return f
+
+    assert_bitwise(build(T.layer_norm), build(unfused_layer_norm),
+                   [x, y, gamma, beta], rng.normal(size=x.shape))
+
+
+def test_attention_gradients_match_central_differences():
+    rng = np.random.default_rng(21)
+    q, k, v = (rng.normal(size=(2, 5, 8)) for _ in range(3))
+    bias = padding_bias(rng, 2, 5)
+    weight = Tensor(rng.normal(size=(2, 5, 8)))
+    inputs = {"q": q, "k": k, "v": v}
+    for name in inputs:
+        def f(t, name=name):
+            args = {n: Tensor(a) for n, a in inputs.items()}
+            args[name] = t
+            return T.sum_all(T.mul(T.attention(args["q"], args["k"], args["v"], 2, bias),
+                                   weight))
+        assert finite_diff_check(f, Tensor(inputs[name])) < 1e-6, name
+
+
+def test_linear_gradients_match_central_differences():
+    rng = np.random.default_rng(22)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    weight = Tensor(rng.normal(size=(2, 3, 5)))
+    assert finite_diff_check(lambda t: T.sum_all(T.mul(T.linear(t, w, b), weight)),
+                             Tensor(x)) < 1e-6
+    assert finite_diff_check(lambda t: T.sum_all(T.mul(T.linear(x, t, b), weight)),
+                             Tensor(w)) < 1e-6
+    assert finite_diff_check(lambda t: T.sum_all(T.mul(T.linear(x, w, t), weight)),
+                             Tensor(b)) < 1e-6
+
+
+def test_two_input_layer_norm_gradients_match_central_differences():
+    rng = np.random.default_rng(23)
+    x, y = rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 4))
+    gamma, beta = Tensor(1.0 + 0.2 * rng.normal(size=4)), Tensor(rng.normal(size=4))
+    weight = Tensor(rng.normal(size=(2, 3, 4)))
+    assert finite_diff_check(
+        lambda t: T.sum_all(T.mul(T.layer_norm(t, gamma, beta, 1e-6, y), weight)),
+        Tensor(x)) < 1e-5
+    assert finite_diff_check(
+        lambda t: T.sum_all(T.mul(T.layer_norm(x, gamma, beta, 1e-6, t), weight)),
+        Tensor(y)) < 1e-5
+
+
+def test_backward_consumes_the_graph():
+    rng = np.random.default_rng(24)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    gamma = Tensor(np.ones(4), requires_grad=True)
+    beta = Tensor(np.zeros(4), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    h = T.linear(x, w, b)
+    out = T.layer_norm(x, gamma, beta, 1e-12, h)
+    loss = T.sum_all(T.mul(out, out))
+    loss.backward()
+    for node in (h, out, loss):
+        assert node.grad is None and node._parents == () and node._backward is None
+    for leaf in (w, b, gamma, beta):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
