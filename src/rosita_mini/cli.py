@@ -23,8 +23,7 @@ from .pipeline import (PruneSpec, StagePlan, StageSpec, collect_one_step_scores,
                        evaluate, limit_worker_threads, one_step_prune, run_plan,
                        run_stage)
 from .presets import build_preset
-from .pruning import (ArchitectureTarget, head_importance, neuron_importance,
-                      rank_importance)
+from .pruning import ArchitectureTarget, unit_importance
 from .sweeps import LR_KIND_ALIASES, sweep_architectures, sweep_frequency
 
 
@@ -198,12 +197,13 @@ def cmd_inspect(args) -> int:
         importance = {}
         for layer in range(model.config.L):
             importance[f"layer{layer}"] = {
-                "heads": head_importance(ledger, layer, model.config.head_dim).tolist(),
-                "neuron_mean": float(neuron_importance(ledger, layer).mean()),
+                "heads": unit_importance(ledger, model, "attention_head", layer).tolist(),
+                "neuron_mean": float(
+                    unit_importance(ledger, model, "ffn_neuron", layer).mean()),
             }
         if model.config.factorized:
             importance["embedding_ranks_mean"] = float(
-                rank_importance(model, ledger).mean())
+                unit_importance(ledger, model, "embedding_rank").mean())
         out["importance"] = importance
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0

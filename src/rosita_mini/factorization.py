@@ -38,9 +38,6 @@ class SVDResult:
     sigma: np.ndarray  # (k,), nonincreasing, nonnegative
     V: np.ndarray      # (k, n), orthonormal rows
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V
-
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sweep schedule: rounds of disjoint column pairs (p, q), p < q.
@@ -157,17 +154,6 @@ def truncate(result: SVDResult, r: int) -> tuple[np.ndarray, np.ndarray]:
     e_u = result.U[:, :r] * root
     e_v = root[:, None] * result.V[:r, :]
     return e_u, e_v
-
-
-def reconstruction_error(w: np.ndarray, e_u: np.ndarray, e_v: np.ndarray) -> float:
-    """Frobenius norm of W - E_U @ E_V."""
-    w = np.asarray(w, dtype=np.float64)
-    if e_u.shape[0] != w.shape[0] or e_v.shape[1] != w.shape[1] \
-            or e_u.shape[1] != e_v.shape[0]:
-        raise ShapeError(
-            f"reconstruction_error: W {w.shape} vs factors {e_u.shape} x {e_v.shape}"
-        )
-    return float(np.linalg.norm(w - e_u @ e_v))
 
 
 def factorize_model_embedding(model, rank: int) -> None:

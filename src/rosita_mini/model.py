@@ -8,7 +8,8 @@ so distillation can read them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -160,16 +161,6 @@ class Model:
         for p in self.params.values():
             p.requires_grad = False
 
-    def clone(self) -> "Model":
-        cloned = {
-            name: Tensor(p.data.copy(), requires_grad=p.requires_grad)
-            for name, p in self.params.items()
-        }
-        return Model(replace(self.config), cloned)
-
-    def num_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def forward(self, token_ids, mask, dropout_rate: float = 0.0,
                 dropout_key: int = 0) -> ForwardTrace:
         return forward(self, token_ids, mask, dropout_rate, dropout_key)
@@ -287,22 +278,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def count_params(config: ModelConfig) -> int:
-    """Exact parameter count for a config.
+    """Exact parameter count for a config: the sizes of `param_shapes`.
 
     Convention: token embedding (factors when r > 0), learned position
     embeddings, embedding layer norm, all per-layer weights/biases/layer
     norms, and the classifier. Position embeddings are never factorized.
     """
-    c = config
-    width = c.H * c.head_dim
-    emb = c.vocab_size * c.r + c.r * c.d_X if c.factorized else c.vocab_size * c.d_X
-    emb += c.max_len * c.d_X + 2 * c.d_X
-    per_layer = (
-        3 * c.d_X * width          # W_Q, W_K, W_V
-        + width * c.d_X + c.d_X    # W_AO, b_AO
-        + c.d_X * c.d_I + c.d_I    # W_FI, b_FI
-        + c.d_I * c.d_X + c.d_X    # W_FO, b_FO
-        + 4 * c.d_X                # two layer-norm pairs
-    )
-    cls = c.d_X * c.n_classes + c.n_classes
-    return emb + c.L * per_layer + cls
+    return sum(math.prod(shape) for shape in param_shapes(config).values())

@@ -97,75 +97,42 @@ def limit_worker_threads() -> int | None:
 # schedules
 
 
-@dataclass
-class LRSchedule:
-    kind: str  # "constant" | "linear_decay"
-    base_lr: float
-    total_steps: int
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "linear_decay"):
-            raise ValueError(f"unknown lr schedule kind {self.kind!r}")
-        if self.base_lr < 0 or self.total_steps < 1:
-            raise ValueError("lr schedule needs base_lr >= 0 and total_steps >= 1")
+LR_KINDS = ("constant", "linear_decay")
 
 
-def lr_at(schedule: LRSchedule, t: int) -> float:
-    """Learning rate at step t in [0, T]."""
-    if not 0 <= t <= schedule.total_steps:
-        raise ValueError(f"step {t} outside [0, {schedule.total_steps}]")
-    if schedule.kind == "constant":
-        return schedule.base_lr
-    return schedule.base_lr * (1.0 - t / schedule.total_steps)
+def lr_at(kind: str, base_lr: float, total_steps: int, t: int) -> float:
+    """Learning rate at step t in [0, total_steps]."""
+    if not 0 <= t <= total_steps:
+        raise ValueError(f"step {t} outside [0, {total_steps}]")
+    if kind == "constant":
+        return base_lr
+    return base_lr * (1.0 - t / total_steps)
 
 
-@dataclass
-class PruneSchedule:
-    """Equally spaced pruning events within the first floor(p*T) steps."""
+def prune_events(config: ModelConfig, prune: PruneSpec,
+                 total_steps: int) -> tuple[list[int], RemovalAmounts]:
+    """The event steps floor(p*T)*k/n for k = 1..n, and the amounts that
+    every event removes so that the n events land exactly on the target.
 
-    total_steps: int
-    prune_fraction: float
-    n_events: int
-    amounts: RemovalAmounts
-
-    def __post_init__(self):
-        if not 0.0 < self.prune_fraction <= 1.0:
-            raise ValueError(f"prune_fraction {self.prune_fraction} outside (0, 1]")
-        if self.n_events < 1:
-            raise ValueError("need at least one pruning event")
-        if int(self.prune_fraction * self.total_steps) < self.n_events:
-            raise ValueError(
-                f"floor({self.prune_fraction} * {self.total_steps}) steps cannot "
-                f"hold {self.n_events} events"
-            )
-
-
-def schedule_events(schedule: PruneSchedule) -> list[tuple[int, RemovalAmounts]]:
-    """Event steps floor(p*T)*k/n for k = 1..n, strictly increasing."""
-    window = int(schedule.prune_fraction * schedule.total_steps)
-    steps = [(window * k) // schedule.n_events for k in range(1, schedule.n_events + 1)]
-    if any(b <= a for a, b in zip(steps, steps[1:])) or steps[0] < 1:
-        raise ValueError(f"degenerate event steps {steps}")
-    return [(s, schedule.amounts) for s in steps]
-
-
-def schedule_for_target(config: ModelConfig, target: ArchitectureTarget,
-                        total_steps: int, prune_fraction: float,
-                        n_events: int) -> PruneSchedule:
-    """Build the per-event amounts that land exactly on the target."""
-    deltas = target.deltas(config)
+    A window of at least n steps makes the steps rise strictly from 1 up.
+    """
+    n = prune.n_events
+    deltas = prune.target.deltas(config)
     amounts = {}
     for dim, key in (("H", "heads_per_layer"), ("d_I", "neurons_per_layer"),
                      ("r", "ranks"), ("L", "layers")):
-        delta = deltas[dim]
-        if delta % n_events != 0:
+        if deltas[dim] % n != 0:
             raise ValueError(
-                f"cannot reach target: {dim} delta {delta} is not divisible "
-                f"by {n_events} events"
+                f"cannot reach target: {dim} delta {deltas[dim]} is not divisible "
+                f"by {n} events"
             )
-        amounts[key] = delta // n_events
-    return PruneSchedule(total_steps=total_steps, prune_fraction=prune_fraction,
-                         n_events=n_events, amounts=RemovalAmounts(**amounts))
+        amounts[key] = deltas[dim] // n
+    window = int(prune.prune_fraction * total_steps)
+    if window < n:
+        raise ValueError(
+            f"floor({prune.prune_fraction} * {total_steps}) steps cannot hold {n} events"
+        )
+    return [(window * k) // n for k in range(1, n + 1)], RemovalAmounts(**amounts)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +149,10 @@ class PruneSpec:
     def __post_init__(self):
         if self.mode not in ("one_step", "iterative"):
             raise ValueError(f"unknown prune mode {self.mode!r}")
+        if not 0.0 < self.prune_fraction <= 1.0:
+            raise ValueError(f"prune_fraction {self.prune_fraction} outside (0, 1]")
+        if self.n_events < 1:
+            raise ValueError(f"n_events {self.n_events} < 1: need a pruning event")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PruneSpec":
@@ -192,33 +163,37 @@ class PruneSpec:
 
 @dataclass
 class StageSpec:
+    """One stage. A stage with a teacher starts from a copy of it; one
+    without starts fresh from `model` (default: the plan's model). A stage
+    trains with cross-entropy exactly when it has no `kd`."""
+
     name: str
     dataset: str
     epochs: int
     teacher: str | None = None        # None | "original" | "previous"
-    student_init: str = "fresh"       # "fresh" | "copy_of_teacher"
     batch_size: int = 32
-    lr_kind: str = "linear_decay"
+    lr_kind: str = "linear_decay"     # one of LR_KINDS
     base_lr: float = 1e-3
     kd: KDConfig | None = None
     prune: PruneSpec | None = None
-    use_cross: bool | None = None     # default: no KD configured
     model: dict | None = None         # fresh-init config override
     dropout: float = 0.0
 
     def __post_init__(self):
         if self.teacher not in (None, "original", "previous"):
             raise ValueError(f"unknown teacher source {self.teacher!r}")
-        if self.student_init not in ("fresh", "copy_of_teacher"):
-            raise ValueError(f"unknown student init {self.student_init!r}")
-        if self.student_init == "copy_of_teacher" and self.teacher is None:
-            raise ValueError(f"stage {self.name!r} copies a teacher it does not have")
         if self.kd is not None and self.teacher is None:
             raise ValueError(f"stage {self.name!r} distills without a teacher")
-        if self.use_cross is None:
-            self.use_cross = self.kd is None
-        if not self.use_cross and self.kd is None:
-            raise ValueError(f"stage {self.name!r} trains with no loss at all")
+        if self.model is not None and self.teacher is not None:
+            raise ValueError(f"stage {self.name!r} starts from a copy of its teacher, "
+                             f"so it cannot take a model config")
+        if self.lr_kind not in LR_KINDS:
+            raise ValueError(f"stage {self.name!r}: unknown lr_kind {self.lr_kind!r}; "
+                             f"choices: {list(LR_KINDS)}")
+        if self.base_lr < 0:
+            raise ValueError(f"stage {self.name!r}: base_lr {self.base_lr} < 0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"stage {self.name!r}: dropout {self.dropout} outside [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -240,7 +215,6 @@ class StagePlan:
     model: dict                       # base (teacher-shaped) model config
     stages: list[StageSpec]
     version: int = PLAN_SCHEMA_VERSION
-    allow_hidden_outside_final: bool = False
 
     def __post_init__(self):
         if self.version != PLAN_SCHEMA_VERSION:
@@ -253,11 +227,10 @@ class StagePlan:
             raise ValueError("the first stage has no earlier stage to teach it")
         for i, stage in enumerate(self.stages):
             final = i == len(self.stages) - 1
-            if stage.kd and stage.kd.use_hidden and not final \
-                    and not self.allow_hidden_outside_final:
+            if stage.kd and stage.kd.use_hidden and not final:
                 raise ValueError(
                     f"stage {stage.name!r}: hidden distillation is reserved for "
-                    f"the final stage (set allow_hidden_outside_final to override)"
+                    f"the final stage"
                 )
             if stage.kd and stage.kd.use_hidden and stage.prune \
                     and stage.prune.mode == "iterative" \
@@ -300,7 +273,7 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
     trace_s = student.forward(ids, mask, stage.dropout, dropout_key)
     parts = {"loss_cross": None, "loss_pred": None, "loss_hidden": None}
     total = None
-    if stage.use_cross:
+    if stage.kd is None:
         labeled = np.nonzero(labels >= 0)[0]
         if labeled.size == len(labels):
             ce = cross_entropy(trace_s.logits, labels)
@@ -311,7 +284,7 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
         if ce is not None:
             parts["loss_cross"] = ce.item()
             total = ce
-    if stage.kd is not None:
+    else:
         with T.no_grad():
             trace_t = teacher.forward(ids, mask)
         if stage.kd.use_pred:
@@ -504,6 +477,15 @@ class _DevEvals:
         return False
 
 
+def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset]) -> EncodedDataset:
+    if stage.dataset not in datasets:
+        raise ValueError(f"stage {stage.name!r}: dataset {stage.dataset!r} not loaded; "
+                         f"loaded: {sorted(datasets)}")
+    if not len(datasets[stage.dataset]):
+        raise ValueError(f"stage {stage.name!r}: dataset {stage.dataset!r} has no rows")
+    return datasets[stage.dataset]
+
+
 def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
               datasets: dict[str, EncodedDataset], metrics: MetricsWriter,
               rng: np.random.Generator, eval_kind: str = "accuracy") -> Model:
@@ -515,9 +497,7 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     final student's dev metric. Each eval may run in a forked child,
     overlapping the next training steps; the records are the ones an
     inline eval writes (see `_DevEvals`)."""
-    if stage.dataset not in datasets:
-        raise KeyError(f"stage {stage.name!r}: dataset {stage.dataset!r} not loaded")
-    data = datasets[stage.dataset]
+    data = _stage_data(stage, datasets)
     if teacher is not None:
         teacher.freeze()
 
@@ -533,9 +513,7 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
         layer_map = fresh_layer_map()
 
     total_steps = stage.epochs * batches_per_epoch(len(data), stage.batch_size)
-    schedule = LRSchedule(stage.lr_kind, stage.base_lr, total_steps)
-
-    events: list[tuple[int, RemovalAmounts]] = []
+    event_steps, amounts = [], None
     ledger = None
     if stage.prune is not None and stage.prune.mode == "iterative":
         if stage.prune.target.r is not None and not student.config.factorized:
@@ -543,10 +521,7 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
             # full rank up front and let Taylor scores order the ranks
             factorize_model_embedding(
                 student, min(student.config.vocab_size, student.config.d_X))
-        prune_schedule = schedule_for_target(
-            student.config, stage.prune.target, total_steps,
-            stage.prune.prune_fraction, stage.prune.n_events)
-        events = schedule_events(prune_schedule)
+        event_steps, amounts = prune_events(student.config, stage.prune, total_steps)
         ledger = ImportanceLedger(student, "iterative_accumulate")
 
     optimizer = Adam(student.parameters())
@@ -554,7 +529,6 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     dropout_key = int(rng.integers(2 ** 31)) if stage.dropout else 0
 
     step = 0
-    event_idx = 0
     done = False
     with _DevEvals(metrics, datasets.get("dev"), eval_kind) as evals:
         while not done:
@@ -570,21 +544,20 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                 loss.backward(leaves=student.parameters().values())
                 if ledger is not None:
                     record_batch_scores(ledger, student)
-                optimizer.step(student.parameters(), lr_at(schedule, step))
+                lr = lr_at(stage.lr_kind, stage.base_lr, total_steps, step)
+                optimizer.step(student.parameters(), lr)
                 step += 1
 
-                while event_idx < len(events) and events[event_idx][0] == step:
-                    _, amounts = events[event_idx]
+                if step in event_steps:
                     units = select_prune_set(ledger, student, amounts)
                     report = apply_surgery(student, units)
                     optimizer.apply_surgery(report)
                     ledger.reset_after_prune(student)
                     layer_map = fresh_layer_map()
-                    event_idx += 1
 
                 record = {
                     "stage": stage.name, "step": step,
-                    "lr": lr_at(schedule, step - 1), **parts,
+                    "lr": lr, **parts,
                     "H": student.config.H, "L": student.config.L,
                     "d_I": student.config.d_I, "r": student.config.r,
                     "param_count": count_params(student.config),
@@ -596,12 +569,6 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                 if step >= total_steps:
                     done = True
                     break
-
-    if event_idx != len(events):
-        raise RuntimeError(
-            f"stage {stage.name!r} ended with {len(events) - event_idx} pruning "
-            f"events unexecuted"
-        )
     return student
 
 
@@ -621,6 +588,8 @@ def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
     Teachers are reloaded from the previous stage's written checkpoint, so
     the chain is exactly what landed on disk.
     """
+    for stage in plan.stages:
+        _stage_data(stage, datasets)
     limit_worker_threads()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -632,18 +601,13 @@ def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
     for k, stage in enumerate(plan.stages):
         rng = np.random.default_rng(stage_seeds[k])
 
-        teacher = None
-        if stage.teacher == "original":
-            teacher = load_checkpoint(original_path).to_model()
-        elif stage.teacher == "previous":
-            teacher = load_checkpoint(previous_path).to_model()
-
-        if stage.student_init == "copy_of_teacher":
-            source = original_path if stage.teacher == "original" else previous_path
-            student = load_checkpoint(source).to_model()
+        if stage.teacher is None:
+            teacher = None
+            student = Model.init(ModelConfig.from_dict(stage.model or plan.model), rng)
         else:
-            cfg = ModelConfig.from_dict(stage.model or plan.model)
-            student = Model.init(cfg, rng)
+            source = original_path if stage.teacher == "original" else previous_path
+            teacher = load_checkpoint(source).to_model()
+            student = load_checkpoint(source).to_model()
 
         with MetricsWriter(out_dir / f"stage{k}_{stage.name}.ndjson") as metrics:
             student = run_stage(stage, student, teacher, datasets, metrics, rng,

@@ -49,9 +49,9 @@ def _kd_stage(name: str, hp: dict, *, teacher: str, use_hidden: bool,
     kd = KDConfig(use_pred=True, use_hidden=use_hidden,
                   hidden_weight=hp["hidden_weight"], temperature=hp["temperature"])
     return StageSpec(name=name, dataset="train_aug", epochs=hp["kd_epochs"],
-                     teacher=teacher, student_init="copy_of_teacher",
-                     batch_size=hp["batch_size"], lr_kind=hp["lr_kind"],
-                     base_lr=hp["kd_lr"], kd=kd, prune=prune, dropout=hp["dropout"])
+                     teacher=teacher, batch_size=hp["batch_size"],
+                     lr_kind=hp["lr_kind"], base_lr=hp["kd_lr"], kd=kd, prune=prune,
+                     dropout=hp["dropout"])
 
 
 def _width_target(target: dict) -> ArchitectureTarget:

@@ -6,6 +6,15 @@ a dataset average (one-step pruning) or as a running sum between pruning
 events (iterative pruning). Scores aggregate to FFN neurons, attention
 heads, and embedding ranks; layers are dropped keep-first instead of
 scored.
+
+`UNIT_SLICES` is the one statement of where a unit lives: for each kind,
+the (parameter, axis, scored) slices that hold one unit, and `UNIT_DIMS`
+the config field that counts the kind's units. A head is head_dim
+consecutive entries along its axis, a neuron or a rank one entry. The
+ledger keeps scores for the scored slices only, `unit_importance` sums a
+unit's scored slices, and `apply_surgery` cuts every slice. A head is
+scored by its W_AO rows alone, so W_Q, W_K and W_V are cut but not
+scored.
 """
 
 from __future__ import annotations
@@ -17,7 +26,17 @@ import numpy as np
 from .model import Model, ModelConfig, param_shapes
 from .tensor import Tensor
 
-VALID_KINDS = ("ffn_neuron", "attention_head", "embedding_rank", "layer")
+# kind -> (parameter, axis, scored) slices holding one unit; layer kinds
+# name their parameters without the "layer{i}." prefix
+UNIT_SLICES = {
+    "ffn_neuron": (("W_FI", 1, True), ("W_FO", 0, True), ("b_FI", 0, True)),
+    "attention_head": (("W_Q", 1, False), ("W_K", 1, False), ("W_V", 1, False),
+                       ("W_AO", 0, True)),
+    "embedding_rank": (("emb.E_U", 1, True), ("emb.E_V", 0, True)),
+}
+# kind -> the config field that counts its units
+UNIT_DIMS = {"ffn_neuron": "d_I", "attention_head": "H", "embedding_rank": "r"}
+VALID_KINDS = (*UNIT_SLICES, "layer")
 
 
 @dataclass(frozen=True)
@@ -54,6 +73,11 @@ class ArchitectureTarget:
     d_I: int | None = None
     r: int | None = None
 
+    def __post_init__(self):
+        low = {dim: v for dim, v in vars(self).items() if v is not None and v < 1}
+        if low:
+            raise ValueError(f"target dimensions must be >= 1, got {low}")
+
     def deltas(self, config: ModelConfig) -> dict[str, int]:
         """Removal counts from a config down to this target.
 
@@ -83,18 +107,25 @@ class ArchitectureTarget:
         return cls(**d)
 
 
+def _param_name(name: str, layer: int | None) -> str:
+    return name if layer is None else f"layer{layer}.{name}"
+
+
 def _prunable_names(config: ModelConfig) -> list[str]:
+    """Names of the scored slices of every unit in the model."""
     names = []
-    if config.factorized:
-        names += ["emb.E_U", "emb.E_V"]
-    for i in range(config.L):
-        p = f"layer{i}."
-        names += [p + n for n in ("W_Q", "W_K", "W_V", "W_AO", "W_FI", "b_FI", "W_FO")]
+    for kind, slices in UNIT_SLICES.items():
+        if kind == "embedding_rank":
+            layers = [None] if config.factorized else []
+        else:
+            layers = range(config.L)
+        names += [_param_name(name, layer) for layer in layers
+                  for name, _axis, scored in slices if scored]
     return names
 
 
 def weight_taylor_scores(model: Model) -> dict[str, np.ndarray]:
-    """Per-weight |grad * weight| for every prunable matrix, current batch."""
+    """Per-weight |grad * weight| for every scored slice, current batch."""
     scores = {}
     for name in _prunable_names(model.config):
         p = model.params[name]
@@ -165,27 +196,22 @@ def record_batch_scores(ledger: ImportanceLedger, model: Model) -> None:
     ledger.record(weight_taylor_scores(model))
 
 
-def neuron_importance(ledger: ImportanceLedger, layer: int) -> np.ndarray:
-    """Per-neuron score: connected W_FI column + W_FO row + b_FI entry."""
-    p = f"layer{layer}."
-    return (ledger.reported(p + "W_FI").sum(axis=0)
-            + ledger.reported(p + "W_FO").sum(axis=1)
-            + ledger.reported(p + "b_FI"))
-
-
-def head_importance(ledger: ImportanceLedger, layer: int, head_dim: int) -> np.ndarray:
-    """Per-head score: summed scores of the head's W_AO row block only."""
-    ao = ledger.reported(f"layer{layer}.W_AO")
-    n_heads = ao.shape[0] // head_dim
-    return ao.reshape(n_heads, head_dim * ao.shape[1]).sum(axis=1)
-
-
-def rank_importance(model: Model, ledger: ImportanceLedger) -> np.ndarray:
-    """Per-rank score: summed Taylor scores of E_U column i and E_V row i."""
-    if not model.config.factorized:
-        raise RuntimeError("rank_importance: embedding is not factorized")
-    return (ledger.reported("emb.E_U").sum(axis=0)
-            + ledger.reported("emb.E_V").sum(axis=1))
+def unit_importance(ledger: ImportanceLedger, model: Model, kind: str,
+                    layer: int | None = None) -> np.ndarray:
+    """Per-unit score of `kind` in `layer` (None for embedding ranks): the
+    summed ledger scores of each unit's scored slices, in table order."""
+    if kind == "embedding_rank" and not model.config.factorized:
+        raise RuntimeError("unit_importance: embedding is not factorized")
+    n = getattr(model.config, UNIT_DIMS[kind])
+    total = None
+    for name, axis, scored in UNIT_SLICES[kind]:
+        if not scored:
+            continue
+        s = ledger.reported(_param_name(name, layer))
+        # scored axis-1 slices are one entry per unit
+        part = s.reshape(n, -1).sum(axis=1) if axis == 0 else s.sum(axis=0)
+        total = part if total is None else total + part
+    return total
 
 
 def _lowest(scores: np.ndarray, count: int) -> list[int]:
@@ -223,17 +249,14 @@ def select_prune_set(ledger: ImportanceLedger | None, model: Model,
     units: list[UnitId] = []
     keep_layers = c.L - amounts.layers
     for layer in range(keep_layers):
-        if amounts.heads_per_layer:
-            scores = head_importance(ledger, layer, c.head_dim)
-            units += [UnitId("attention_head", i, layer)
-                      for i in _lowest(scores, amounts.heads_per_layer)]
-        if amounts.neurons_per_layer:
-            scores = neuron_importance(ledger, layer)
-            units += [UnitId("ffn_neuron", i, layer)
-                      for i in _lowest(scores, amounts.neurons_per_layer)]
+        for kind, count in (("attention_head", amounts.heads_per_layer),
+                            ("ffn_neuron", amounts.neurons_per_layer)):
+            if count:
+                scores = unit_importance(ledger, model, kind, layer)
+                units += [UnitId(kind, i, layer) for i in _lowest(scores, count)]
     if amounts.ranks:
-        units += [UnitId("embedding_rank", i)
-                  for i in _lowest(rank_importance(model, ledger), amounts.ranks)]
+        scores = unit_importance(ledger, model, "embedding_rank")
+        units += [UnitId("embedding_rank", i) for i in _lowest(scores, amounts.ranks)]
     units += [UnitId("layer", i) for i in range(keep_layers, c.L)]
     return units
 
@@ -247,31 +270,6 @@ class SurgeryReport:
     config: ModelConfig                            # config after surgery
 
 
-def _grouped(prune_set: list[UnitId], config: ModelConfig):
-    heads: dict[int, list[int]] = {}
-    neurons: dict[int, list[int]] = {}
-    ranks: list[int] = []
-    layers: list[int] = []
-    for u in prune_set:
-        if u.kind == "attention_head":
-            heads.setdefault(u.layer_index, []).append(u.unit_index)
-        elif u.kind == "ffn_neuron":
-            neurons.setdefault(u.layer_index, []).append(u.unit_index)
-        elif u.kind == "embedding_rank":
-            ranks.append(u.unit_index)
-        else:
-            layers.append(u.unit_index)
-
-    def check(groups: dict[int, list[int]], what: str, bound: int):
-        for layer, idxs in groups.items():
-            if len(set(idxs)) != len(idxs):
-                raise ValueError(f"duplicate {what} indices in layer {layer}")
-            if any(i < 0 or i >= bound for i in idxs):
-                raise ValueError(f"{what} index out of range in layer {layer}")
-
-    return heads, neurons, sorted(set(ranks)), sorted(set(layers)), check
-
-
 def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
     """Remove the listed units, shrinking matrices and the config exactly.
 
@@ -280,7 +278,10 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
     across surviving layers so the config stays rectangular.
     """
     c = model.config
-    heads, neurons, ranks, layer_units, check = _grouped(prune_set, c)
+    groups: dict[str, dict[int | None, list[int]]] = {kind: {} for kind in VALID_KINDS}
+    for u in prune_set:
+        groups[u.kind].setdefault(u.layer_index, []).append(u.unit_index)
+    layer_units = sorted({i for idxs in groups.pop("layer").values() for i in idxs})
 
     # ---- validate
     if layer_units:
@@ -290,64 +291,50 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
                 f"layer pruning keeps the first layers: expected to drop "
                 f"{expect}, got {layer_units}"
             )
-    new_L = c.L - len(layer_units)
-    survivors = set(range(new_L))
-    for groups, what, bound in ((heads, "head", c.H), (neurons, "neuron", c.d_I)):
-        check(groups, what, bound)
-        touched = set(groups)
-        if touched and not touched <= survivors:
-            raise ValueError(f"{what} pruning listed for a dropped layer")
-        if touched and touched != survivors:
-            raise ValueError(
-                f"{what} removals must cover every surviving layer uniformly"
-            )
-        counts = {len(v) for v in groups.values()}
-        if len(counts) > 1:
-            raise ValueError(f"{what} removal counts differ across layers: {counts}")
-    heads_removed = len(next(iter(heads.values()))) if heads else 0
-    neurons_removed = len(next(iter(neurons.values()))) if neurons else 0
-    if heads_removed >= c.H:
-        raise ValueError("surgery would remove every attention head")
-    if neurons_removed >= c.d_I:
-        raise ValueError("surgery would remove every FFN neuron")
-    if ranks:
-        if not c.factorized:
+    dims = {"L": c.L - len(layer_units)}
+    for kind, by_layer in groups.items():
+        if not by_layer:
+            continue
+        if kind == "embedding_rank" and not c.factorized:
             raise RuntimeError("rank surgery on an unfactorized embedding")
-        if ranks[-1] >= c.r or len(ranks) >= c.r:
-            raise ValueError("rank surgery out of range or removes every rank")
-
-    new_config = replace(
-        c, H=c.H - heads_removed, L=new_L, d_I=c.d_I - neurons_removed,
-        r=c.r - len(ranks) if ranks else c.r,
-    )
+        n = getattr(c, UNIT_DIMS[kind])
+        for layer, idxs in by_layer.items():
+            if len(set(idxs)) != len(idxs):
+                raise ValueError(f"duplicate {kind} indices in layer {layer}")
+            if any(i < 0 or i >= n for i in idxs):
+                raise ValueError(f"{kind} index out of range in layer {layer}")
+        homes = {None} if kind == "embedding_rank" else set(range(dims["L"]))
+        if set(by_layer) != homes:
+            raise ValueError(
+                f"{kind} removals must cover every surviving layer uniformly, "
+                f"got layers {list(by_layer)}"
+            )
+        counts = {len(v) for v in by_layer.values()}
+        if len(counts) > 1:
+            raise ValueError(f"{kind} removal counts differ across layers: {counts}")
+        (count,) = counts
+        if count >= n:
+            raise ValueError(f"surgery would remove every {kind} of {n}")
+        dims[UNIT_DIMS[kind]] = n - count
+    new_config = replace(c, **dims)
 
     # ---- compute new arrays, then commit
     new_data: dict[str, np.ndarray] = {}
     kept_report: dict[str, list[tuple[int, np.ndarray]]] = {}
+    for kind, by_layer in groups.items():
+        n = getattr(c, UNIT_DIMS[kind])
+        for layer, idxs in by_layer.items():
+            keep = np.ones(n, dtype=bool)
+            keep[idxs] = False
+            for name, axis, _scored in UNIT_SLICES[kind]:
+                name = _param_name(name, layer)
+                data = model.params[name].data
+                kept_idx = np.flatnonzero(np.repeat(keep, data.shape[axis] // n))
+                new_data[name] = np.take(data, kept_idx, axis=axis)
+                kept_report.setdefault(name, []).append((axis, kept_idx))
 
-    def slice_param(name: str, axis: int, kept_idx: np.ndarray):
-        src = new_data.get(name, model.params[name].data)
-        new_data[name] = np.take(src, kept_idx, axis=axis)
-        kept_report.setdefault(name, []).append((axis, kept_idx))
-
-    for layer, idxs in heads.items():
-        hd = c.head_dim
-        gone = np.concatenate([np.arange(i * hd, (i + 1) * hd) for i in sorted(idxs)])
-        kept_cols = np.setdiff1d(np.arange(c.H * hd), gone)
-        for base in ("W_Q", "W_K", "W_V"):
-            slice_param(f"layer{layer}.{base}", 1, kept_cols)
-        slice_param(f"layer{layer}.W_AO", 0, kept_cols)
-    for layer, idxs in neurons.items():
-        kept_idx = np.setdiff1d(np.arange(c.d_I), np.array(sorted(idxs)))
-        slice_param(f"layer{layer}.W_FI", 1, kept_idx)
-        slice_param(f"layer{layer}.b_FI", 0, kept_idx)
-        slice_param(f"layer{layer}.W_FO", 0, kept_idx)
-    if ranks:
-        kept_idx = np.setdiff1d(np.arange(c.r), np.array(ranks))
-        slice_param("emb.E_U", 1, kept_idx)
-        slice_param("emb.E_V", 0, kept_idx)
-
-    removed = [name for i in layer_units for name in _layer_param_names(i)]
+    removed = [name for name in model.params
+               if name.startswith(tuple(f"layer{i}." for i in layer_units))]
 
     for name, data in new_data.items():
         old = model.params[name]
@@ -357,9 +344,3 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
     model.config = new_config
     model.assert_shapes()
     return SurgeryReport(kept=kept_report, removed=removed, config=new_config)
-
-
-def _layer_param_names(i: int) -> list[str]:
-    p = f"layer{i}."
-    return [p + n for n in ("W_Q", "W_K", "W_V", "W_AO", "b_AO", "ln1_g", "ln1_b",
-                            "W_FI", "b_FI", "W_FO", "b_FO", "ln2_g", "ln2_b")]

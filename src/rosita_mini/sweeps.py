@@ -69,6 +69,14 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lr_kinds = [LR_KIND_ALIASES[k] for k in lr_kinds]
+    # every cell's stage is built, and so checked, before anything trains
+    cells = [(fraction, kind,
+              _kd_stage("kd_width", {**hp, "lr_kind": kind}, teacher="previous",
+                        use_hidden=True,
+                        prune=PruneSpec(mode="iterative", target=_width_target(target),
+                                        prune_fraction=fraction,
+                                        n_events=hp["width_events"])))
+             for fraction in fractions for kind in lr_kinds]
 
     rows = []
     for seed in seeds:
@@ -82,25 +90,16 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
         last = len(precursor.stages) - 1
         teacher_path = sorted(precursor_dir.glob(f"stage{last}_*.rst"))[0]
 
-        for fraction in fractions:
-            for kind in lr_kinds:
-                cell = f"f{fraction:g}_{kind}_seed{seed}"
-                stage = _kd_stage("kd_width", {**hp, "lr_kind": kind},
-                                  teacher="previous", use_hidden=True,
-                                  prune=PruneSpec(
-                                      mode="iterative",
-                                      target=_width_target(target),
-                                      prune_fraction=fraction,
-                                      n_events=hp["width_events"]))
-                teacher = load_checkpoint(teacher_path).to_model()
-                student = load_checkpoint(teacher_path).to_model()
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, hash_cell(fraction, kind)]))
-                with MetricsWriter(out_dir / f"{cell}.ndjson") as metrics:
-                    run_stage(stage, student, teacher, datasets, metrics, rng,
-                              eval_kind)
-                rows.append(stage_summary(student, metrics, fraction=fraction,
-                                          lr_kind=kind, seed=seed))
+        for fraction, kind, stage in cells:
+            cell = f"f{fraction:g}_{kind}_seed{seed}"
+            teacher = load_checkpoint(teacher_path).to_model()
+            student = load_checkpoint(teacher_path).to_model()
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, hash_cell(fraction, kind)]))
+            with MetricsWriter(out_dir / f"{cell}.ndjson") as metrics:
+                run_stage(stage, student, teacher, datasets, metrics, rng, eval_kind)
+            rows.append(stage_summary(student, metrics, fraction=fraction,
+                                      lr_kind=kind, seed=seed))
     _write_summary(out_dir, rows)
     return rows
 

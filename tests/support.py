@@ -1,14 +1,18 @@
 """Helpers that only the tests use: a central-difference gradient check,
-a vocabulary builder, and the unfused op chains the fused tensor nodes
-are checked against."""
+a vocabulary builder, model copies and sizes, the hand parameter-count
+formula, SVD reconstruction, and the unfused op chains the fused tensor
+nodes are checked against."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from rosita_mini import tensor as T
 from rosita_mini.data import RESERVED, Vocab, split_text
-from rosita_mini.tensor import Tensor, no_grad
+from rosita_mini.factorization import SVDResult
+from rosita_mini.model import Model, ModelConfig
+from rosita_mini.tensor import ShapeError, Tensor, no_grad
 
 
 def finite_diff_check(f, x: Tensor, h: float = 1e-4) -> float:
@@ -48,6 +52,51 @@ def build_vocab(texts, lowercase: bool = True) -> Vocab:
             counts[tok] = counts.get(tok, 0) + 1
     ordered = sorted(counts, key=lambda t: (-counts[t], t))
     return Vocab(list(RESERVED) + ordered, lowercase=lowercase)
+
+
+def clone(model: Model) -> Model:
+    """An independent copy of a model's config and arrays."""
+    cloned = {name: Tensor(p.data.copy(), requires_grad=p.requires_grad)
+              for name, p in model.params.items()}
+    return Model(replace(model.config), cloned)
+
+
+def num_params(model: Model) -> int:
+    """Entries held in a model's parameter store."""
+    return sum(p.data.size for p in model.params.values())
+
+
+def count_params_formula(config: ModelConfig) -> int:
+    """The parameter count worked out by hand, term by term."""
+    c = config
+    width = c.H * c.head_dim
+    emb = c.vocab_size * c.r + c.r * c.d_X if c.factorized else c.vocab_size * c.d_X
+    emb += c.max_len * c.d_X + 2 * c.d_X
+    per_layer = (
+        3 * c.d_X * width          # W_Q, W_K, W_V
+        + width * c.d_X + c.d_X    # W_AO, b_AO
+        + c.d_X * c.d_I + c.d_I    # W_FI, b_FI
+        + c.d_I * c.d_X + c.d_X    # W_FO, b_FO
+        + 4 * c.d_X                # two layer-norm pairs
+    )
+    cls = c.d_X * c.n_classes + c.n_classes
+    return emb + c.L * per_layer + cls
+
+
+def reconstruct(result: SVDResult) -> np.ndarray:
+    """U @ diag(sigma) @ V."""
+    return (result.U * result.sigma) @ result.V
+
+
+def reconstruction_error(w: np.ndarray, e_u: np.ndarray, e_v: np.ndarray) -> float:
+    """Frobenius norm of W - E_U @ E_V."""
+    w = np.asarray(w, dtype=np.float64)
+    if e_u.shape[0] != w.shape[0] or e_v.shape[1] != w.shape[1] \
+            or e_u.shape[1] != e_v.shape[0]:
+        raise ShapeError(
+            f"reconstruction_error: W {w.shape} vs factors {e_u.shape} x {e_v.shape}"
+        )
+    return float(np.linalg.norm(w - e_u @ e_v))
 
 
 # The per-op chain that the fused `linear`, `attention` and two-input

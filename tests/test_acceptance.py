@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The training-trend
 criteria 08 and 09 (iterative vs one-step pruning, multi-stage vs
 single-stage KD, pruned+KD vs scratch, over several seeds) are not yet
-implemented; ROADMAP item 5 plans them as an opt-in harness outside
+implemented; ROADMAP item 3 plans them as an opt-in harness outside
 this suite.
 """
 
@@ -17,9 +17,10 @@ from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import build_layer_map, hidden_mse, soft_cross_entropy
 from rosita_mini.metrics import eval_metric
 from rosita_mini.model import Model, ModelConfig, count_params, cross_entropy
-from rosita_mini.pipeline import run_plan, schedule_events, schedule_for_target
+from rosita_mini.pipeline import PruneSpec, prune_events, run_plan
 from rosita_mini.pruning import ArchitectureTarget, UnitId, apply_surgery
 from rosita_mini.tensor import Tensor
+from support import clone, reconstruct, reconstruction_error
 
 
 def report(num, label):
@@ -116,7 +117,7 @@ def test_criterion_02_mask_equivalence():
         for i in rng.choice(cfg.r, size=int(rng.integers(0, cfg.r)), replace=False):
             prune_set.append(UnitId("embedding_rank", int(i)))
 
-        masked = model.clone()
+        masked = clone(model)
         hd = cfg.head_dim
         for u in prune_set:
             if u.kind == "attention_head":
@@ -149,15 +150,15 @@ def test_criterion_03_svd_truncation():
     for trial in range(5):
         w = rng.normal(size=(50, 20))
         res = F.svd(w)
-        full_err = np.linalg.norm(w - res.reconstruct())
+        full_err = np.linalg.norm(w - reconstruct(res))
         assert full_err <= 1e-8
         for r in (3, 11, 20):
             e_u, e_v = F.truncate(res, r)
-            err = F.reconstruction_error(w, e_u, e_v)
+            err = reconstruction_error(w, e_u, e_v)
             expect = np.sqrt((res.sigma[r:] ** 2).sum())
             assert abs(err - expect) <= 1e-8
     e_u, e_v = F.truncate(F.svd(np.diag([3.0, 2.0, 1.0])), 2)
-    diag_err = F.reconstruction_error(np.diag([3.0, 2.0, 1.0]), e_u, e_v)
+    diag_err = reconstruction_error(np.diag([3.0, 2.0, 1.0]), e_u, e_v)
     assert abs(diag_err - 1.0) <= 1e-10
     report(3, "SVD reconstructs within 1e-8, truncation error equals the "
               "dropped-sigma norm, diag(3,2,1) at r=2 errs exactly 1.0")
@@ -193,18 +194,16 @@ def test_criterion_05_layer_mapping():
 def test_criterion_06_scheduler_fidelity():
     cfg = ModelConfig(H=12, L=12, d_X=768, d_I=3072, r=768, vocab_size=30522,
                       max_len=512, n_classes=2, head_dim=64)
-    target = ArchitectureTarget(H=2, d_I=512, r=128)
-    sched = schedule_for_target(cfg, target, total_steps=10000,
-                                prune_fraction=0.1, n_events=10)
-    events = schedule_events(sched)
-    assert [s for s, _ in events] == [100 * k for k in range(1, 11)]
-    a = sched.amounts
+    prune = PruneSpec(mode="iterative", target=ArchitectureTarget(H=2, d_I=512, r=128),
+                      prune_fraction=0.1, n_events=10)
+    steps, a = prune_events(cfg, prune, total_steps=10000)
+    assert steps == [100 * k for k in range(1, 11)]
     assert (a.heads_per_layer, a.neurons_per_layer, a.ranks) == (1, 256, 64)
     h, d_i, r = cfg.H, cfg.d_I, cfg.r
-    for _, amounts in events:
-        h -= amounts.heads_per_layer
-        d_i -= amounts.neurons_per_layer
-        r -= amounts.ranks
+    for _ in steps:
+        h -= a.heads_per_layer
+        d_i -= a.neurons_per_layer
+        r -= a.ranks
     assert (h, d_i, r) == (2, 512, 128)
     report(6, "10 events at steps 100..1000 with (1 head, 256 neurons, 64 ranks) "
               "each transform (12, 3072, 768) to exactly (2, 512, 128)")

@@ -2,8 +2,10 @@
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from rosita_mini import pipeline as PL
 from rosita_mini.checkpoint import load_checkpoint
 from rosita_mini.cli import _plan_from_file, build_parser, main
 from rosita_mini.data import load_task_dir
+from rosita_mini.distillation import KDConfig
 from rosita_mini.metrics import read_ndjson
 from rosita_mini.model import ModelConfig
 
@@ -166,7 +169,8 @@ def test_run_plan_explicit_stages_fill_model_defaults(workspace, capsys):
     assert load_checkpoint(workspace / "explicit_out" / "stage1_small.rst").config.L == 1
 
 
-@pytest.mark.parametrize("field", ["beta1", "beta2", "adam_eps", "eval_every"])
+@pytest.mark.parametrize("field", ["beta1", "beta2", "adam_eps", "eval_every",
+                                   "student_init", "use_cross"])
 def test_run_plan_rejects_removed_stage_fields(workspace, capsys, field):
     plan = {"version": 1,
             "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
@@ -177,6 +181,41 @@ def test_run_plan_rejects_removed_stage_fields(workspace, capsys, field):
                "--out", str(workspace / "removed_field_out")])
     assert rc == 1
     assert field in capsys.readouterr().err
+
+
+def test_run_plan_rejects_removed_plan_field(workspace, capsys):
+    plan = {"version": 1, "allow_hidden_outside_final": True,
+            "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+            "stages": [{"name": "ft", "dataset": "train", "epochs": 1}]}
+    (workspace / "removed_plan_field.json").write_text(json.dumps(plan))
+    rc = main(["run-plan", "--plan", str(workspace / "removed_plan_field.json"),
+               "--data", str(workspace / "data"),
+               "--out", str(workspace / "removed_plan_field_out")])
+    assert rc == 1
+    assert "allow_hidden_outside_final" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second, field", [
+    ({"lr_kind": "cosine"}, "lr_kind"),
+    ({"prune": {"mode": "iterative", "target": {"H": 1}, "prune_fraction": 1.5,
+                "n_events": 1}}, "prune_fraction"),
+    ({"dataset": "nope"}, "dataset"),
+    ({"dropout": 1.0}, "dropout"),
+    ({"prune": {"mode": "one_step", "target": {"H": 0}}}, "target"),
+], ids=["lr_kind", "prune_fraction", "dataset", "dropout", "target"])
+def test_run_plan_rejects_bad_later_stage_before_training(workspace, capsys, second,
+                                                          field):
+    plan = {"version": 1,
+            "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+            "stages": [{"name": "ft", "dataset": "train", "epochs": 1},
+                       {"name": "second", "dataset": "train", "epochs": 1, **second}]}
+    (workspace / f"bad_{field}.json").write_text(json.dumps(plan))
+    out = workspace / f"bad_{field}_out"
+    rc = main(["run-plan", "--plan", str(workspace / f"bad_{field}.json"),
+               "--data", str(workspace / "data"), "--out", str(out)])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+    assert not [p for p in out.glob("*") if p.suffix in (".rst", ".ndjson")]
 
 
 def test_run_plan_scratch_preset_uses_target(workspace, capsys):
@@ -235,6 +274,17 @@ def test_readme_plan_examples_load(workspace):
                 ModelConfig.from_dict(stage.model)
 
 
+def test_readme_documents_every_plan_field():
+    """README's "Plans" section names each plan field and no removed one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Plans\n", 1)[1].split("\n## ", 1)[0]
+    fields = [f.name for cls in (PL.StageSpec, PL.PruneSpec, KDConfig)
+              for f in dataclasses.fields(cls)]
+    assert [f for f in fields if not re.search(rf"[`\"]{f}[`\"]", section)] == []
+    removed = ["student_init", "use_cross", "allow_hidden_outside_final"]
+    assert [f for f in removed if f in section] == []
+
+
 def test_sweep_frequency_subcommand(workspace, capsys):
     cfg = {"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
            "target": {"H": 1, "d_I": 16, "r": 4},
@@ -254,6 +304,19 @@ def test_sweep_frequency_subcommand(workspace, capsys):
         last = read_ndjson(workspace / "sweep_out" / name)[-1]
         assert row["eval_metric"] == last["eval_metric"]
     assert (workspace / "sweep_out" / "summary.tsv").exists()
+
+
+def test_sweep_frequency_rejects_bad_fraction_before_training(workspace, capsys):
+    cfg = {"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+           "target": {"H": 1}, "hp": {"finetune_epochs": 1, "width_events": 1}}
+    (workspace / "bad_sweep.json").write_text(json.dumps(cfg))
+    out = workspace / "bad_sweep_out"
+    rc = main(["sweep-frequency", "--config", str(workspace / "bad_sweep.json"),
+               "--fractions", "0.5,1.5", "--lr-schedule", "linear",
+               "--data", str(workspace / "data"), "--out", str(out)])
+    assert rc == 1
+    assert "prune_fraction" in capsys.readouterr().err
+    assert not list(out.rglob("*.rst"))
 
 
 def test_sweep_architectures_subcommand(workspace, capsys):

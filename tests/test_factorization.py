@@ -7,12 +7,13 @@ import pytest
 
 from rosita_mini import factorization as F
 from rosita_mini.tensor import ShapeError
+from support import reconstruct, reconstruction_error
 
 
 def test_svd_diagonal():
     res = F.svd(np.diag([3.0, 2.0, 1.0]))
     np.testing.assert_allclose(res.sigma, [3.0, 2.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(res.reconstruct(), np.diag([3.0, 2.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(reconstruct(res), np.diag([3.0, 2.0, 1.0]), atol=1e-12)
 
 
 def test_svd_rank_one():
@@ -22,7 +23,7 @@ def test_svd_rank_one():
     expected = np.linalg.norm(u) * np.linalg.norm(v)
     assert abs(res.sigma[0] - expected) < 1e-10
     np.testing.assert_allclose(res.sigma[1:], 0.0, atol=1e-10)
-    np.testing.assert_allclose(res.reconstruct(), np.outer(u, v), atol=1e-10)
+    np.testing.assert_allclose(reconstruct(res), np.outer(u, v), atol=1e-10)
     # orthonormal even with a zero singular value
     np.testing.assert_allclose(res.U.T @ res.U, np.eye(2), atol=1e-10)
 
@@ -33,7 +34,7 @@ def test_svd_random_orthonormal_and_sigma_oracle():
     res = F.svd(w)
     np.testing.assert_allclose(res.U.T @ res.U, np.eye(20), atol=1e-10)
     np.testing.assert_allclose(res.V @ res.V.T, np.eye(20), atol=1e-10)
-    assert np.linalg.norm(w - res.reconstruct()) <= 1e-8
+    assert np.linalg.norm(w - reconstruct(res)) <= 1e-8
     assert (np.diff(res.sigma) <= 1e-12).all()
     # independent oracle: eigenvalues of the Gram matrix W^T W
     eig = np.sort(np.linalg.eigvalsh(w.T @ w))[::-1]
@@ -47,7 +48,7 @@ def test_svd_wide_matrix():
     assert res.U.shape == (8, 8) and res.V.shape == (8, 30)
     np.testing.assert_allclose(res.U.T @ res.U, np.eye(8), atol=1e-10)
     np.testing.assert_allclose(res.V @ res.V.T, np.eye(8), atol=1e-10)
-    assert np.linalg.norm(w - res.reconstruct()) <= 1e-8
+    assert np.linalg.norm(w - reconstruct(res)) <= 1e-8
 
 
 def test_svd_sign_convention_reproducible():
@@ -77,7 +78,7 @@ def assert_matches_lapack(w, res, r=None, tol=1e-12):
     np.testing.assert_allclose(res.V @ res.V.T, np.eye(k), rtol=0, atol=tol)
     if r is not None:
         optimum = np.sqrt((oracle[r:] ** 2).sum())
-        err = F.reconstruction_error(w, *F.truncate(res, r))
+        err = reconstruction_error(w, *F.truncate(res, r))
         assert abs(err - optimum) <= tol * optimum
 
 
@@ -98,7 +99,7 @@ def test_svd_rank_deficient_tall_completes_u():
     res = F.svd(w)
     assert_matches_lapack(w, res)
     np.testing.assert_array_equal(res.sigma[3:], 0.0)
-    assert np.linalg.norm(w - res.reconstruct()) <= 1e-11 * np.linalg.norm(w)
+    assert np.linalg.norm(w - reconstruct(res)) <= 1e-11 * np.linalg.norm(w)
 
 
 def test_svd_exactly_orthogonal_columns():
@@ -107,7 +108,7 @@ def test_svd_exactly_orthogonal_columns():
     w[[0, 2, 3, 5], [2, 0, 3, 1]] = [1.0, 4.0, 2.0, 3.0]
     res = F.svd(w)
     np.testing.assert_array_equal(res.sigma, [4.0, 3.0, 2.0, 1.0])
-    np.testing.assert_array_equal(res.reconstruct(), w)
+    np.testing.assert_array_equal(reconstruct(res), w)
 
 
 def test_svd_equal_norm_columns_rotate():
@@ -142,7 +143,7 @@ def test_truncate_full_rank_reconstructs():
 def test_truncate_diag_drops_smallest():
     w = np.diag([3.0, 2.0, 1.0])
     e_u, e_v = F.truncate(F.svd(w), 2)
-    assert abs(F.reconstruction_error(w, e_u, e_v) - 1.0) <= 1e-10
+    assert abs(reconstruction_error(w, e_u, e_v) - 1.0) <= 1e-10
 
 
 def test_truncate_eckart_young():
@@ -151,7 +152,7 @@ def test_truncate_eckart_young():
     res = F.svd(w)
     for r in (1, 4, 9, 12):
         e_u, e_v = F.truncate(res, r)
-        err = F.reconstruction_error(w, e_u, e_v)
+        err = reconstruction_error(w, e_u, e_v)
         # direct norm of the dropped tail
         expect = np.sqrt((res.sigma[r:] ** 2).sum())
         assert abs(err - expect) <= 1e-8
@@ -161,7 +162,7 @@ def test_truncate_error_monotone_in_rank():
     rng = np.random.default_rng(13)
     w = rng.normal(size=(25, 9))
     res = F.svd(w)
-    errs = [F.reconstruction_error(w, *F.truncate(res, r)) for r in range(1, 10)]
+    errs = [reconstruction_error(w, *F.truncate(res, r)) for r in range(1, 10)]
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
 
 
@@ -185,7 +186,7 @@ def test_svd_idempotent_on_sigma():
     rng = np.random.default_rng(21)
     w = rng.normal(size=(15, 6))
     first = F.svd(w)
-    second = F.svd(first.reconstruct())
+    second = F.svd(reconstruct(first))
     np.testing.assert_allclose(first.sigma, second.sigma, atol=1e-8)
 
 
@@ -194,13 +195,13 @@ def test_reconstruction_error_exact_factors():
     e_u = rng.normal(size=(10, 4))
     e_v = rng.normal(size=(4, 6))
     w = e_u @ e_v
-    assert F.reconstruction_error(w, e_u, e_v) <= 1e-10
+    assert reconstruction_error(w, e_u, e_v) <= 1e-10
 
 
 def test_reconstruction_error_zero_factor_gives_norm():
     rng = np.random.default_rng(4)
     w = rng.normal(size=(7, 5))
-    err = F.reconstruction_error(w, np.zeros((7, 3)), np.zeros((3, 5)))
+    err = reconstruction_error(w, np.zeros((7, 3)), np.zeros((3, 5)))
     # elementwise sum-of-squares oracle
     assert abs(err - np.sqrt((w * w).sum())) < 1e-12
 
@@ -212,9 +213,9 @@ def test_reconstruction_error_random_cross_check():
     e_v = rng.normal(size=(2, 6))
     diff = w - e_u @ e_v
     oracle = np.sqrt(sum(diff[i, j] ** 2 for i in range(6) for j in range(6)))
-    assert abs(F.reconstruction_error(w, e_u, e_v) - oracle) < 1e-12
+    assert abs(reconstruction_error(w, e_u, e_v) - oracle) < 1e-12
 
 
 def test_reconstruction_error_shape_mismatch():
     with pytest.raises(ShapeError):
-        F.reconstruction_error(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 3)))
+        reconstruction_error(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 3)))

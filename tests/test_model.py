@@ -10,8 +10,8 @@ from rosita_mini import model as M
 from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, count_params, cross_entropy
 from rosita_mini.tensor import ShapeError, Tensor
-from support import (finite_diff_check, padding_bias, unfused_attention,
-                     unfused_layer_norm, unfused_linear)
+from support import (count_params_formula, finite_diff_check, num_params, padding_bias,
+                     unfused_attention, unfused_layer_norm, unfused_linear)
 
 
 def tiny_config(**over):
@@ -374,7 +374,7 @@ class TestCountParams:
     def test_formula_matches_actual_store(self):
         for cfg in (tiny_config(), tiny_config(r=6), tiny_config(H=1, L=3, d_I=5)):
             model = Model.init(cfg, 0)
-            assert count_params(cfg) == model.num_params()
+            assert count_params(cfg) == count_params_formula(cfg) == num_params(model)
 
 
 class TestModelGradients:

@@ -16,14 +16,13 @@ from rosita_mini import pipeline as PL
 from rosita_mini import presets, sweeps
 from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
-from rosita_mini.data import generate_marker_task, load_task_dir
+from rosita_mini.data import EncodedDataset, generate_marker_task, load_task_dir
 from rosita_mini.distillation import KDConfig
 from rosita_mini.metrics import MetricsWriter, read_ndjson
 from rosita_mini.model import Model, ModelConfig
 from rosita_mini.optim import Adam
-from rosita_mini.pipeline import (LRSchedule, PruneSchedule, PruneSpec, StagePlan,
-                                  StageSpec, lr_at, run_plan, run_stage,
-                                  schedule_events, schedule_for_target)
+from rosita_mini.pipeline import (PruneSpec, StagePlan, StageSpec, lr_at, prune_events,
+                                  run_plan, run_stage)
 from rosita_mini.pruning import (ArchitectureTarget, RemovalAmounts, UnitId,
                                  apply_surgery)
 from rosita_mini.tensor import Tensor
@@ -31,25 +30,27 @@ from rosita_mini.tensor import Tensor
 
 class TestLRSchedule:
     def test_constant(self):
-        s = LRSchedule("constant", 3e-4, 100)
-        assert lr_at(s, 0) == lr_at(s, 57) == lr_at(s, 100) == 3e-4
+        assert lr_at("constant", 3e-4, 100, 0) == lr_at("constant", 3e-4, 100, 57) \
+            == lr_at("constant", 3e-4, 100, 100) == 3e-4
 
     def test_linear_endpoints(self):
-        s = LRSchedule("linear_decay", 1e-3, 100)
-        assert lr_at(s, 0) == 1e-3
-        assert lr_at(s, 100) == 0.0
+        assert lr_at("linear_decay", 1e-3, 100, 0) == 1e-3
+        assert lr_at("linear_decay", 1e-3, 100, 100) == 0.0
 
     def test_linear_midpoint(self):
-        s = LRSchedule("linear_decay", 1e-3, 100)
-        assert abs(lr_at(s, 50) - 5e-4) < 1e-18
+        assert abs(lr_at("linear_decay", 1e-3, 100, 50) - 5e-4) < 1e-18
 
     def test_step_beyond_total_rejected(self):
         with pytest.raises(ValueError):
-            lr_at(LRSchedule("constant", 1e-3, 10), 11)
+            lr_at("constant", 1e-3, 10, 11)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            LRSchedule("cosine", 1e-3, 10)
+        with pytest.raises(ValueError, match="lr_kind"):
+            StageSpec(name="s", dataset="train", epochs=1, lr_kind="cosine")
+
+    def test_negative_base_lr_rejected(self):
+        with pytest.raises(ValueError, match="base_lr"):
+            StageSpec(name="s", dataset="train", epochs=1, base_lr=-1e-3)
 
 
 class TestAdam:
@@ -150,25 +151,33 @@ class TestAdam:
         opt.step(model.parameters(), 1e-3)
 
 
+def _prune(target: ArchitectureTarget, fraction: float, n_events: int) -> PruneSpec:
+    return PruneSpec(mode="iterative", target=target, prune_fraction=fraction,
+                     n_events=n_events)
+
+
 class TestPruneScheduling:
+    full_size = ModelConfig(H=12, L=12, d_X=768, d_I=3072, r=768, vocab_size=30522,
+                            max_len=512, n_classes=2, head_dim=64)
+
     def test_reference_event_grid(self):
         # 10000 steps, fraction 0.1, 10 events -> steps 100, 200, ..., 1000
-        sched = PruneSchedule(10000, 0.1, 10, RemovalAmounts(heads_per_layer=1))
-        steps = [s for s, _ in schedule_events(sched)]
+        prune = _prune(ArchitectureTarget(H=2), 0.1, 10)
+        steps, amounts = prune_events(self.full_size, prune, 10000)
         assert steps == [100 * k for k in range(1, 11)]
+        assert amounts == RemovalAmounts(heads_per_layer=1)
 
     def test_single_event_degenerate(self):
-        sched = PruneSchedule(100, 0.5, 1, RemovalAmounts(layers=1))
-        assert [s for s, _ in schedule_events(sched)] == [50]
+        prune = _prune(ArchitectureTarget(L=11), 0.5, 1)
+        steps, amounts = prune_events(self.full_size, prune, 100)
+        assert steps == [50]
+        assert amounts == RemovalAmounts(layers=1)
 
     def test_full_size_to_target_arithmetic(self):
         # (12 heads, 3072 neurons, 768 ranks) - 10 x (1, 256, 64) = (2, 512, 128)
-        cfg = ModelConfig(H=12, L=12, d_X=768, d_I=3072, r=768, vocab_size=30522,
-                          max_len=512, n_classes=2, head_dim=64)
+        cfg = self.full_size
         target = ArchitectureTarget(H=2, d_I=512, r=128)
-        sched = schedule_for_target(cfg, target, total_steps=10000,
-                                    prune_fraction=0.1, n_events=10)
-        a = sched.amounts
+        _, a = prune_events(cfg, _prune(target, 0.1, 10), total_steps=10000)
         assert (a.heads_per_layer, a.neurons_per_layer, a.ranks) == (1, 256, 64)
         assert cfg.H - 10 * a.heads_per_layer == 2
         assert cfg.d_I - 10 * a.neurons_per_layer == 512
@@ -178,15 +187,22 @@ class TestPruneScheduling:
         cfg = ModelConfig(H=4, L=2, d_X=16, d_I=10, r=0, vocab_size=9, max_len=6,
                           n_classes=2, head_dim=4)
         with pytest.raises(ValueError, match="divisible"):
-            schedule_for_target(cfg, ArchitectureTarget(H=1), 100, 0.5, 2)
+            prune_events(cfg, _prune(ArchitectureTarget(H=1), 0.5, 2), 100)
 
     def test_window_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            PruneSchedule(100, 0.05, 10, RemovalAmounts(layers=1))
+        with pytest.raises(ValueError, match="cannot hold"):
+            prune_events(self.full_size, _prune(ArchitectureTarget(L=2), 0.05, 10), 100)
+
+    @pytest.mark.parametrize("over, field", [({"prune_fraction": 0.0}, "prune_fraction"),
+                                             ({"prune_fraction": 1.5}, "prune_fraction"),
+                                             ({"n_events": 0}, "n_events")])
+    def test_bad_spec_rejected_when_built(self, over, field):
+        with pytest.raises(ValueError, match=field):
+            PruneSpec(**{"mode": "iterative", "target": ArchitectureTarget(L=2), **over})
 
     def test_events_strictly_increasing_odd_ratio(self):
-        sched = PruneSchedule(97, 0.31, 7, RemovalAmounts(ranks=1))
-        steps = [s for s, _ in schedule_events(sched)]
+        prune = _prune(ArchitectureTarget(r=761), 0.31, 7)
+        steps, _ = prune_events(self.full_size, prune, 97)
         assert all(b > a for a, b in zip(steps, steps[1:]))
         assert steps[-1] <= int(0.31 * 97)
 
@@ -200,21 +216,19 @@ class TestPlanValidation:
     def test_hidden_outside_final_rejected(self):
         stages = [
             self._stage(name="finetune"),
-            self._stage(name="mid", teacher="previous", student_init="copy_of_teacher",
+            self._stage(name="mid", teacher="previous",
                         kd=KDConfig(use_pred=True, use_hidden=True)),
-            self._stage(name="last", teacher="previous", student_init="copy_of_teacher",
-                        kd=KDConfig(use_pred=True)),
+            self._stage(name="last", teacher="previous", kd=KDConfig(use_pred=True)),
         ]
         with pytest.raises(ValueError, match="final"):
             StagePlan(model={}, stages=stages)
-        StagePlan(model={}, stages=stages, allow_hidden_outside_final=True)
 
     def test_hidden_with_depth_pruning_rejected(self):
         prune = PruneSpec(mode="iterative", target=ArchitectureTarget(L=2),
                           n_events=2)
         stages = [
             self._stage(name="finetune"),
-            self._stage(name="bad", teacher="previous", student_init="copy_of_teacher",
+            self._stage(name="bad", teacher="previous",
                         kd=KDConfig(use_pred=True, use_hidden=True), prune=prune),
         ]
         with pytest.raises(ValueError, match="depth"):
@@ -223,12 +237,15 @@ class TestPlanValidation:
     def test_first_stage_with_teacher_rejected(self):
         with pytest.raises(ValueError, match="first stage"):
             StagePlan(model={}, stages=[
-                self._stage(teacher="previous", student_init="copy_of_teacher",
-                            kd=KDConfig(use_pred=True))])
+                self._stage(teacher="previous", kd=KDConfig(use_pred=True))])
 
     def test_kd_without_teacher_rejected(self):
         with pytest.raises(ValueError, match="teacher"):
             self._stage(kd=KDConfig(use_pred=True))
+
+    def test_model_config_with_teacher_rejected(self):
+        with pytest.raises(ValueError, match="copy of its teacher"):
+            self._stage(teacher="previous", model={"H": 1})
 
     def test_round_trip_through_json(self):
         plan = presets.plan_iterative_width_depth_three_stage(
@@ -383,6 +400,18 @@ class TestRunStage:
                 run_stage(stage, model, None, splits, metrics, np.random.default_rng(3))
         for k, v in model.params.items():
             np.testing.assert_array_equal(v.data, before[k])
+
+    def test_empty_dataset_rejected(self, task_dir, tmp_path):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        empty = EncodedDataset(splits["train"].ids[:0], splits["train"].mask[:0],
+                               splits["train"].labels[:0])
+        stage = StageSpec(name="ft", dataset="train", epochs=1)
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 3)
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            with pytest.raises(ValueError, match="'train' has no rows"):
+                run_stage(stage, model, None, {"train": empty}, metrics,
+                          np.random.default_rng(3))
 
 
 def _wait_for(path, timeout=30.0) -> bool:
@@ -624,6 +653,33 @@ class TestRunPlan:
             assert summary["eval_metric_kind"] == rows[-1]["eval_metric_kind"]
         assert len(calls.read_text()) == evaluated
 
+    def test_teacher_without_kd_fine_tunes_a_copy(self, task_dir, tmp_path):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        plan = StagePlan(model=tiny_model_dict(info), stages=[
+            StageSpec(name="ft", dataset="train", epochs=1, batch_size=16),
+            # lr 0: a student that starts as a copy of the teacher stays one
+            StageSpec(name="copy", dataset="train", epochs=1, batch_size=16,
+                      teacher="previous", lr_kind="constant", base_lr=0.0)])
+        run_plan(plan, splits, tmp_path, seed=5)
+        rows = read_ndjson(tmp_path / "stage1_copy.ndjson")
+        assert all(r["loss_cross"] is not None and r["loss_pred"] is None for r in rows)
+        teacher = load_checkpoint(tmp_path / "stage0_ft.rst").params
+        student = load_checkpoint(tmp_path / "stage1_copy.rst").params
+        assert teacher.keys() == student.keys()
+        for name in teacher:
+            np.testing.assert_array_equal(student[name], teacher[name])
+
+    def test_unloaded_dataset_fails_before_stage_0(self, task_dir, tmp_path):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        plan = StagePlan(model=tiny_model_dict(info), stages=[
+            StageSpec(name="ft", dataset="train", epochs=1),
+            StageSpec(name="more", dataset="nope", epochs=1)])
+        with pytest.raises(ValueError, match="'nope' not loaded"):
+            run_plan(plan, splits, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_different_seed_differs(self, task_dir, tmp_path):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
@@ -654,3 +710,4 @@ def test_sweep_architectures_keeps_hp_dropout(task_dir, tmp_path, monkeypatch):
                                hp={"dropout": 0.25, "finetune_epochs": 1,
                                    "batch_size": 16})
     assert [s.dropout for s in stages] == [0.25, 0.25]
+

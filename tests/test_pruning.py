@@ -11,6 +11,7 @@ from rosita_mini.pruning import (ImportanceLedger, RemovalAmounts, UnitId,
                                  apply_surgery, record_batch_scores,
                                  select_prune_set, weight_taylor_scores)
 from rosita_mini.tensor import Tensor
+from support import clone, num_params
 
 
 def small_config(**over):
@@ -35,24 +36,24 @@ def backprop_ce(model, ids, mask, labels):
 
 def zero_masked_clone(model, prune_set):
     """Oracle: zero the units' weights instead of removing them."""
-    clone = model.clone()
+    copy = clone(model)
     hd = model.config.head_dim
     for u in prune_set:
         if u.kind == "attention_head":
             sl = slice(u.unit_index * hd, (u.unit_index + 1) * hd)
             for base in ("W_Q", "W_K", "W_V"):
-                clone.params[f"layer{u.layer_index}.{base}"].data[:, sl] = 0.0
-            clone.params[f"layer{u.layer_index}.W_AO"].data[sl, :] = 0.0
+                copy.params[f"layer{u.layer_index}.{base}"].data[:, sl] = 0.0
+            copy.params[f"layer{u.layer_index}.W_AO"].data[sl, :] = 0.0
         elif u.kind == "ffn_neuron":
-            clone.params[f"layer{u.layer_index}.W_FI"].data[:, u.unit_index] = 0.0
-            clone.params[f"layer{u.layer_index}.b_FI"].data[u.unit_index] = 0.0
-            clone.params[f"layer{u.layer_index}.W_FO"].data[u.unit_index, :] = 0.0
+            copy.params[f"layer{u.layer_index}.W_FI"].data[:, u.unit_index] = 0.0
+            copy.params[f"layer{u.layer_index}.b_FI"].data[u.unit_index] = 0.0
+            copy.params[f"layer{u.layer_index}.W_FO"].data[u.unit_index, :] = 0.0
         elif u.kind == "embedding_rank":
-            clone.params["emb.E_U"].data[:, u.unit_index] = 0.0
-            clone.params["emb.E_V"].data[u.unit_index, :] = 0.0
+            copy.params["emb.E_U"].data[:, u.unit_index] = 0.0
+            copy.params["emb.E_V"].data[u.unit_index, :] = 0.0
         else:
             raise AssertionError("layer units have no zero-mask analogue")
-    return clone
+    return copy
 
 
 class TestWeightTaylorScores:
@@ -85,6 +86,17 @@ class TestWeightTaylorScores:
         loss.backward(leaves=model.parameters().values())
         scores = weight_taylor_scores(model)
         assert all(np.all(s == 0) for s in scores.values())
+
+    def test_scores_exactly_the_scored_slices(self):
+        cfg = small_config()
+        model = Model.init(cfg, 5)
+        backprop_ce(model, *random_batch(cfg, np.random.default_rng(6)))
+        expect = {"emb.E_U", "emb.E_V"}
+        for i in range(cfg.L):
+            expect |= {f"layer{i}.{n}" for n in ("W_AO", "W_FI", "b_FI", "W_FO")}
+        scores = weight_taylor_scores(model)
+        assert set(scores) == expect
+        assert not any(n.endswith(("W_Q", "W_K", "W_V")) for n in scores)
 
     def test_missing_gradients_rejected(self):
         model = Model.init(small_config(), 4)
@@ -188,13 +200,14 @@ class TestNeuronImportance:
     def test_all_zero(self):
         model = Model.init(small_config(), 17)
         ledger = self._ledger_with(model, lambda n, s: 0.0)
-        np.testing.assert_array_equal(P.neuron_importance(ledger, 0), 0.0)
+        np.testing.assert_array_equal(
+            P.unit_importance(ledger, model, "ffn_neuron", 0), 0.0)
 
     def test_single_entry_hits_one_neuron(self):
         model = Model.init(small_config(), 18)
         ledger = self._ledger_with(model, lambda n, s: 0.0)
         ledger.scores["layer0.W_FI"][0, 3] = 2.5
-        scores = P.neuron_importance(ledger, 0)
+        scores = P.unit_importance(ledger, model, "ffn_neuron", 0)
         assert scores[3] == 2.5
         assert (np.delete(scores, 3) == 0).all()
 
@@ -203,7 +216,7 @@ class TestNeuronImportance:
         model = Model.init(cfg, 19)
         rng = np.random.default_rng(20)
         ledger = self._ledger_with(model, lambda n, s: rng.random(s))
-        scores = P.neuron_importance(ledger, 1)
+        scores = P.unit_importance(ledger, model, "ffn_neuron", 1)
         for j in range(cfg.d_I):
             expect = sum(ledger.scores["layer1.W_FI"][i, j] for i in range(cfg.d_X))
             expect += sum(ledger.scores["layer1.W_FO"][j, k] for k in range(cfg.d_X))
@@ -215,12 +228,13 @@ class TestNeuronImportance:
         model = Model.init(cfg, 21)
         rng = np.random.default_rng(22)
         ledger = self._ledger_with(model, lambda n, s: rng.random(s))
-        base = P.neuron_importance(ledger, 0)
+        base = P.unit_importance(ledger, model, "ffn_neuron", 0)
         perm = rng.permutation(cfg.d_I)
         ledger.scores["layer0.W_FI"] = ledger.scores["layer0.W_FI"][:, perm]
         ledger.scores["layer0.b_FI"] = ledger.scores["layer0.b_FI"][perm]
         ledger.scores["layer0.W_FO"] = ledger.scores["layer0.W_FO"][perm, :]
-        np.testing.assert_allclose(P.neuron_importance(ledger, 0), base[perm], atol=1e-15)
+        np.testing.assert_allclose(P.unit_importance(ledger, model, "ffn_neuron", 0),
+                                   base[perm], atol=1e-15)
 
 
 class TestHeadImportance:
@@ -229,7 +243,7 @@ class TestHeadImportance:
         ledger = ImportanceLedger(model, "one_step_average")
         ledger.batches_seen = 1
         np.testing.assert_array_equal(
-            P.head_importance(ledger, 0, model.config.head_dim), 0.0)
+            P.unit_importance(ledger, model, "attention_head", 0), 0.0)
 
     def test_single_entry_hits_one_head(self):
         cfg = small_config()
@@ -237,7 +251,7 @@ class TestHeadImportance:
         ledger = ImportanceLedger(model, "one_step_average")
         ledger.batches_seen = 1
         ledger.scores["layer0.W_AO"][cfg.head_dim + 1, 2] = 4.0  # row in head 1's block
-        scores = P.head_importance(ledger, 0, cfg.head_dim)
+        scores = P.unit_importance(ledger, model, "attention_head", 0)
         assert scores[1] == 4.0
         assert scores[0] == 0.0 and scores[2] == 0.0
 
@@ -274,7 +288,7 @@ class TestHeadImportance:
             ledger = ImportanceLedger(model, "one_step_average")
             backprop_ce(model, ids, mask, labels)
             record_batch_scores(ledger, model)
-            scores = P.head_importance(ledger, 0, cfg.head_dim)
+            scores = P.unit_importance(ledger, model, "attention_head", 0)
 
             with T.no_grad():
                 base = cross_entropy(model.forward(ids, mask).logits, labels).item()
@@ -295,7 +309,8 @@ class TestRankImportance:
         for name in ledger.scores:
             ledger.scores[name][:] = 0.0
         ledger.batches_seen = 1
-        np.testing.assert_array_equal(P.rank_importance(model, ledger), 0.0)
+        np.testing.assert_array_equal(
+            P.unit_importance(ledger, model, "embedding_rank"), 0.0)
 
     def test_taylor_matches_summation_oracle(self):
         cfg = small_config()
@@ -304,7 +319,7 @@ class TestRankImportance:
         ledger = ImportanceLedger(model, "iterative_accumulate")
         backprop_ce(model, *random_batch(cfg, rng))
         record_batch_scores(ledger, model)
-        scores = P.rank_importance(model, ledger)
+        scores = P.unit_importance(ledger, model, "embedding_rank")
         for i in range(cfg.r):
             expect = ledger.scores["emb.E_U"][:, i].sum() + ledger.scores["emb.E_V"][i, :].sum()
             assert abs(scores[i] - expect) < 1e-12
@@ -313,7 +328,7 @@ class TestRankImportance:
         model = Model.init(small_config(r=0), 29)
         ledger = ImportanceLedger(model, "one_step_average")
         with pytest.raises(RuntimeError, match="factorized"):
-            P.rank_importance(model, ledger)
+            P.unit_importance(ledger, model, "embedding_rank")
 
 
 class TestSelectPruneSet:
@@ -415,7 +430,7 @@ class TestApplySurgery:
                 masked_logits = masked.forward(ids, mask).logits.data
             assert np.abs(pruned_logits - masked_logits).max() <= 1e-10, \
                 f"trial {trial}: surgery diverged from zero-mask oracle"
-            assert count_params(report.config) == model.num_params()
+            assert count_params(report.config) == num_params(model)
 
     def test_forward_backward_count_after_surgery(self):
         cfg = small_config()
@@ -428,7 +443,7 @@ class TestApplySurgery:
         ids, mask, labels = random_batch(model.config, rng)
         loss = backprop_ce(model, ids, mask, labels)
         assert np.isfinite(loss.item())
-        assert count_params(model.config) == model.num_params()
+        assert count_params(model.config) == num_params(model)
 
     def test_nonuniform_head_removal_rejected(self):
         model = Model.init(small_config(L=2), 41)
@@ -488,9 +503,9 @@ class TestDropLayers:
         cfg = small_config(L=4)
         model = Model.init(cfg, 47)
         per_layer = count_params(small_config(L=2)) - count_params(small_config(L=1))
-        before = model.num_params()
+        before = num_params(model)
         report = remove_last_layers(model, 3)
-        assert before - model.num_params() == 3 * per_layer
+        assert before - num_params(model) == 3 * per_layer
         assert report.config.L == 1 and len(report.removed) == 3 * 13
 
     def test_out_of_range(self):
