@@ -67,17 +67,18 @@ def cmd_make_data(args) -> int:
     return 0
 
 
-# the keys of a finetune config's "train" block, with their defaults
-_TRAIN_DEFAULTS = {"dataset": "train", "epochs": 10, "batch_size": 32,
-                   "lr_kind": "linear_decay", "base_lr": 1e-3, "dropout": 0.0}
+# the keys of a finetune config's "train" block; those it omits take the
+# StageSpec defaults, or these two that StageSpec lacks
+_TRAIN_KEYS = ("dataset", "epochs", "batch_size", "lr_kind", "base_lr", "dropout")
+_TRAIN_DEFAULTS = {"dataset": "train", "epochs": 10}
 
 
 def cmd_finetune(args) -> int:
     cfg = _read_json(args.config)
     train = cfg.get("train", {})
-    unknown = sorted(set(train) - set(_TRAIN_DEFAULTS))
+    unknown = sorted(set(train) - set(_TRAIN_KEYS))
     if unknown:
-        raise ValueError(f"unknown train keys {unknown}; known: {sorted(_TRAIN_DEFAULTS)}")
+        raise ValueError(f"unknown train keys {unknown}; known: {sorted(_TRAIN_KEYS)}")
     vocab, splits, info = _load_data(args, cfg.get("model", {}).get("max_len"))
     model_cfg = ModelConfig.from_dict(_with_data_defaults(cfg["model"], vocab, info))
     model = Model.init(model_cfg, np.random.default_rng(args.seed))

@@ -34,8 +34,8 @@ from .factorization import factorize_model_embedding
 from .metrics import MetricsWriter, eval_metric
 from .model import Model, ModelConfig, count_params, cross_entropy
 from .optim import Adam
-from .pruning import (ArchitectureTarget, ImportanceLedger, RemovalAmounts,
-                      apply_surgery, record_batch_scores, select_prune_set)
+from .pruning import (UNIT_DIMS, ArchitectureTarget, ImportanceLedger, apply_surgery,
+                      record_batch_scores, select_prune_set)
 
 _warned_uncapped = False
 
@@ -110,29 +110,27 @@ def lr_at(kind: str, base_lr: float, total_steps: int, t: int) -> float:
 
 
 def prune_events(config: ModelConfig, prune: PruneSpec,
-                 total_steps: int) -> tuple[list[int], RemovalAmounts]:
-    """The event steps floor(p*T)*k/n for k = 1..n, and the amounts that
-    every event removes so that the n events land exactly on the target.
+                 total_steps: int) -> tuple[list[int], dict[str, int]]:
+    """The event steps floor(p*T)*k/n for k = 1..n, and the removal counts,
+    keyed by config field, that every event takes so that the n events land
+    exactly on the target.
 
     A window of at least n steps makes the steps rise strictly from 1 up.
     """
     n = prune.n_events
     deltas = prune.target.deltas(config)
-    amounts = {}
-    for dim, key in (("H", "heads_per_layer"), ("d_I", "neurons_per_layer"),
-                     ("r", "ranks"), ("L", "layers")):
-        if deltas[dim] % n != 0:
+    for dim, delta in deltas.items():
+        if delta % n != 0:
             raise ValueError(
-                f"cannot reach target: {dim} delta {deltas[dim]} is not divisible "
-                f"by {n} events"
+                f"cannot reach target: {dim} delta {delta} is not divisible by {n} events"
             )
-        amounts[key] = deltas[dim] // n
     window = int(prune.prune_fraction * total_steps)
     if window < n:
         raise ValueError(
             f"floor({prune.prune_fraction} * {total_steps}) steps cannot hold {n} events"
         )
-    return [(window * k) // n for k in range(1, n + 1)], RemovalAmounts(**amounts)
+    return ([(window * k) // n for k in range(1, n + 1)],
+            {dim: delta // n for dim, delta in deltas.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +326,15 @@ def one_step_prune(student: Model, teacher: Model | None, stage: StageSpec,
     singular value directly at the target rank.
     """
     target = stage.prune.target
-    deltas = target.deltas(student.config)
     rank_via_svd = target.r is not None and not student.config.factorized
-    amounts = RemovalAmounts(
-        heads_per_layer=deltas["H"],
-        neurons_per_layer=deltas["d_I"],
-        ranks=0 if rank_via_svd else deltas["r"],
-        layers=deltas["L"],
-    )
+    amounts = target.deltas(student.config)
+    if rank_via_svd:
+        amounts["r"] = 0
     ledger = None
-    if amounts.heads_per_layer or amounts.neurons_per_layer or amounts.ranks:
+    if any(amounts[dim] for dim in UNIT_DIMS.values()):
         ledger = collect_one_step_scores(student, teacher, stage, data, layer_map)
-    if amounts.any():
-        units = select_prune_set(ledger, student, amounts)
-        apply_surgery(student, units)
+    if any(amounts.values()):
+        apply_surgery(student, select_prune_set(ledger, student, amounts))
     if rank_via_svd:
         factorize_model_embedding(student, target.r)
 
@@ -606,8 +599,8 @@ def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
             student = Model.init(ModelConfig.from_dict(stage.model or plan.model), rng)
         else:
             source = original_path if stage.teacher == "original" else previous_path
-            teacher = load_checkpoint(source).to_model()
-            student = load_checkpoint(source).to_model()
+            ck = load_checkpoint(source)
+            teacher, student = ck.to_model(), ck.to_model()
 
         with MetricsWriter(out_dir / f"stage{k}_{stage.name}.ndjson") as metrics:
             student = run_stage(stage, student, teacher, datasets, metrics, rng,

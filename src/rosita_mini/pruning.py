@@ -15,6 +15,11 @@ ledger keeps scores for the scored slices only, `unit_importance` sums a
 unit's scored slices, and `apply_surgery` cuts every slice. A head is
 scored by its W_AO rows alone, so W_Q, W_K and W_V are cut but not
 scored.
+
+A removal count is a dict keyed by the config field it shrinks: the
+`UNIT_DIMS` values and "L", as `ArchitectureTarget.deltas` returns them.
+`select_prune_set` turns counts into units; `apply_surgery` is the one
+place that bounds them, and rejects a set that leaves no unit of a kind.
 """
 
 from __future__ import annotations
@@ -48,20 +53,6 @@ class UnitId:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown unit kind {self.kind!r}")
-
-
-@dataclass
-class RemovalAmounts:
-    """Per-event removal counts; head/neuron counts apply to every layer."""
-
-    heads_per_layer: int = 0
-    neurons_per_layer: int = 0
-    ranks: int = 0
-    layers: int = 0
-
-    def any(self) -> bool:
-        return bool(self.heads_per_layer or self.neurons_per_layer
-                    or self.ranks or self.layers)
 
 
 @dataclass(frozen=True)
@@ -111,15 +102,18 @@ def _param_name(name: str, layer: int | None) -> str:
     return name if layer is None else f"layer{layer}.{name}"
 
 
+def _homes(kind: str, n_layers: int) -> list[int | None]:
+    """The layers that hold a kind's units; None for the embedding's ranks."""
+    return [None] if kind == "embedding_rank" else list(range(n_layers))
+
+
 def _prunable_names(config: ModelConfig) -> list[str]:
     """Names of the scored slices of every unit in the model."""
     names = []
     for kind, slices in UNIT_SLICES.items():
-        if kind == "embedding_rank":
-            layers = [None] if config.factorized else []
-        else:
-            layers = range(config.L)
-        names += [_param_name(name, layer) for layer in layers
+        if kind == "embedding_rank" and not config.factorized:
+            continue
+        names += [_param_name(name, layer) for layer in _homes(kind, config.L)
                   for name, _axis, scored in slices if scored]
     return names
 
@@ -220,45 +214,35 @@ def _lowest(scores: np.ndarray, count: int) -> list[int]:
 
 
 def select_prune_set(ledger: ImportanceLedger | None, model: Model,
-                     amounts: RemovalAmounts) -> list[UnitId]:
-    """Lowest-scoring units per dimension, exactly the requested counts.
+                     amounts: dict[str, int]) -> list[UnitId]:
+    """The lowest-scoring units of each kind, `amounts[dim]` of them for
+    each `UNIT_DIMS` field dim (absent means 0), and the last `amounts["L"]`
+    layers.
 
-    Head/neuron counts are removed from every layer (per-layer uniform
-    pruning); layer removals take the highest indices, keeping a prefix.
+    Head and neuron counts apply to every kept layer (per-layer uniform
+    pruning); dropped layers keep a prefix. Counts are not bounded here:
+    `apply_surgery` rejects a set that would leave no unit of a kind.
     """
-    c = model.config
-    if amounts.heads_per_layer >= c.H and amounts.heads_per_layer > 0:
-        raise ValueError(
-            f"removing {amounts.heads_per_layer} heads would empty a layer of {c.H}"
-        )
-    if amounts.neurons_per_layer >= c.d_I and amounts.neurons_per_layer > 0:
-        raise ValueError(
-            f"removing {amounts.neurons_per_layer} neurons would empty a layer of {c.d_I}"
-        )
-    if amounts.ranks:
-        if not c.factorized:
-            raise RuntimeError("rank pruning requested on an unfactorized embedding")
-        if amounts.ranks >= c.r:
-            raise ValueError(f"removing {amounts.ranks} ranks of {c.r} leaves none")
-    if amounts.layers >= c.L and amounts.layers > 0:
-        raise ValueError(f"removing {amounts.layers} layers of {c.L} leaves none")
-    if (amounts.heads_per_layer or amounts.neurons_per_layer or amounts.ranks) \
-            and ledger is None:
-        raise ValueError("head/neuron/rank selection needs an importance ledger")
-
+    unknown = set(amounts) - {*UNIT_DIMS.values(), "L"}
+    if unknown:
+        raise ValueError(f"unknown removal dimensions {sorted(unknown)}")
+    keep_layers = model.config.L - amounts.get("L", 0)
     units: list[UnitId] = []
-    keep_layers = c.L - amounts.layers
-    for layer in range(keep_layers):
-        for kind, count in (("attention_head", amounts.heads_per_layer),
-                            ("ffn_neuron", amounts.neurons_per_layer)):
-            if count:
-                scores = unit_importance(ledger, model, kind, layer)
-                units += [UnitId(kind, i, layer) for i in _lowest(scores, count)]
-    if amounts.ranks:
-        scores = unit_importance(ledger, model, "embedding_rank")
-        units += [UnitId("embedding_rank", i) for i in _lowest(scores, amounts.ranks)]
-    units += [UnitId("layer", i) for i in range(keep_layers, c.L)]
+    for kind, dim in UNIT_DIMS.items():
+        count = amounts.get(dim, 0)
+        if not count:
+            continue
+        if ledger is None:
+            raise ValueError(f"{kind} selection needs an importance ledger")
+        for layer in _homes(kind, keep_layers):
+            scores = unit_importance(ledger, model, kind, layer)
+            units += [UnitId(kind, i, layer) for i in _lowest(scores, count)]
+    units += [UnitId("layer", i) for i in range(keep_layers, model.config.L)]
     return units
+
+
+def _emptied(kind: str, count: int, n: int) -> str:
+    return f"removing {count} of {n} {kind} units leaves none, and surgery cannot empty a kind"
 
 
 @dataclass
@@ -274,8 +258,10 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
     """Remove the listed units, shrinking matrices and the config exactly.
 
     Validates the whole set before touching anything: a failure leaves the
-    model unmodified. Removal counts for heads/neurons must be uniform
-    across surviving layers so the config stays rectangular.
+    model unmodified. This is where removal counts are bounded: a set that
+    leaves no unit of a kind, layers included, is rejected. Removal counts
+    for heads/neurons must be uniform across surviving layers so the config
+    stays rectangular.
     """
     c = model.config
     groups: dict[str, dict[int | None, list[int]]] = {kind: {} for kind in VALID_KINDS}
@@ -284,6 +270,8 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
     layer_units = sorted({i for idxs in groups.pop("layer").values() for i in idxs})
 
     # ---- validate
+    if len(layer_units) >= c.L:
+        raise ValueError(_emptied("layer", len(layer_units), c.L))
     if layer_units:
         expect = list(range(c.L - len(layer_units), c.L))
         if layer_units != expect:
@@ -303,8 +291,7 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
                 raise ValueError(f"duplicate {kind} indices in layer {layer}")
             if any(i < 0 or i >= n for i in idxs):
                 raise ValueError(f"{kind} index out of range in layer {layer}")
-        homes = {None} if kind == "embedding_rank" else set(range(dims["L"]))
-        if set(by_layer) != homes:
+        if set(by_layer) != set(_homes(kind, dims["L"])):
             raise ValueError(
                 f"{kind} removals must cover every surviving layer uniformly, "
                 f"got layers {list(by_layer)}"
@@ -314,7 +301,7 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
             raise ValueError(f"{kind} removal counts differ across layers: {counts}")
         (count,) = counts
         if count >= n:
-            raise ValueError(f"surgery would remove every {kind} of {n}")
+            raise ValueError(_emptied(kind, count, n))
         dims[UNIT_DIMS[kind]] = n - count
     new_config = replace(c, **dims)
 

@@ -39,10 +39,11 @@ def sweep_architectures(teacher_ckpt, archs: list[dict],
     hp = _hp(hp)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    teacher_ck = load_checkpoint(teacher_ckpt)
     rows = []
     for idx, arch in enumerate(archs):
         name, target = arch["name"], ArchitectureTarget.from_dict(arch["target"])
-        student = load_checkpoint(teacher_ckpt).to_model()
+        student = teacher_ck.to_model()
         stage = replace(_finetune_stage(hp), name=f"arch_{name}",
                         prune=PruneSpec(mode="one_step", target=target))
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
@@ -77,23 +78,21 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
                                         prune_fraction=fraction,
                                         n_events=hp["width_events"])))
              for fraction in fractions for kind in lr_kinds]
+    if target.get("L") is not None:
+        plan = plan_iterative_width_depth_three_stage(model, target, hp)
+    else:
+        plan = plan_iterative_width_two_stage(model, target, hp)
+    precursor = StagePlan(model=plan.model, stages=plan.stages[:-1])
 
     rows = []
     for seed in seeds:
-        precursor_dir = out_dir / f"seed{seed}" / "precursor"
-        if target.get("L") is not None:
-            plan = plan_iterative_width_depth_three_stage(model, target, hp)
-        else:
-            plan = plan_iterative_width_two_stage(model, target, hp)
-        precursor = StagePlan(model=plan.model, stages=plan.stages[:-1])
-        run_plan(precursor, datasets, precursor_dir, seed=seed, eval_kind=eval_kind)
-        last = len(precursor.stages) - 1
-        teacher_path = sorted(precursor_dir.glob(f"stage{last}_*.rst"))[0]
+        summaries = run_plan(precursor, datasets, out_dir / f"seed{seed}" / "precursor",
+                             seed=seed, eval_kind=eval_kind)
+        teacher_ck = load_checkpoint(summaries[-1]["checkpoint"])
 
         for fraction, kind, stage in cells:
             cell = f"f{fraction:g}_{kind}_seed{seed}"
-            teacher = load_checkpoint(teacher_path).to_model()
-            student = load_checkpoint(teacher_path).to_model()
+            teacher, student = teacher_ck.to_model(), teacher_ck.to_model()
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, hash_cell(fraction, kind)]))
             with MetricsWriter(out_dir / f"{cell}.ndjson") as metrics:

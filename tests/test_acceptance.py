@@ -198,12 +198,12 @@ def test_criterion_06_scheduler_fidelity():
                       prune_fraction=0.1, n_events=10)
     steps, a = prune_events(cfg, prune, total_steps=10000)
     assert steps == [100 * k for k in range(1, 11)]
-    assert (a.heads_per_layer, a.neurons_per_layer, a.ranks) == (1, 256, 64)
+    assert (a["H"], a["d_I"], a["r"]) == (1, 256, 64)
     h, d_i, r = cfg.H, cfg.d_I, cfg.r
     for _ in steps:
-        h -= a.heads_per_layer
-        d_i -= a.neurons_per_layer
-        r -= a.ranks
+        h -= a["H"]
+        d_i -= a["d_I"]
+        r -= a["r"]
     assert (h, d_i, r) == (2, 512, 128)
     report(6, "10 events at steps 100..1000 with (1 head, 256 neurons, 64 ranks) "
               "each transform (12, 3072, 768) to exactly (2, 512, 128)")

@@ -23,8 +23,7 @@ from rosita_mini.model import Model, ModelConfig
 from rosita_mini.optim import Adam
 from rosita_mini.pipeline import (PruneSpec, StagePlan, StageSpec, lr_at, prune_events,
                                   run_plan, run_stage)
-from rosita_mini.pruning import (ArchitectureTarget, RemovalAmounts, UnitId,
-                                 apply_surgery)
+from rosita_mini.pruning import ArchitectureTarget, UnitId, apply_surgery
 from rosita_mini.tensor import Tensor
 
 
@@ -165,23 +164,23 @@ class TestPruneScheduling:
         prune = _prune(ArchitectureTarget(H=2), 0.1, 10)
         steps, amounts = prune_events(self.full_size, prune, 10000)
         assert steps == [100 * k for k in range(1, 11)]
-        assert amounts == RemovalAmounts(heads_per_layer=1)
+        assert amounts == {"H": 1, "L": 0, "d_I": 0, "r": 0}
 
     def test_single_event_degenerate(self):
         prune = _prune(ArchitectureTarget(L=11), 0.5, 1)
         steps, amounts = prune_events(self.full_size, prune, 100)
         assert steps == [50]
-        assert amounts == RemovalAmounts(layers=1)
+        assert amounts == {"H": 0, "L": 1, "d_I": 0, "r": 0}
 
     def test_full_size_to_target_arithmetic(self):
         # (12 heads, 3072 neurons, 768 ranks) - 10 x (1, 256, 64) = (2, 512, 128)
         cfg = self.full_size
         target = ArchitectureTarget(H=2, d_I=512, r=128)
         _, a = prune_events(cfg, _prune(target, 0.1, 10), total_steps=10000)
-        assert (a.heads_per_layer, a.neurons_per_layer, a.ranks) == (1, 256, 64)
-        assert cfg.H - 10 * a.heads_per_layer == 2
-        assert cfg.d_I - 10 * a.neurons_per_layer == 512
-        assert cfg.r - 10 * a.ranks == 128
+        assert (a["H"], a["d_I"], a["r"]) == (1, 256, 64)
+        assert cfg.H - 10 * a["H"] == 2
+        assert cfg.d_I - 10 * a["d_I"] == 512
+        assert cfg.r - 10 * a["r"] == 128
 
     def test_indivisible_target_rejected(self):
         cfg = ModelConfig(H=4, L=2, d_X=16, d_I=10, r=0, vocab_size=9, max_len=6,

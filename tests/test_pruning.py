@@ -7,7 +7,7 @@ import pytest
 from rosita_mini import pruning as P
 from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, cross_entropy, count_params
-from rosita_mini.pruning import (ImportanceLedger, RemovalAmounts, UnitId,
+from rosita_mini.pruning import (UNIT_DIMS, ImportanceLedger, UnitId,
                                  apply_surgery, record_batch_scores,
                                  select_prune_set, weight_taylor_scores)
 from rosita_mini.tensor import Tensor
@@ -331,54 +331,91 @@ class TestRankImportance:
             P.unit_importance(ledger, model, "embedding_rank")
 
 
+def random_ledger(model, seed=0):
+    ledger = ImportanceLedger(model, "one_step_average")
+    rng = np.random.default_rng(seed)
+    for name in ledger.scores:
+        ledger.scores[name][:] = rng.random(ledger.scores[name].shape)
+    ledger.batches_seen = 1
+    return ledger
+
+
 class TestSelectPruneSet:
-    def _uniform_ledger(self, model, seed=0):
-        ledger = ImportanceLedger(model, "one_step_average")
-        rng = np.random.default_rng(seed)
-        for name in ledger.scores:
-            ledger.scores[name][:] = rng.random(ledger.scores[name].shape)
-        ledger.batches_seen = 1
-        return ledger
 
     def test_zero_removals_empty(self):
         model = Model.init(small_config(), 30)
-        assert select_prune_set(None, model, RemovalAmounts()) == []
+        assert select_prune_set(None, model, {}) == []
 
     def test_lowest_score_selected(self):
         cfg = small_config(H=3)
         model = Model.init(cfg, 31)
-        ledger = self._uniform_ledger(model)
+        ledger = random_ledger(model)
         for layer in range(cfg.L):
             ao = np.zeros_like(ledger.scores[f"layer{layer}.W_AO"])
             for h, s in enumerate([5.0, 1.0, 3.0]):
                 ao[h * cfg.head_dim, 0] = s
             ledger.scores[f"layer{layer}.W_AO"] = ao
-        units = select_prune_set(ledger, model, RemovalAmounts(heads_per_layer=1))
+        units = select_prune_set(ledger, model, {"H": 1})
         assert units == [UnitId("attention_head", 1, 0), UnitId("attention_head", 1, 1)]
 
     def test_tie_breaks_to_lower_index(self):
         cfg = small_config(H=3, L=1)
         model = Model.init(cfg, 32)
-        ledger = self._uniform_ledger(model)
+        ledger = random_ledger(model)
         ao = np.zeros_like(ledger.scores["layer0.W_AO"])
         for h, s in enumerate([2.0, 2.0, 7.0]):
             ao[h * cfg.head_dim, 0] = s
         ledger.scores["layer0.W_AO"] = ao
-        units = select_prune_set(ledger, model, RemovalAmounts(heads_per_layer=1))
+        units = select_prune_set(ledger, model, {"H": 1})
         assert units == [UnitId("attention_head", 0, 0)]
 
     def test_emptying_layer_rejected(self):
         model = Model.init(small_config(H=2), 33)
-        ledger = self._uniform_ledger(model)
+        ledger = random_ledger(model)
+        units = select_prune_set(ledger, model, {"H": 2})
         with pytest.raises(ValueError, match="empty"):
-            select_prune_set(ledger, model, RemovalAmounts(heads_per_layer=2))
+            apply_surgery(model, units)
 
     def test_deterministic(self):
         model = Model.init(small_config(), 34)
-        ledger = self._uniform_ledger(model, seed=9)
-        amounts = RemovalAmounts(heads_per_layer=1, neurons_per_layer=2, ranks=2)
+        ledger = random_ledger(model, seed=9)
+        amounts = {"H": 1, "d_I": 2, "r": 2}
         assert select_prune_set(ledger, model, amounts) == \
             select_prune_set(ledger, model, amounts)
+
+    def test_unknown_dimension_rejected(self):
+        model = Model.init(small_config(), 34)
+        with pytest.raises(ValueError, match="unknown removal dimensions"):
+            select_prune_set(random_ledger(model), model, {"heads_per_layer": 1})
+
+    def test_mixed_amounts_shrink_each_dimension_exactly(self):
+        cfg = small_config(L=2)
+        model = Model.init(cfg, 35)
+        amounts = {"H": 1, "d_I": 2, "r": 2, "L": 1}
+        report = apply_surgery(model, select_prune_set(random_ledger(model, seed=3),
+                                                       model, amounts))
+        for dim, count in amounts.items():
+            assert getattr(model.config, dim) == getattr(cfg, dim) - count
+        assert model.config == report.config
+        assert (model.config.d_X, model.config.vocab_size) == (cfg.d_X, cfg.vocab_size)
+        assert count_params(model.config) == num_params(model)
+
+
+class TestRemovalBound:
+    """apply_surgery is the one place that bounds a removal count."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("dim", [*UNIT_DIMS.values(), "L"])
+    def test_removal_that_leaves_none_rejected(self, dim, extra):
+        model = Model.init(small_config(), 36)
+        before_config = model.config
+        before = {k: v.data.tobytes() for k, v in model.params.items()}
+        units = select_prune_set(random_ledger(model), model,
+                                 {dim: getattr(model.config, dim) + extra})
+        with pytest.raises(ValueError, match="leaves none"):
+            apply_surgery(model, units)
+        assert model.config == before_config
+        assert {k: v.data.tobytes() for k, v in model.params.items()} == before
 
 
 class TestApplySurgery:
@@ -473,7 +510,7 @@ class TestApplySurgery:
 
 def remove_last_layers(model, k):
     """Layer removal as the pipeline does it: keep-first selection + surgery."""
-    return apply_surgery(model, select_prune_set(None, model, RemovalAmounts(layers=k)))
+    return apply_surgery(model, select_prune_set(None, model, {"L": k}))
 
 
 class TestDropLayers:
