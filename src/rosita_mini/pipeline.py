@@ -6,10 +6,16 @@ fine-tuned original or the previous stage's student, always reloaded from
 the written checkpoint so chaining is bit-exact), initializes its student,
 optionally prunes (one-step before training, or iteratively at scheduled
 steps during it), and trains with cross-entropy and/or distillation
-losses under Adam. Where the process has a spare CPU, a stage's dev
-evals run in a forked child process, on the student as it was at that
-step, while training goes on; the metrics records are the ones an inline
-eval writes.
+losses under Adam.
+
+Where the process has a CPU to spare (`_cpu_spare`: fork exists, and the
+process has CPUs for two workers of the BLAS thread count that OpenBLAS
+reports), forked children work on the second core. A stage's dev evals
+run in one, on the student as it was at that step, while training goes
+on. `evaluate` and the one-step Taylor scoring split their batches with a
+helper that computes every other batch (`_map_batches`). The records,
+metrics and scores are the ones one core computes, and a forked child
+never forks again, so the dev-eval child evaluates on one core.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .metrics import MetricsWriter, eval_metric
 from .model import Model, ModelConfig, count_params, cross_entropy
 from .optim import Adam
 from .pruning import (UNIT_DIMS, ArchitectureTarget, ImportanceLedger, apply_surgery,
-                      record_batch_scores, select_prune_set)
+                      record_batch_scores, select_prune_set, weight_taylor_scores)
 
 _warned_uncapped = False
 
@@ -72,11 +78,11 @@ def limit_worker_threads() -> int | None:
     the count that OpenBLAS reports afterwards.
 
     The cap is set through the OpenBLAS that numpy loaded, process-wide,
-    so it overrides OPENBLAS_NUM_THREADS and a forked dev-eval child
-    inherits it. The default of one keeps every reduction order fixed
+    so it overrides OPENBLAS_NUM_THREADS and every forked child inherits
+    it. The default of one keeps every reduction order fixed
     (bit-reproducible runs) and is faster anyway on desk-scale matrices.
     Where no known OpenBLAS is loaded nothing is capped: the call returns
-    None, the first such call says so on stderr, and dev evals run inline.
+    None, the first such call says so on stderr, and nothing forks.
     """
     global _warned_uncapped
     cap = max(1, int(os.environ.get("ROSITA_MINI_THREADS", "1")))
@@ -85,7 +91,7 @@ def limit_worker_threads() -> int | None:
         if not _warned_uncapped:
             _warned_uncapped = True
             print(f"rosita-mini: warning: no OpenBLAS found in this process; the BLAS "
-                  f"thread cap of {cap} was not applied, and dev evals run inline",
+                  f"thread cap of {cap} was not applied, and nothing runs on a second core",
                   file=sys.stderr)
         return None
     set_threads, get_threads = blas
@@ -251,17 +257,20 @@ class StagePlan:
 
 def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
+    if not len(data):
+        raise ValueError(f"evaluate: the split has {len(data)} rows; evaluate on a "
+                         "split with rows")
     unlabeled = int((data.labels < 0).sum())
     if unlabeled:
         raise ValueError(f"evaluate: {unlabeled} of {len(data.labels)} rows are unlabeled "
                          "(label -1); evaluate on a labeled split")
-    preds, labels = [], []
-    with T.no_grad():
-        for ids, mask, batch_labels in iter_batches(data, batch_size):
-            logits = model.forward(ids, mask).logits.data
-            preds.append(np.argmax(logits, axis=1))
-            labels.append(batch_labels)
-    return eval_metric(np.concatenate(preds), np.concatenate(labels), kind)
+
+    def predict(batch):
+        with T.no_grad():
+            return np.argmax(model.forward(batch[0], batch[1]).logits.data, axis=1)
+
+    preds = list(_map_batches(predict, list(iter_batches(data, batch_size))))
+    return eval_metric(np.concatenate(preds), data.labels, kind)
 
 
 def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
@@ -306,13 +315,20 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
 def collect_one_step_scores(student: Model, teacher: Model | None,
                             stage: StageSpec, data: EncodedDataset,
                             layer_map: LayerMap | None) -> ImportanceLedger:
-    """Dataset-averaged Taylor scores with the stage's active loss."""
-    ledger = ImportanceLedger(student, "one_step_average")
-    for ids, mask, labels in iter_batches(data, stage.batch_size):
+    """Dataset-averaged Taylor scores with the stage's active loss, added
+    up in batch order wherever the batches were scored (`_map_batches`)."""
+
+    def batch_scores(batch):
+        ids, mask, labels = batch
         student.zero_grad()
         loss, _ = _batch_loss(student, teacher, stage, layer_map, ids, mask, labels)
         loss.backward(leaves=student.parameters().values())
-        record_batch_scores(ledger, student)
+        return weight_taylor_scores(student)
+
+    ledger = ImportanceLedger(student, "one_step_average")
+    for scores in _map_batches(batch_scores, list(iter_batches(data, stage.batch_size))):
+        ledger.record(scores)
+        del scores  # not held through the next batch's backward
     student.zero_grad()
     return ledger
 
@@ -339,11 +355,15 @@ def one_step_prune(student: Model, teacher: Model | None, stage: StageSpec,
         factorize_model_embedding(student, target.r)
 
 
-def _fork_evals() -> bool:
-    """Whether dev evals can overlap training in a forked child: fork must
+_in_worker = False  # true in a forked child, which never forks again
+
+
+def _cpu_spare() -> bool:
+    """Whether a forked child can work beside this process, as the dev-eval
+    child (`_DevEvals`) or the batch helper (`_map_batches`): fork must
     exist, and the process must have CPUs for two workers of the BLAS
     thread count that OpenBLAS reports. Where that count is unknown (no
-    known OpenBLAS), evals run inline."""
+    known OpenBLAS), nothing forks."""
     blas = _openblas()
     if not hasattr(os, "fork") or blas is None:
         return False
@@ -352,32 +372,83 @@ def _fork_evals() -> bool:
     return cpus >= 2 * blas[1]()
 
 
-def _serve_evals(requests: int, replies: int, data: EncodedDataset, kind: str) -> None:
-    """The forked eval child: for each (config, arrays) read from `requests`,
-    send the pickled outcome of `evaluate` down `replies`. It ends, without
-    running any of the parent's exit code, when `requests` is closed."""
-    try:
+def _fork() -> int:
+    """os.fork(); the child is marked so that it never forks again."""
+    global _in_worker
+    pid = os.fork()
+    if pid == 0:
+        _in_worker = True
         gc.freeze()  # inherited objects are the parent's to collect
-        with os.fdopen(requests, "rb") as rx, os.fdopen(replies, "wb") as tx:
-            while True:
+    return pid
+
+
+def _serve(replies: int, fn, items) -> None:
+    """A forked child's loop: for each item, write the pickled outcome of
+    fn(item) to the pipe `replies`, stopping after the first item that
+    raises. It ends the process, without running any of the parent's exit
+    code, when the items run out. `_receive` reads the outcomes."""
+    try:
+        with os.fdopen(replies, "wb") as tx:
+            for item in items:
                 try:
-                    config, arrays = pickle.load(rx)
-                except EOFError:
-                    break
-                model = Model(config, {name: T.Tensor(a) for name, a in arrays.items()})
-                try:
-                    outcome = (True, evaluate(model, data, kind), "")
-                except BaseException as exc:
+                    outcome = (True, fn(item), "")
+                except BaseException as exc:  # raised again in the parent
                     import traceback
                     outcome = (False, exc, traceback.format_exc())
                 try:
-                    blob = pickle.dumps(outcome)
+                    blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
                 except Exception:
                     blob = pickle.dumps((False, RuntimeError(repr(outcome[1])), outcome[2]))
                 tx.write(blob)
                 tx.flush()
+                if not outcome[0]:
+                    break
     finally:
         os._exit(0)
+
+
+def _receive(rx, child: str):
+    """The next outcome that `_serve` wrote to `rx`: its value, or its
+    exception raised again here (from Python 3.11 with the child's
+    traceback as a note)."""
+    try:
+        ok, value, child_tb = pickle.load(rx)
+    except EOFError:
+        raise RuntimeError(f"the {child} process ended without a result") from None
+    if not ok:
+        if hasattr(value, "add_note"):  # Python 3.11 and later
+            value.add_note(f"raised in the {child} process:\n{child_tb}")
+        raise value
+    return value
+
+
+def _map_batches(fn, batches: list):
+    """Yield fn(batch) for each of `batches`, in batch order.
+
+    Where a CPU is spare and there are at least two batches, a forked
+    helper computes every other batch, on its own copy of what fn uses,
+    and sends each result as soon as it has it, while this process
+    computes the rest; the pipe bounds the results in flight. An exception
+    in the helper is raised again here. When this side raises, or the
+    consumer stops early, the helper is killed and reaped.
+    """
+    if len(batches) < 2 or _in_worker or not _cpu_spare():
+        yield from map(fn, batches)
+        return
+    rx, tx = os.pipe()
+    pid = _fork()
+    if pid == 0:
+        os.close(rx)
+        _serve(tx, fn, batches[1::2])
+    os.close(tx)
+    try:
+        with os.fdopen(rx, "rb") as replies:
+            for i, batch in enumerate(batches):
+                yield _receive(replies, "batch helper") if i % 2 else fn(batch)
+    finally:
+        import signal
+        os.kill(pid, signal.SIGKILL)  # a no-op on a helper that has finished
+        os.waitpid(pid, 0)
 
 
 class _DevEvals:
@@ -391,7 +462,7 @@ class _DevEvals:
     most one eval is in flight. Leaving the `with` block waits for it,
     writes what is held and ends the child; an exception raised by the
     eval is raised again in the parent (from Python 3.11 with the child's
-    traceback as a note). Where `_fork_evals()` is false, each eval runs
+    traceback as a note). Where `_cpu_spare()` is false, each eval runs
     inline.
     """
 
@@ -430,33 +501,41 @@ class _DevEvals:
         if not self._held:
             return
         held, self._held = self._held, []
-        try:
-            ok, value, child_tb = pickle.load(self._rx)
-        except EOFError:
-            raise RuntimeError("the dev eval process ended without a result") from None
-        if not ok:
-            if hasattr(value, "add_note"):  # Python 3.11 and later
-                value.add_note(f"raised in the dev eval process:\n{child_tb}")
-            raise value
-        held[0]["eval_metric"] = value
+        held[0]["eval_metric"] = _receive(self._rx, "dev eval")
         for record in held:
             self._metrics.write(record)
 
     def __enter__(self):
         # forked before the training steps grow the heap, so the child
         # keeps few pages that the parent goes on to rewrite
-        if self._data is not None and _fork_evals():
+        if self._data is not None and _cpu_spare():
             child_rx, tx = os.pipe()
             rx, child_tx = os.pipe()
-            self._pid = os.fork()
+            self._pid = _fork()
             if self._pid == 0:
                 os.close(tx)
                 os.close(rx)
-                _serve_evals(child_rx, child_tx, self._data, self._kind)
+                _serve(child_tx, self._evaluate, self._requests(child_rx))
             os.close(child_rx)
             os.close(child_tx)
             self._tx, self._rx = os.fdopen(tx, "wb"), os.fdopen(rx, "rb")
         return self
+
+    @staticmethod
+    def _requests(fd: int):
+        """In the child: each (config, arrays) that `submit` sends, until the
+        parent closes its end."""
+        with os.fdopen(fd, "rb") as rx:
+            while True:
+                try:
+                    yield pickle.load(rx)
+                except EOFError:
+                    return
+
+    def _evaluate(self, request) -> float:
+        config, arrays = request
+        return evaluate(Model(config, {name: T.Tensor(a) for name, a in arrays.items()}),
+                        self._data, self._kind)
 
     def __exit__(self, *exc):
         try:

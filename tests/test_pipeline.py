@@ -17,7 +17,7 @@ from rosita_mini import presets, sweeps
 from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
 from rosita_mini.data import EncodedDataset, generate_marker_task, load_task_dir
-from rosita_mini.distillation import KDConfig
+from rosita_mini.distillation import KDConfig, build_layer_map
 from rosita_mini.metrics import MetricsWriter, read_ndjson
 from rosita_mini.model import Model, ModelConfig
 from rosita_mini.optim import Adam
@@ -292,7 +292,7 @@ def test_thread_cap_warns_once_without_openblas(monkeypatch, capsys):
     assert PL.limit_worker_threads() is None
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "no OpenBLAS" in err[0] and "cap of 3" in err[0]
-    assert not PL._fork_evals()
+    assert not PL._cpu_spare()
 
 
 def test_step_graph_is_freed_before_the_next_forward(task_dir, tmp_path, monkeypatch):
@@ -333,6 +333,16 @@ def test_evaluate_rejects_unlabeled_rows(task_dir):
     dev.labels[3] = -1
     with pytest.raises(ValueError, match="1 of 32 rows"):
         PL.evaluate(model, dev)
+
+
+def test_evaluate_rejects_an_empty_split(task_dir):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    dev = splits["dev"]
+    empty = EncodedDataset(dev.ids[:0], dev.mask[:0], dev.labels[:0])
+    model = Model.init(ModelConfig(**tiny_model_dict(info)), 0)
+    with pytest.raises(ValueError, match="the split has 0 rows"):
+        PL.evaluate(model, empty)
 
 
 class TestRunStage:
@@ -431,15 +441,15 @@ def _param_digest(model: Model) -> str:
     return h.hexdigest()
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestOverlappedEval:
     """run_stage evaluates the dev split in a forked child, on the student
     of the eval's step, while training goes on; the records stay the ones
     an inline eval writes."""
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def iterative_stage():
@@ -454,14 +464,15 @@ class TestOverlappedEval:
         monkeypatch.setattr(PL, "_openblas", lambda: (None, lambda: reported[0]))
         monkeypatch.setenv("ROSITA_MINI_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not PL._fork_evals()
+        assert not PL._cpu_spare()
+        assert list(PL._map_batches(lambda b: os.getpid(), [0, 1, 2])) == [os.getpid()] * 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert PL._fork_evals()
+        assert PL._cpu_spare()
         reported[0] = 2  # the reported count decides, not the requested one
-        assert not PL._fork_evals()
+        assert not PL._cpu_spare()
         monkeypatch.setattr(PL, "_openblas", lambda: None)  # the cap could not be applied
         reported[0] = 1
-        assert not PL._fork_evals()
+        assert not PL._cpu_spare()
 
     def test_forked_and_inline_evals_write_the_same_bytes(self, task_dir, tmp_path,
                                                           monkeypatch):
@@ -469,13 +480,13 @@ class TestOverlappedEval:
         _, splits = load_task_dir(path, info["max_len"])
         streams = []
         for fork in (True, False):
-            monkeypatch.setattr(PL, "_fork_evals", lambda: fork)
+            monkeypatch.setattr(PL, "_cpu_spare", lambda: fork)
             student = Model.init(ModelConfig(**tiny_model_dict(info, H=3, head_dim=4)), 1)
             with MetricsWriter(tmp_path / f"{fork}.ndjson") as metrics:
                 run_stage(self.iterative_stage(), student, None, splits, metrics,
                           np.random.default_rng(1))
             streams.append((tmp_path / f"{fork}.ndjson").read_bytes())
-        self.assert_no_child_left()
+        assert_no_child_left()
         assert streams[0] == streams[1]
         assert b'"eval_metric"' in streams[0]
 
@@ -501,13 +512,13 @@ class TestOverlappedEval:
             waited = len(evals) == 6 or _wait_for(tmp_path / f"built{len(evals) + 1}")
             return [_param_digest(model), os.getpid(), waited]
 
-        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
         monkeypatch.setattr(PL, "count_params", count_params)
         monkeypatch.setattr(PL, "evaluate", evaluate)
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
             run_stage(self.iterative_stage(), student, None, splits, metrics,
                       np.random.default_rng(1))
-        self.assert_no_child_left()
+        assert_no_child_left()
         rows = read_ndjson(tmp_path / "m.ndjson")
         assert [r["step"] for r in rows] == list(range(1, 7))
         assert [r["H"] for r in rows] == [2, 2, 1, 1, 1, 1]
@@ -529,7 +540,7 @@ class TestOverlappedEval:
                 raise ValueError("eval failed")
             return 0.5
 
-        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
         monkeypatch.setattr(PL, "evaluate", evaluate)
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
             with pytest.raises(ValueError) as excinfo:
@@ -537,7 +548,7 @@ class TestOverlappedEval:
         assert type(excinfo.value) is ValueError and excinfo.value.args == ("eval failed",)
         if sys.version_info >= (3, 11):
             assert "in evaluate" in excinfo.value.__notes__[0]
-        self.assert_no_child_left()
+        assert_no_child_left()
         assert [r["step"] for r in read_ndjson(tmp_path / "m.ndjson")] == [1]
 
     def test_child_ending_without_a_result_is_an_error(self, task_dir, tmp_path,
@@ -546,12 +557,12 @@ class TestOverlappedEval:
         _, splits = load_task_dir(path, info["max_len"])
         stage = StageSpec(name="ft", dataset="train", epochs=1, batch_size=16)
         model = Model.init(ModelConfig(**tiny_model_dict(info)), 6)
-        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
         monkeypatch.setattr(PL, "evaluate", lambda *args: os._exit(3))
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
             with pytest.raises(RuntimeError, match="ended without a result"):
                 run_stage(stage, model, None, splits, metrics, np.random.default_rng(6))
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_nan_loss_keeps_records_before_it(self, task_dir, tmp_path, monkeypatch):
         path, info = task_dir
@@ -576,16 +587,127 @@ class TestOverlappedEval:
                 assert _wait_for(nan_seen)
             return real_eval(*args, **kwargs)
 
-        monkeypatch.setattr(PL, "_fork_evals", lambda: True)
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
         monkeypatch.setattr(PL, "_batch_loss", batch_loss)
         monkeypatch.setattr(PL, "evaluate", evaluate)
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
             with pytest.raises(FloatingPointError, match="at step 6$"):
                 run_stage(stage, model, None, splits, metrics, np.random.default_rng(7))
-        self.assert_no_child_left()
+        assert_no_child_left()
         rows = read_ndjson(tmp_path / "m.ndjson")
         assert [r["step"] for r in rows] == [1, 2, 3, 4, 5]
         assert ["eval_metric" in r for r in rows] == [False, True, False, True, False]
+
+
+class TestBatchHelper:
+    """Where a CPU is spare, evaluate and the one-step Taylor scoring split
+    their batches with a forked helper that computes every other batch;
+    the results are the ones one core computes."""
+
+    def test_results_come_back_in_batch_order(self, monkeypatch):
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
+        parent = os.getpid()
+        for n in (1, 2, 5):
+            out = list(PL._map_batches(lambda b: (b, os.getpid()), list(range(n))))
+            assert [b for b, _ in out] == list(range(n))
+            assert all(pid == parent for _, pid in out[0::2])
+            assert all(pid != parent for _, pid in out[1::2])
+        assert_no_child_left()
+
+    def test_forked_and_inline_results_are_the_same(self, task_dir, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        teacher = Model.init(ModelConfig(**tiny_model_dict(info)), 4)
+        teacher.freeze()
+        student = Model.init(ModelConfig(**tiny_model_dict(info)), 5)
+        # 48 train rows in 20s: 3 batches, the last a partial one
+        stages = [StageSpec(name="ce", dataset="train", epochs=1, batch_size=20),
+                  StageSpec(name="kd", dataset="train", epochs=1, batch_size=20,
+                            teacher="previous", kd=KDConfig(use_hidden=True))]
+        layer_map = build_layer_map(teacher.config.L, student.config.L)
+        runs = []
+        for fork in (True, False):
+            monkeypatch.setattr(PL, "_cpu_spare", lambda: fork)
+            # 32 dev rows in 10s and in 7s: 4 and 5 batches, the last partial
+            metrics = [PL.evaluate(student, splits["dev"], batch_size=b) for b in (10, 7)]
+            ledgers = [PL.collect_one_step_scores(student, teacher if stage.kd else None,
+                                                  stage, splits["train"],
+                                                  layer_map if stage.kd else None)
+                       for stage in stages]
+            runs.append((metrics, [(led.batches_seen,
+                                    {k: v.tobytes() for k, v in led.scores.items()})
+                                   for led in ledgers]))
+        assert_no_child_left()
+        assert runs[0] == runs[1]
+        assert [seen for seen, _ in runs[0][1]] == [3, 3]
+
+    def test_helper_error_comes_out_of_evaluate(self, task_dir, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 6)
+        parent, real_forward = os.getpid(), Model.forward
+
+        def forward(self, ids, *args, **kwargs):
+            if os.getpid() != parent:
+                raise IndexError("helper batch", len(ids))
+            return real_forward(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
+        monkeypatch.setattr(Model, "forward", forward)
+        with pytest.raises(IndexError) as excinfo:
+            PL.evaluate(model, splits["dev"], batch_size=10)
+        assert excinfo.value.args == ("helper batch", 10)
+        if sys.version_info >= (3, 11):
+            assert "in forward" in excinfo.value.__notes__[0]
+        assert_no_child_left()
+
+    def test_helper_is_reaped_when_this_side_stops(self, task_dir, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 6)
+        parent, real_forward = os.getpid(), Model.forward
+
+        def forward(self, *args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("parent batch")
+            return real_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
+        monkeypatch.setattr(Model, "forward", forward)
+        with pytest.raises(RuntimeError, match="parent batch"):
+            PL.evaluate(model, splits["dev"], batch_size=4)
+        assert_no_child_left()
+        # the helper's first batch would outlast the test, were it not killed
+        results = PL._map_batches(lambda b: b if os.getpid() == parent else time.sleep(60),
+                                  list(range(6)))
+        started = time.monotonic()
+        assert next(results) == 0
+        results.close()  # the consumer stops early
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    def test_children_never_fork_again(self, task_dir, tmp_path, monkeypatch):
+        def pids(_item=None):  # the processes that compute a 3-batch map
+            return sorted(set(PL._map_batches(lambda b: os.getpid(), [0, 1, 2])))
+
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
+        parent = os.getpid()
+        in_parent, in_helper = PL._map_batches(pids, [0, 1])
+        assert len(in_parent) == 2 and parent in in_parent
+        assert len(in_helper) == 1 and parent not in in_helper
+
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        stage = StageSpec(name="ft", dataset="train", epochs=1, batch_size=16)
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 6)
+        monkeypatch.setattr(PL, "evaluate", lambda model, data, kind: pids())
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            run_stage(stage, model, None, splits, metrics, np.random.default_rng(6))
+        rows = read_ndjson(tmp_path / "m.ndjson")
+        assert len(rows) == 3
+        assert all(len(r["eval_metric"]) == 1 and parent not in r["eval_metric"]
+                   for r in rows)
+        assert_no_child_left()
 
 
 class TestRunPlan:
