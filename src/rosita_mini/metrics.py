@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +43,15 @@ class MetricsWriter:
 
     Records are serialized with sorted keys so identical runs produce
     byte-identical files. `last` is the row written last (None before any).
+    Lines go to a temporary sibling that `close` renames onto the path,
+    after a failure too, so a file there is never rewritten in place.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
+        self._tmp = self.path.with_name(self.path.name + ".tmp")
+        self._fh = open(self._tmp, "w", encoding="utf-8")
         self.last: dict | None = None
 
     def write(self, record: dict) -> None:
@@ -58,6 +62,7 @@ class MetricsWriter:
 
     def close(self) -> None:
         self._fh.close()
+        os.replace(self._tmp, self.path)
 
     def __enter__(self):
         return self

@@ -653,44 +653,63 @@ def stage_summary(student: Model, metrics: MetricsWriter, **fields) -> dict:
             **{k: last[k] for k in ("eval_metric_kind", "eval_metric") if k in last}}
 
 
+def stage_rng(seed: int, k: int) -> np.random.Generator:
+    """Stage k's rng under `seed`: SeedSequence(seed).spawn(n)[k], the same for any n > k."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
+
+
 def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
              seed: int = 0, eval_kind: str = "accuracy") -> list[dict]:
-    """Run all stages in order, checkpointing each student.
+    """Run all stages in order, checkpointing each student (one arm)."""
+    return run_arms({out_dir: plan}, datasets, seed, eval_kind)[out_dir]
 
-    Teachers are reloaded from the previous stage's written checkpoint, so
-    the chain is exactly what landed on disk.
+
+def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
+             seed: int = 0, eval_kind: str = "accuracy") -> dict[Path, list[dict]]:
+    """Run each arm's plan into its directory; return its stage summaries.
+
+    Every arm's stages are checked before any trains. Stage k draws
+    `stage_rng(seed, k)`; its teacher is reloaded from the arm's written
+    checkpoints. A stage whose prefix (plan model and stages 0..k) an
+    earlier arm trained is linked in, not trained again, so each directory
+    holds what a lone `run_plan` of its arm writes.
     """
-    for stage in plan.stages:
-        _stage_data(stage, datasets)
+    for plan in arms.values():
+        for stage in plan.stages:
+            _stage_data(stage, datasets)
     limit_worker_threads()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage_seeds = np.random.SeedSequence(seed).spawn(len(plan.stages))
+    trained = {}  # a prefix's repr -> (the directory that holds it, its summary)
+    results = {}
+    for out_dir, plan in arms.items():
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        results[out_dir] = summaries = []
+        for k, stage in enumerate(plan.stages):
+            name = f"stage{k}_{stage.name}"
+            ckpt_path = Path(out_dir, f"{name}.rst")
+            prefix = repr((plan.model, plan.stages[:k + 1]))
+            if prefix in trained:
+                source, summary = trained[prefix]
+                for suffix in (".ndjson", ".rst"):
+                    tmp = Path(out_dir, f"{name}{suffix}.tmp")
+                    tmp.unlink(missing_ok=True)
+                    os.link(Path(source, f"{name}{suffix}"), tmp)
+                    os.replace(tmp, Path(out_dir, f"{name}{suffix}"))
+                summaries.append({**summary, "checkpoint": str(ckpt_path)})
+                continue
+            rng = stage_rng(seed, k)
+            if stage.teacher is None:
+                teacher = None
+                student = Model.init(ModelConfig.from_dict(stage.model or plan.model), rng)
+            else:
+                ck = load_checkpoint(
+                    summaries[0 if stage.teacher == "original" else -1]["checkpoint"])
+                teacher, student = ck.to_model(), ck.to_model()
 
-    original_path: Path | None = None
-    previous_path: Path | None = None
-    summaries = []
-    for k, stage in enumerate(plan.stages):
-        rng = np.random.default_rng(stage_seeds[k])
-
-        if stage.teacher is None:
-            teacher = None
-            student = Model.init(ModelConfig.from_dict(stage.model or plan.model), rng)
-        else:
-            source = original_path if stage.teacher == "original" else previous_path
-            ck = load_checkpoint(source)
-            teacher, student = ck.to_model(), ck.to_model()
-
-        with MetricsWriter(out_dir / f"stage{k}_{stage.name}.ndjson") as metrics:
-            student = run_stage(stage, student, teacher, datasets, metrics, rng,
-                                eval_kind)
-
-        ckpt_path = out_dir / f"stage{k}_{stage.name}.rst"
-        save_checkpoint(ckpt_path, student, seed=seed, stage=stage.name)
-        if k == 0:
-            original_path = ckpt_path
-        previous_path = ckpt_path
-
-        summaries.append(stage_summary(student, metrics, stage=stage.name,
-                                       checkpoint=str(ckpt_path)))
-    return summaries
+            with MetricsWriter(Path(out_dir, f"{name}.ndjson")) as metrics:
+                student = run_stage(stage, student, teacher, datasets, metrics, rng,
+                                    eval_kind)
+            save_checkpoint(ckpt_path, student, seed=seed, stage=stage.name)
+            summaries.append(stage_summary(student, metrics, stage=stage.name,
+                                           checkpoint=str(ckpt_path)))
+            trained[prefix] = (out_dir, summaries[-1])
+    return results

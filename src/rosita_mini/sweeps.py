@@ -1,10 +1,11 @@
 """Experiment orchestrators: architecture sweeps and the pruning-frequency
 by learning-rate-schedule grid.
 
-The frequency sweep trains the shared precursor stages once per seed
-(fine-tune, same-size KD, iterative depth KD) and then reruns only the
-final width-pruning stage per grid cell, so cells differ in nothing but
-pruning fraction and schedule.
+A frequency cell is the `run_arms` arm `f{fraction:g}_{lr_kind}_seed{seed}/`:
+the preset's stages before the final width-pruning one, trained once per
+seed, then the cell's own, so the cells of a seed differ in nothing but
+pruning fraction and schedule, not even in batches. Every architecture
+draws `stage_rng(seed, 1)`, the same batches wherever it is in the list.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint
 from .data import EncodedDataset
 from .metrics import MetricsWriter
-from .pipeline import (PruneSpec, StagePlan, limit_worker_threads, run_plan, run_stage,
-                       stage_summary)
-from .presets import (_finetune_stage, _hp, _kd_stage, _width_target,
-                      plan_iterative_width_depth_three_stage,
+from .pipeline import (PruneSpec, StagePlan, limit_worker_threads, run_arms, run_stage,
+                       stage_rng, stage_summary)
+from .presets import (_finetune_stage, _hp, plan_iterative_width_depth_three_stage,
                       plan_iterative_width_two_stage)
 from .pruning import ArchitectureTarget
 
@@ -41,14 +39,14 @@ def sweep_architectures(teacher_ckpt, archs: list[dict],
     out_dir.mkdir(parents=True, exist_ok=True)
     teacher_ck = load_checkpoint(teacher_ckpt)
     rows = []
-    for idx, arch in enumerate(archs):
+    for arch in archs:
         name, target = arch["name"], ArchitectureTarget.from_dict(arch["target"])
         student = teacher_ck.to_model()
         stage = replace(_finetune_stage(hp), name=f"arch_{name}",
                         prune=PruneSpec(mode="one_step", target=target))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         with MetricsWriter(out_dir / f"arch_{name}.ndjson") as metrics:
-            run_stage(stage, student, None, datasets, metrics, rng, eval_kind)
+            run_stage(stage, student, None, datasets, metrics, stage_rng(seed, 1),
+                      eval_kind)
         rows.append(stage_summary(student, metrics, name=name, target=arch["target"]))
     _write_summary(out_dir, rows)
     return rows
@@ -64,52 +62,29 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
                     hp: dict | None = None,
                     eval_kind: str = "accuracy") -> list[dict]:
     """Grid over (pruning fraction, lr schedule, seed) for the final
-    width-pruning KD stage; one metrics file per cell."""
-    limit_worker_threads()
+    width-pruning KD stage; each cell is an arm in its own directory."""
     hp = _hp(hp)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    preset = (plan_iterative_width_two_stage if target.get("L") is None
+              else plan_iterative_width_depth_three_stage)
+    plan = preset(model, target, hp)
+    *shared, last = plan.stages
     lr_kinds = [LR_KIND_ALIASES[k] for k in lr_kinds]
     # every cell's stage is built, and so checked, before anything trains
-    cells = [(fraction, kind,
-              _kd_stage("kd_width", {**hp, "lr_kind": kind}, teacher="previous",
-                        use_hidden=True,
-                        prune=PruneSpec(mode="iterative", target=_width_target(target),
-                                        prune_fraction=fraction,
-                                        n_events=hp["width_events"])))
-             for fraction in fractions for kind in lr_kinds]
-    if target.get("L") is not None:
-        plan = plan_iterative_width_depth_three_stage(model, target, hp)
-    else:
-        plan = plan_iterative_width_two_stage(model, target, hp)
-    precursor = StagePlan(model=plan.model, stages=plan.stages[:-1])
-
+    cells = {(fraction, kind): StagePlan(plan.model, shared + [replace(
+                 last, lr_kind=kind, prune=replace(last.prune, prune_fraction=fraction))])
+             for fraction in fractions for kind in lr_kinds}
     rows = []
     for seed in seeds:
-        summaries = run_plan(precursor, datasets, out_dir / f"seed{seed}" / "precursor",
-                             seed=seed, eval_kind=eval_kind)
-        teacher_ck = load_checkpoint(summaries[-1]["checkpoint"])
-
-        for fraction, kind, stage in cells:
-            cell = f"f{fraction:g}_{kind}_seed{seed}"
-            teacher, student = teacher_ck.to_model(), teacher_ck.to_model()
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, hash_cell(fraction, kind)]))
-            with MetricsWriter(out_dir / f"{cell}.ndjson") as metrics:
-                run_stage(stage, student, teacher, datasets, metrics, rng, eval_kind)
-            rows.append(stage_summary(student, metrics, fraction=fraction,
-                                      lr_kind=kind, seed=seed))
-    _write_summary(out_dir, rows)
+        arms = {Path(out_dir, f"f{fraction:g}_{kind}_seed{seed}"): cell
+                for (fraction, kind), cell in cells.items()}
+        results = run_arms(arms, datasets, seed, eval_kind)
+        for (fraction, kind), summaries in zip(cells, results.values()):
+            rows.append({"fraction": fraction, "lr_kind": kind, "seed": seed,
+                         **{k: v for k, v in summaries[-1].items()
+                            if k not in ("stage", "checkpoint")}})
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    _write_summary(Path(out_dir), rows)
     return rows
-
-
-def hash_cell(fraction: float, kind: str) -> int:
-    """Stable small integer for seeding a grid cell (not runtime hash())."""
-    text = f"{fraction:.6f}|{kind}"
-    acc = 0
-    for ch in text:
-        acc = (acc * 131 + ord(ch)) % (2 ** 31)
-    return acc
 
 
 def _write_summary(out_dir: Path, rows: list[dict]) -> None:

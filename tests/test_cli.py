@@ -298,10 +298,10 @@ def test_sweep_frequency_subcommand(workspace, capsys):
     assert rc == 0, capsys.readouterr().err
     rows = json.loads(capsys.readouterr().out.strip())
     assert len(rows) == 2
-    files = sorted(p.name for p in (workspace / "sweep_out").glob("f*.ndjson"))
-    assert files == ["f0.5_linear_decay_seed0.ndjson", "f1_linear_decay_seed0.ndjson"]
-    for row, name in zip(rows, files):
-        last = read_ndjson(workspace / "sweep_out" / name)[-1]
+    cells = sorted(p.name for p in (workspace / "sweep_out").glob("f*") if p.is_dir())
+    assert cells == ["f0.5_linear_decay_seed0", "f1_linear_decay_seed0"]
+    for row, cell in zip(rows, cells):
+        last = read_ndjson(workspace / "sweep_out" / cell / "stage2_kd_width.ndjson")[-1]
         assert row["eval_metric"] == last["eval_metric"]
     assert (workspace / "sweep_out" / "summary.tsv").exists()
 

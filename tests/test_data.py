@@ -1,5 +1,7 @@
 """Tokenizer determinism, TSV round trips, metrics, synthetic task."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,23 @@ class TestMetricsWriter:
             with MetricsWriter(tmp_path / name) as w:
                 w.write({"x": 0.1, "y": [1, 2]})
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_rewrite_leaves_a_hard_link_to_the_old_file_alone(self, tmp_path):
+        with MetricsWriter(tmp_path / "a") as w:
+            w.write({"x": 1})
+        os.link(tmp_path / "a", tmp_path / "b")
+        with MetricsWriter(tmp_path / "b") as w:
+            w.write({"x": 2})
+        assert [r["x"] for r in read_ndjson(tmp_path / "a")] == [1]
+        assert [r["x"] for r in read_ndjson(tmp_path / "b")] == [2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_failed_stream_is_left_at_its_path(self, tmp_path):
+        with pytest.raises(RuntimeError), MetricsWriter(tmp_path / "m") as w:
+            w.write({"step": 1})
+            raise RuntimeError("stage failed")
+        assert [r["step"] for r in read_ndjson(tmp_path / "m")] == [1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m"]
 
 
 class TestMarkerTask:

@@ -813,6 +813,89 @@ class TestRunPlan:
         assert a != b
 
 
+def dir_bytes(path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestRunArms:
+    PRESETS = ("one_step_one_stage", "one_step_two_stage", "iterative_width_two_stage")
+
+    def arms(self, info, root) -> dict:
+        return {root / name: presets.build_preset(
+                    name, tiny_model_dict(info), dict(H=1, d_I=16, r=4),
+                    dict(finetune_epochs=1, kd_epochs=1, batch_size=16,
+                         width_events=1, prune_fraction=0.5))
+                for name in self.PRESETS}
+
+    def test_shared_prefixes_train_once_and_each_arm_equals_its_lone_plan(
+            self, task_dir, tmp_path, monkeypatch):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        arms = self.arms(info, tmp_path / "arms")
+        trained = []
+
+        def counting(stage, *args, **kwargs):
+            trained.append(stage.name)
+            return run_stage(stage, *args, **kwargs)
+
+        monkeypatch.setattr(PL, "run_stage", counting)
+        results = PL.run_arms(arms, splits, seed=11)
+        # finetune and kd_samesize are shared: 5 stages of the 8
+        assert sorted(trained) == ["finetune", "kd_prune", "kd_prune", "kd_samesize",
+                                   "kd_width"]
+        monkeypatch.undo()
+        for out_dir, plan in arms.items():
+            alone = tmp_path / "alone" / out_dir.name
+            summaries = run_plan(plan, splits, alone, seed=11)
+            assert dir_bytes(out_dir) == dir_bytes(alone), out_dir.name
+            assert [{**s, "checkpoint": None} for s in results[out_dir]] == \
+                [{**s, "checkpoint": None} for s in summaries]
+            assert [s["checkpoint"] for s in results[out_dir]] == \
+                [str(out_dir / f"stage{k}_{s.name}.rst") for k, s in enumerate(plan.stages)]
+
+    def test_rewriting_one_arm_leaves_the_others_unchanged(self, task_dir, tmp_path):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        arms = self.arms(info, tmp_path)
+        PL.run_arms(arms, splits, seed=2)
+        before = {out_dir: dir_bytes(out_dir) for out_dir in arms}
+        PL.run_arms(arms, splits, seed=2)  # links over the files already there
+        assert {out_dir: dir_bytes(out_dir) for out_dir in arms} == before
+        first, *others = arms
+        run_plan(arms[first], splits, first, seed=3)
+        assert dir_bytes(first)["stage0_finetune.ndjson"] != \
+            before[first]["stage0_finetune.ndjson"]
+        for out_dir in others:
+            assert dir_bytes(out_dir) == before[out_dir], out_dir.name
+
+    def test_bad_dataset_in_the_last_arm_fails_before_any_file(self, task_dir, tmp_path):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        arms = self.arms(info, tmp_path / "out")
+        bad = StagePlan(model=tiny_model_dict(info), stages=[
+            StageSpec(name="ft", dataset="train", epochs=1),
+            StageSpec(name="more", dataset="nope", epochs=1)])
+        with pytest.raises(ValueError, match="'nope' not loaded"):
+            PL.run_arms({**arms, tmp_path / "out" / "bad": bad}, splits)
+        assert not (tmp_path / "out").exists()
+
+
+def test_sweep_architectures_result_does_not_depend_on_list_order(task_dir, tmp_path):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    teacher = tmp_path / "teacher.rst"
+    save_checkpoint(teacher, Model.init(ModelConfig(**tiny_model_dict(info)), 4),
+                    seed=4, stage="finetune")
+    archs = [{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"d_I": 16}}]
+    hp = {"finetune_epochs": 1, "batch_size": 16}
+    sweeps.sweep_architectures(teacher, archs, splits, tmp_path / "ab", seed=5, hp=hp)
+    sweeps.sweep_architectures(teacher, archs[::-1], splits, tmp_path / "ba", seed=5,
+                               hp=hp)
+    for name in ("arch_a.ndjson", "arch_b.ndjson"):
+        assert (tmp_path / "ab" / name).read_bytes() == \
+            (tmp_path / "ba" / name).read_bytes(), name
+
+
 def test_sweep_architectures_keeps_hp_dropout(task_dir, tmp_path, monkeypatch):
     path, info = task_dir
     _, splits = load_task_dir(path, info["max_len"])
