@@ -10,19 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import generate_marker_task, load_task_dir
 from .factorization import factorize_model_embedding
-from .metrics import MetricsWriter
-from .model import Model, ModelConfig, count_params
+from .metrics import METRIC_KINDS, check_metric_kind
+from .model import count_params
 from .pipeline import (PruneSpec, StagePlan, StageSpec, collect_one_step_scores,
-                       evaluate, limit_worker_threads, one_step_prune, run_plan,
-                       run_stage)
-from .presets import build_preset
+                       evaluate, one_step_prune, run_plan)
+from .presets import HP_DEFAULTS, _finetune_stage, build_preset
 from .pruning import ArchitectureTarget, unit_importance
 from .sweeps import LR_KIND_ALIASES, sweep_architectures, sweep_frequency
 
@@ -41,6 +39,8 @@ def _load_data(args, max_len: int | None = None):
     if max_len is None:
         raise SystemExit("no max_len available: pass a model config or keep task.json")
     vocab, splits = load_task_dir(args.data, max_len)
+    info.setdefault("metric", "accuracy")
+    check_metric_kind(info["metric"])
     return vocab, splits, info
 
 
@@ -56,8 +56,6 @@ def _with_data_defaults(model: dict, vocab, info: dict) -> dict:
 
 
 def cmd_make_data(args) -> int:
-    if args.task != "markers":
-        raise SystemExit(f"unknown task {args.task!r}; available: markers")
     info = generate_marker_task(args.out, n_train=args.n_train, n_dev=args.n_dev,
                                 n_aug=args.n_aug, seq_len=args.seq_len,
                                 n_filler_words=args.n_words, seed=args.seed)
@@ -68,33 +66,24 @@ def cmd_make_data(args) -> int:
 
 
 # the keys of a finetune config's "train" block; those it omits take the
-# StageSpec defaults, or these two that StageSpec lacks
+# presets' finetune stage, built from HP_DEFAULTS
 _TRAIN_KEYS = ("dataset", "epochs", "batch_size", "lr_kind", "base_lr", "dropout")
-_TRAIN_DEFAULTS = {"dataset": "train", "epochs": 10}
 
 
 def cmd_finetune(args) -> int:
+    """The stage 0 of every distillation preset, run as a one-stage plan."""
     cfg = _read_json(args.config)
     train = cfg.get("train", {})
     unknown = sorted(set(train) - set(_TRAIN_KEYS))
     if unknown:
         raise ValueError(f"unknown train keys {unknown}; known: {sorted(_TRAIN_KEYS)}")
     vocab, splits, info = _load_data(args, cfg.get("model", {}).get("max_len"))
-    model_cfg = ModelConfig.from_dict(_with_data_defaults(cfg["model"], vocab, info))
-    model = Model.init(model_cfg, np.random.default_rng(args.seed))
-
-    stage = StageSpec(name="finetune", **{**_TRAIN_DEFAULTS, **train})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with MetricsWriter(out / "finetune.ndjson") as metrics:
-        run_stage(stage, model, None, splits, metrics,
-                  np.random.default_rng(np.random.SeedSequence(args.seed)),
-                  eval_kind=info.get("metric", "accuracy"))
-    ckpt = out / "teacher.rst"
-    save_checkpoint(ckpt, model, seed=args.seed, stage="finetune")
-    result = {"checkpoint": str(ckpt), "param_count": count_params(model_cfg)}
-    if "eval_metric" in metrics.last:
-        result["dev_metric"] = metrics.last["eval_metric"]
+    plan = StagePlan(_with_data_defaults(cfg["model"], vocab, info),
+                     [replace(_finetune_stage(HP_DEFAULTS), **train)])
+    [summary] = run_plan(plan, splits, args.out, seed=args.seed, eval_kind=info["metric"])
+    result = {k: summary[k] for k in ("checkpoint", "param_count")}
+    if "eval_metric" in summary:
+        result["dev_metric"] = summary["eval_metric"]
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -117,8 +106,7 @@ def cmd_prune_one_step(args) -> int:
     result = {"checkpoint": str(ckpt), "config": model.config.to_dict(),
               "param_count": count_params(model.config)}
     if "dev" in splits:
-        result["dev_metric"] = evaluate(model, splits["dev"],
-                                        info.get("metric", "accuracy"))
+        result["dev_metric"] = evaluate(model, splits["dev"], info["metric"])
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -139,8 +127,7 @@ def _plan_from_file(path, vocab, info) -> StagePlan:
 def cmd_run_plan(args) -> int:
     vocab, splits, info = _load_data(args)
     plan = _plan_from_file(args.plan, vocab, info)
-    summaries = run_plan(plan, splits, args.out, seed=args.seed,
-                         eval_kind=info.get("metric", "accuracy"))
+    summaries = run_plan(plan, splits, args.out, seed=args.seed, eval_kind=info["metric"])
     print(json.dumps(summaries, sort_keys=True, indent=2))
     return 0
 
@@ -150,7 +137,7 @@ def cmd_sweep_architectures(args) -> int:
     spec = _read_json(args.archs)
     rows = sweep_architectures(args.teacher, spec["architectures"], splits,
                                args.out, seed=args.seed, hp=spec.get("hp"),
-                               eval_kind=info.get("metric", "accuracy"))
+                               eval_kind=info["metric"])
     print(json.dumps(rows, sort_keys=True, indent=2))
     return 0
 
@@ -168,7 +155,7 @@ def cmd_sweep_frequency(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     rows = sweep_frequency(model, cfg["target"], fractions, kinds, seeds, splits,
                            args.out, hp=cfg.get("hp"),
-                           eval_kind=info.get("metric", "accuracy"))
+                           eval_kind=info["metric"])
     print(json.dumps(rows, sort_keys=True, indent=2))
     return 0
 
@@ -178,7 +165,7 @@ def cmd_eval(args) -> int:
     vocab, splits, info = _load_data(args, model.config.max_len)
     if args.split not in splits:
         raise SystemExit(f"split {args.split!r} not in {sorted(splits)}")
-    kind = args.metric or info.get("metric", "accuracy")
+    kind = args.metric or info["metric"]
     value = evaluate(model, splits[args.split], kind)
     print(json.dumps({"split": args.split, "metric": kind, "value": value},
                      sort_keys=True))
@@ -237,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("make-data", cmd_make_data, help="generate a built-in synthetic task")
-    p.add_argument("--task", default="markers")
     p.add_argument("--out", required=True)
     p.add_argument("--n-train", type=int, default=256)
     p.add_argument("--n-dev", type=int, default=768)
@@ -288,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="dev")
-    p.add_argument("--metric", choices=["accuracy", "mcc"])
+    p.add_argument("--metric", choices=METRIC_KINDS)
 
     p = add("inspect", cmd_inspect,
             help="print config, parameter count, importance summaries")
@@ -306,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    limit_worker_threads()
     try:
         return args.fn(args)
     except SystemExit:

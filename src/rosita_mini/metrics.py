@@ -11,6 +11,13 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
+METRIC_KINDS = ("accuracy", "mcc")
+
+
+def check_metric_kind(kind: str) -> None:
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}; choices: {list(METRIC_KINDS)}")
+
 
 def eval_metric(predictions, labels, kind: str) -> float:
     """accuracy = fraction correct; mcc = Matthews correlation (binary).
@@ -18,6 +25,7 @@ def eval_metric(predictions, labels, kind: str) -> float:
     mcc is 0 by convention when its denominator vanishes (e.g. constant
     predictions).
     """
+    check_metric_kind(kind)
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
@@ -26,16 +34,14 @@ def eval_metric(predictions, labels, kind: str) -> float:
         )
     if kind == "accuracy":
         return float((predictions == labels).mean())
-    if kind == "mcc":
-        tp = int(((predictions == 1) & (labels == 1)).sum())
-        tn = int(((predictions == 0) & (labels == 0)).sum())
-        fp = int(((predictions == 1) & (labels == 0)).sum())
-        fn = int(((predictions == 0) & (labels == 1)).sum())
-        denom = math.sqrt(float((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)))
-        if denom == 0.0:
-            return 0.0
-        return (tp * tn - fp * fn) / denom
-    raise ValueError(f"unknown metric kind {kind!r}")
+    tp = int(((predictions == 1) & (labels == 1)).sum())
+    tn = int(((predictions == 0) & (labels == 0)).sum())
+    fp = int(((predictions == 1) & (labels == 0)).sum())
+    fn = int(((predictions == 0) & (labels == 1)).sum())
+    denom = math.sqrt(float((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)))
+    if denom == 0.0:
+        return 0.0
+    return (tp * tn - fp * fn) / denom
 
 
 class MetricsWriter:

@@ -12,13 +12,11 @@ import numpy as np
 from .pruning import SurgeryReport
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict[str, Tensor]):
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -38,13 +36,13 @@ class Adam:
             grads[name] = g
 
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for name, p in params.items():
             g = grads[name]
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m = self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
+            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def apply_surgery(self, report: SurgeryReport) -> None:
         """Slice moments with the same kept-index sets as the parameters."""

@@ -8,6 +8,13 @@ optionally prunes (one-step before training, or iteratively at scheduled
 steps during it), and trains with cross-entropy and/or distillation
 losses under Adam.
 
+BLAS runs on one thread. Importing this module sets the thread count of
+the OpenBLAS that numpy loaded to 1, process-wide: it overrides
+OPENBLAS_NUM_THREADS, every forked child inherits it, it keeps every
+reduction order fixed (bit-reproducible runs), and it is faster anyway on
+desk-scale matrices. Where no known OpenBLAS is loaded, or the count does
+not read back as 1, stderr says so.
+
 Where the process has a CPU to spare (`_cpu_spare`: fork exists, and the
 process has CPUs for two workers of the BLAS thread count that OpenBLAS
 reports), forked children work on the second core. A stage's dev evals
@@ -43,8 +50,6 @@ from .optim import Adam
 from .pruning import (UNIT_DIMS, ArchitectureTarget, ImportanceLedger, apply_surgery,
                       record_batch_scores, select_prune_set, weight_taylor_scores)
 
-_warned_uncapped = False
-
 # thread-count entry points of the OpenBLAS builds numpy ships with
 _OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                      "openblas_{}_num_threads")
@@ -73,30 +78,21 @@ def _openblas():
     return None
 
 
-def limit_worker_threads() -> int | None:
-    """Cap the BLAS threads at ROSITA_MINI_THREADS (default 1) and return
-    the count that OpenBLAS reports afterwards.
-
-    The cap is set through the OpenBLAS that numpy loaded, process-wide,
-    so it overrides OPENBLAS_NUM_THREADS and every forked child inherits
-    it. The default of one keeps every reduction order fixed
-    (bit-reproducible runs) and is faster anyway on desk-scale matrices.
-    Where no known OpenBLAS is loaded nothing is capped: the call returns
-    None, the first such call says so on stderr, and nothing forks.
-    """
-    global _warned_uncapped
-    cap = max(1, int(os.environ.get("ROSITA_MINI_THREADS", "1")))
+def _cap_blas_threads() -> None:
+    """Set OpenBLAS to one thread and say on stderr when that did not take."""
     blas = _openblas()
     if blas is None:
-        if not _warned_uncapped:
-            _warned_uncapped = True
-            print(f"rosita-mini: warning: no OpenBLAS found in this process; the BLAS "
-                  f"thread cap of {cap} was not applied, and nothing runs on a second core",
-                  file=sys.stderr)
-        return None
+        print("rosita-mini: warning: no OpenBLAS found in this process; BLAS threads "
+              "are not capped at 1, and nothing runs on a second core", file=sys.stderr)
+        return
     set_threads, get_threads = blas
-    set_threads(cap)
-    return get_threads()
+    set_threads(1)
+    if get_threads() != 1:
+        print(f"rosita-mini: warning: OpenBLAS reports {get_threads()} threads after "
+              f"the cap of 1", file=sys.stderr)
+
+
+_cap_blas_threads()
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +673,6 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
     for plan in arms.values():
         for stage in plan.stages:
             _stage_data(stage, datasets)
-    limit_worker_threads()
     trained = {}  # a prefix's repr -> (the directory that holds it, its summary)
     results = {}
     for out_dir, plan in arms.items():

@@ -17,8 +17,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint
 from .data import EncodedDataset
 from .metrics import MetricsWriter
-from .pipeline import (PruneSpec, StagePlan, limit_worker_threads, run_arms, run_stage,
-                       stage_rng, stage_summary)
+from .pipeline import PruneSpec, StagePlan, run_arms, run_stage, stage_rng, stage_summary
 from .presets import (_finetune_stage, _hp, plan_iterative_width_depth_three_stage,
                       plan_iterative_width_two_stage)
 from .pruning import ArchitectureTarget
@@ -32,22 +31,28 @@ def sweep_architectures(teacher_ckpt, archs: list[dict],
     with cross-entropy, and report the dev metric per architecture.
 
     archs entries: {"name": str, "target": {"H":…, "L":…, "d_I":…, "r":…}}.
+    Every arch's stage is built, and so checked, before any trains.
     """
-    limit_worker_threads()
     hp = _hp(hp)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     teacher_ck = load_checkpoint(teacher_ckpt)
-    rows = []
+    stages = {}
     for arch in archs:
         name, target = arch["name"], ArchitectureTarget.from_dict(arch["target"])
+        if name in stages:
+            raise ValueError(f"architecture name {name!r} appears twice")
+        target.deltas(teacher_ck.config)
+        stages[name] = replace(_finetune_stage(hp), name=f"arch_{name}",
+                               prune=PruneSpec(mode="one_step", target=target))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for arch, stage in zip(archs, stages.values()):
         student = teacher_ck.to_model()
-        stage = replace(_finetune_stage(hp), name=f"arch_{name}",
-                        prune=PruneSpec(mode="one_step", target=target))
-        with MetricsWriter(out_dir / f"arch_{name}.ndjson") as metrics:
+        with MetricsWriter(out_dir / f"{stage.name}.ndjson") as metrics:
             run_stage(stage, student, None, datasets, metrics, stage_rng(seed, 1),
                       eval_kind)
-        rows.append(stage_summary(student, metrics, name=name, target=arch["target"]))
+        rows.append(stage_summary(student, metrics, name=arch["name"],
+                                  target=arch["target"]))
     _write_summary(out_dir, rows)
     return rows
 

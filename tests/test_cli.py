@@ -44,9 +44,9 @@ def test_make_data_writes_all_files(workspace):
 
 
 def test_finetune_writes_checkpoint_and_metrics(workspace):
-    ck = load_checkpoint(workspace / "run" / "teacher.rst")
+    ck = load_checkpoint(workspace / "run" / "stage0_finetune.rst")
     assert ck.stage == "finetune"
-    rows = read_ndjson(workspace / "run" / "finetune.ndjson")
+    rows = read_ndjson(workspace / "run" / "stage0_finetune.ndjson")
     assert len(rows) == 9  # 48/16 batches x 3 epochs
     assert all("schema_version" in r for r in rows)
 
@@ -68,13 +68,13 @@ def test_finetune_dev_metric_is_last_record(workspace, capsys, monkeypatch):
                "--seed", "1"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip())
-    rows = read_ndjson(workspace / "ft_again" / "finetune.ndjson")
+    rows = read_ndjson(workspace / "ft_again" / "stage0_finetune.ndjson")
     assert out["dev_metric"] == rows[-1]["eval_metric"]
     assert len(calls.read_text()) == sum("eval_metric" in r for r in rows)
 
 
 def test_eval_subcommand(workspace, capsys):
-    rc = main(["eval", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+    rc = main(["eval", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
                "--data", str(workspace / "data"), "--split", "dev"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip())
@@ -83,14 +83,14 @@ def test_eval_subcommand(workspace, capsys):
 
 
 def test_eval_unlabeled_split_exits_1(workspace, capsys):
-    rc = main(["eval", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+    rc = main(["eval", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
                "--data", str(workspace / "data"), "--split", "train_aug"])
     assert rc == 1
     assert "64 of 64 rows are unlabeled" in capsys.readouterr().err
 
 
 def test_eval_mcc_flag(workspace, capsys):
-    rc = main(["eval", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+    rc = main(["eval", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
                "--data", str(workspace / "data"), "--metric", "mcc"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip())
@@ -99,7 +99,7 @@ def test_eval_mcc_flag(workspace, capsys):
 
 
 def test_inspect_reports_importance_with_data(workspace, capsys):
-    rc = main(["inspect", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+    rc = main(["inspect", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
                "--data", str(workspace / "data")])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip())
@@ -109,7 +109,7 @@ def test_inspect_reports_importance_with_data(workspace, capsys):
 
 
 def test_prune_one_step_subcommand(workspace, capsys):
-    rc = main(["prune-one-step", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+    rc = main(["prune-one-step", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
                "--target", '{"H":1,"L":1,"d_I":16,"r":4}',
                "--data", str(workspace / "data"),
                "--out", str(workspace / "pruned")])
@@ -123,7 +123,7 @@ def test_prune_one_step_subcommand(workspace, capsys):
 def test_prune_one_step_rejects_seed(workspace, capsys):
     # one_step_prune draws no RNG; the pruned checkpoint keeps the input's seed
     with pytest.raises(SystemExit) as exc:
-        main(["prune-one-step", "--checkpoint", str(workspace / "run" / "teacher.rst"),
+        main(["prune-one-step", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
               "--target", '{"H":1}', "--data", str(workspace / "data"),
               "--out", str(workspace / "pruned_seed"), "--seed", "1"])
     assert exc.value.code == 2
@@ -131,7 +131,7 @@ def test_prune_one_step_rejects_seed(workspace, capsys):
 
 def test_factorize_embedding_subcommand(workspace, capsys):
     rc = main(["factorize-embedding", "--checkpoint",
-               str(workspace / "run" / "teacher.rst"), "--rank", "4",
+               str(workspace / "run" / "stage0_finetune.rst"), "--rank", "4",
                "--out", str(workspace / "fact")])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip())
@@ -258,6 +258,48 @@ def test_finetune_rejects_unknown_train_keys(workspace, capsys):
     assert not (workspace / "ft_typo_out").exists()
 
 
+def test_finetune_writes_the_bytes_of_a_plans_stage0(workspace, capsys):
+    model = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
+    (workspace / "ft_stage0.json").write_text(json.dumps(
+        {"model": model, "train": {"epochs": 2, "batch_size": 16, "base_lr": 3e-3}}))
+    (workspace / "plan_stage0.json").write_text(json.dumps(
+        {"preset": "one_step_one_stage", "model": model,
+         "target": {"H": 1, "L": 1, "d_I": 16, "r": 4},
+         "hp": {"finetune_epochs": 2, "batch_size": 16, "finetune_lr": 3e-3,
+                "kd_epochs": 1}}))
+    assert main(["finetune", "--config", str(workspace / "ft_stage0.json"), "--data",
+                 str(workspace / "data"), "--out", str(workspace / "ft_stage0"),
+                 "--seed", "3"]) == 0
+    out = json.loads(capsys.readouterr().out.strip())
+    assert sorted(out) == ["checkpoint", "dev_metric", "param_count"]
+    assert main(["run-plan", "--plan", str(workspace / "plan_stage0.json"), "--data",
+                 str(workspace / "data"), "--out", str(workspace / "plan_stage0"),
+                 "--seed", "3"]) == 0
+    for suffix in (".rst", ".ndjson"):
+        name = "stage0_finetune" + suffix
+        assert (workspace / "ft_stage0" / name).read_bytes() == \
+            (workspace / "plan_stage0" / name).read_bytes(), name
+
+
+def test_unknown_task_metric_fails_before_training(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in (workspace / "data").iterdir():
+        (data / f.name).write_bytes(f.read_bytes())
+    info = json.loads((data / "task.json").read_text())
+    (data / "task.json").write_text(json.dumps({**info, "metric": "f1"}))
+    (tmp_path / "plan.json").write_text(json.dumps(
+        {"preset": "scratch", "target": {"H": 1},
+         "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+         "hp": {"finetune_epochs": 1, "batch_size": 16}}))
+    rc = main(["run-plan", "--plan", str(tmp_path / "plan.json"), "--data", str(data),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'f1'" in err and "accuracy" in err and "mcc" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_plan_examples_load(workspace):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Plans\n", 1)[1].split("\n## ", 1)[0]
@@ -325,7 +367,7 @@ def test_sweep_architectures_subcommand(workspace, capsys):
                 {"name": "b", "target": {"H": 2, "L": 1, "d_I": 8, "r": 2}}],
             "hp": {"finetune_epochs": 1, "batch_size": 16}}
     (workspace / "archs.json").write_text(json.dumps(spec))
-    rc = main(["sweep-architectures", "--teacher", str(workspace / "run" / "teacher.rst"),
+    rc = main(["sweep-architectures", "--teacher", str(workspace / "run" / "stage0_finetune.rst"),
                "--archs", str(workspace / "archs.json"),
                "--data", str(workspace / "data"),
                "--out", str(workspace / "archs_out")])
@@ -337,6 +379,25 @@ def test_sweep_architectures_subcommand(workspace, capsys):
     for row in rows:
         last = read_ndjson(workspace / "archs_out" / f"arch_{row['name']}.ndjson")[-1]
         assert row["eval_metric"] == last["eval_metric"]
+
+
+@pytest.mark.parametrize("archs, message", [
+    ([{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"H": 9}}], "H = 9"),
+    ([{"name": "a", "target": {"H": 1}}, {"name": "a", "target": {"d_I": 8}}],
+     "'a' appears twice"),
+], ids=["target_above_teacher", "duplicate_name"])
+def test_sweep_architectures_checks_every_arch_before_training(workspace, capsys,
+                                                               archs, message):
+    (workspace / "bad_archs.json").write_text(json.dumps(
+        {"architectures": archs, "hp": {"finetune_epochs": 1, "batch_size": 16}}))
+    out = workspace / "bad_archs_out"
+    rc = main(["sweep-architectures",
+               "--teacher", str(workspace / "run" / "stage0_finetune.rst"),
+               "--archs", str(workspace / "bad_archs.json"),
+               "--data", str(workspace / "data"), "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _args_reads(fn) -> set[str]:

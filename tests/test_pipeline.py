@@ -4,10 +4,12 @@ optimizer surgery, and end-to-end determinism."""
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import time
 import weakref
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,27 +274,39 @@ def tiny_model_dict(info, **over):
     return d
 
 
-def test_thread_cap_reads_back_from_openblas(monkeypatch):
+def test_thread_cap_reads_back_from_openblas():
     blas = PL._openblas()
     if blas is None:
         pytest.skip("no OpenBLAS is mapped into this process, so no thread count "
                     "can be set or read back")
     set_threads, get_threads = blas
     set_threads(2)
-    monkeypatch.setenv("ROSITA_MINI_THREADS", "1")
-    assert PL.limit_worker_threads() == 1
+    PL._cap_blas_threads()
     assert get_threads() == 1
 
 
-def test_thread_cap_warns_once_without_openblas(monkeypatch, capsys):
+def test_import_caps_blas_threads_over_the_environment():
+    if PL._openblas() is None:
+        pytest.skip("no OpenBLAS is mapped into this process")
+    src = Path(PL.__file__).resolve().parents[1]
+    probe = "import rosita_mini.pipeline as PL; print(PL._openblas()[1]())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "1"
+    assert out.stderr == ""
+
+
+def test_thread_cap_warns_when_it_does_not_apply(monkeypatch, capsys):
     monkeypatch.setattr(PL, "_openblas", lambda: None)
-    monkeypatch.setattr(PL, "_warned_uncapped", False)
-    monkeypatch.setenv("ROSITA_MINI_THREADS", "3")
-    assert PL.limit_worker_threads() is None
-    assert PL.limit_worker_threads() is None
+    PL._cap_blas_threads()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "no OpenBLAS" in err[0] and "cap of 3" in err[0]
+    assert len(err) == 1 and "no OpenBLAS" in err[0]
     assert not PL._cpu_spare()
+    monkeypatch.setattr(PL, "_openblas", lambda: (lambda n: None, lambda: 2))
+    PL._cap_blas_threads()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "reports 2 threads" in err[0]
 
 
 def test_step_graph_is_freed_before_the_next_forward(task_dir, tmp_path, monkeypatch):
@@ -462,7 +476,6 @@ class TestOverlappedEval:
     def test_forks_only_with_cpus_for_two_capped_workers(self, monkeypatch):
         reported = [1]  # the thread count OpenBLAS reports
         monkeypatch.setattr(PL, "_openblas", lambda: (None, lambda: reported[0]))
-        monkeypatch.setenv("ROSITA_MINI_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert not PL._cpu_spare()
         assert list(PL._map_batches(lambda b: os.getpid(), [0, 1, 2])) == [os.getpid()] * 3
