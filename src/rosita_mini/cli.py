@@ -25,8 +25,15 @@ from .pruning import ArchitectureTarget, unit_importance
 from .sweeps import LR_KIND_ALIASES, sweep_architectures, sweep_frequency
 
 
-def _read_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def _read_json(path, *required) -> dict:
+    return _require(json.loads(Path(path).read_text(encoding="utf-8")), path, *required)
+
+
+def _require(cfg: dict, path, *keys) -> dict:
+    """`cfg`, read from `path`, once it is known to have every one of `keys`."""
+    if missing := [key for key in keys if key not in cfg]:
+        raise ValueError(f"{path}: missing required key(s) {missing}")
+    return cfg
 
 
 def _load_data(args, max_len: int | None = None):
@@ -72,12 +79,12 @@ _TRAIN_KEYS = ("dataset", "epochs", "batch_size", "lr_kind", "base_lr", "dropout
 
 def cmd_finetune(args) -> int:
     """The stage 0 of every distillation preset, run as a one-stage plan."""
-    cfg = _read_json(args.config)
+    cfg = _read_json(args.config, "model")
     train = cfg.get("train", {})
     unknown = sorted(set(train) - set(_TRAIN_KEYS))
     if unknown:
         raise ValueError(f"unknown train keys {unknown}; known: {sorted(_TRAIN_KEYS)}")
-    vocab, splits, info = _load_data(args, cfg.get("model", {}).get("max_len"))
+    vocab, splits, info = _load_data(args, cfg["model"].get("max_len"))
     plan = StagePlan(_with_data_defaults(cfg["model"], vocab, info),
                      [replace(_finetune_stage(HP_DEFAULTS), **train)])
     [summary] = run_plan(plan, splits, args.out, seed=args.seed, eval_kind=info["metric"])
@@ -113,6 +120,7 @@ def cmd_prune_one_step(args) -> int:
 
 def _plan_from_file(path, vocab, info) -> StagePlan:
     raw = _read_json(path)
+    _require(raw, path, "model", "target" if "preset" in raw else "stages")
     if "preset" in raw:
         plan = build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
     else:
@@ -134,7 +142,7 @@ def cmd_run_plan(args) -> int:
 
 def cmd_sweep_architectures(args) -> int:
     vocab, splits, info = _load_data(args)
-    spec = _read_json(args.archs)
+    spec = _read_json(args.archs, "architectures")
     rows = sweep_architectures(args.teacher, spec["architectures"], splits,
                                args.out, seed=args.seed, hp=spec.get("hp"),
                                eval_kind=info["metric"])
@@ -144,7 +152,7 @@ def cmd_sweep_architectures(args) -> int:
 
 def cmd_sweep_frequency(args) -> int:
     vocab, splits, info = _load_data(args)
-    cfg = _read_json(args.config)
+    cfg = _read_json(args.config, "model", "target")
     model = _with_data_defaults(cfg["model"], vocab, info)
     fractions = [float(f) for f in args.fractions.split(",")]
     kinds = args.lr_schedule.split(",")

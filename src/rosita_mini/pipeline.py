@@ -17,16 +17,17 @@ not read back as 1, stderr says so.
 
 Where the process has a CPU to spare (`_cpu_spare`: fork exists, and the
 process has CPUs for two workers of the BLAS thread count that OpenBLAS
-reports), forked children work on the second core. A stage's dev evals
-run in one, on the student as it was at that step, while training goes
-on. `evaluate` and the one-step Taylor scoring split their batches with a
-helper that computes every other batch (`_map_batches`). The records,
-metrics and scores are the ones one core computes, and a forked child
-never forks again, so the dev-eval child evaluates on one core.
+reports), a forked `_Worker` computes on the second core until the end of
+its block kills and reaps it. One runs a stage's dev evals while training
+goes on; one computes every other batch of `evaluate` and of the one-step
+Taylor scoring (`_map_batches`). The records, metrics and scores are the
+ones one core computes, and a worker never forks again, so the dev-eval
+child evaluates on one core.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import gc
@@ -44,7 +45,7 @@ from .data import EncodedDataset, batches_per_epoch, iter_batches
 from .distillation import (KDConfig, LayerMap, build_layer_map, hidden_mse,
                            soft_cross_entropy)
 from .factorization import factorize_model_embedding
-from .metrics import MetricsWriter, eval_metric
+from .metrics import MetricsWriter, check_metric_kind, eval_metric
 from .model import Model, ModelConfig, count_params, cross_entropy
 from .optim import Adam
 from .pruning import (UNIT_DIMS, ArchitectureTarget, ImportanceLedger, apply_surgery,
@@ -253,6 +254,7 @@ class StagePlan:
 
 def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
+    check_metric_kind(kind)
     if not len(data):
         raise ValueError(f"evaluate: the split has {len(data)} rows; evaluate on a "
                          "split with rows")
@@ -368,112 +370,123 @@ def _cpu_spare() -> bool:
     return cpus >= 2 * blas[1]()
 
 
-def _fork() -> int:
-    """os.fork(); the child is marked so that it never forks again."""
-    global _in_worker
-    pid = os.fork()
-    if pid == 0:
+class _Worker:
+    """A forked child that computes fn(item) for each item `send` gives it,
+    while this process goes on. `receive` returns the outcomes in order:
+    fn's value, or its exception raised again here (from Python 3.11 with
+    the child's traceback as a note). The child works on its own copy of
+    what fn uses, never forks again, and stops after the first item that
+    raises. Leaving the `with` block kills and reaps it.
+    """
+
+    def __init__(self, fn, name: str):
+        self._name = name
+        requests, tx = os.pipe()
+        rx, replies = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            os.close(tx)
+            os.close(rx)
+            self._serve(fn, requests, replies)
+        os.close(requests)
+        os.close(replies)
+        self._tx, self._rx = os.fdopen(tx, "wb"), os.fdopen(rx, "rb")
+
+    @staticmethod
+    def _serve(fn, requests: int, replies: int) -> None:
+        """The child's loop; it ends the process without the parent's exit code."""
+        global _in_worker
         _in_worker = True
         gc.freeze()  # inherited objects are the parent's to collect
-    return pid
+        try:
+            with os.fdopen(requests, "rb") as rx, os.fdopen(replies, "wb") as tx:
+                while rx.peek(1):  # b"" once the parent's end is closed
+                    try:
+                        outcome = (True, fn(pickle.load(rx)), "")
+                    except BaseException as exc:  # raised again in the parent
+                        import traceback
+                        outcome = (False, exc, traceback.format_exc())
+                    try:
+                        blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+                    except Exception:
+                        blob = pickle.dumps((False, RuntimeError(repr(outcome[1])),
+                                             outcome[2]))
+                    tx.write(blob)
+                    tx.flush()
+                    if not outcome[0]:
+                        break
+        finally:
+            os._exit(0)
 
+    def send(self, item) -> None:
+        with contextlib.suppress(BrokenPipeError):  # the child has ended; `receive` says so
+            pickle.dump(item, self._tx, protocol=pickle.HIGHEST_PROTOCOL)
+            self._tx.flush()
 
-def _serve(replies: int, fn, items) -> None:
-    """A forked child's loop: for each item, write the pickled outcome of
-    fn(item) to the pipe `replies`, stopping after the first item that
-    raises. It ends the process, without running any of the parent's exit
-    code, when the items run out. `_receive` reads the outcomes."""
-    try:
-        with os.fdopen(replies, "wb") as tx:
-            for item in items:
-                try:
-                    outcome = (True, fn(item), "")
-                except BaseException as exc:  # raised again in the parent
-                    import traceback
-                    outcome = (False, exc, traceback.format_exc())
-                try:
-                    blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-                except Exception:
-                    blob = pickle.dumps((False, RuntimeError(repr(outcome[1])), outcome[2]))
-                tx.write(blob)
-                tx.flush()
-                if not outcome[0]:
-                    break
-    finally:
-        os._exit(0)
+    def receive(self):
+        try:
+            ok, value, child_tb = pickle.load(self._rx)
+        except EOFError:
+            raise RuntimeError(f"the {self._name} process ended without a result") from None
+        if not ok:
+            if hasattr(value, "add_note"):  # Python 3.11 and later
+                value.add_note(f"raised in the {self._name} process:\n{child_tb}")
+            raise value
+        return value
 
+    def __enter__(self):
+        return self
 
-def _receive(rx, child: str):
-    """The next outcome that `_serve` wrote to `rx`: its value, or its
-    exception raised again here (from Python 3.11 with the child's
-    traceback as a note)."""
-    try:
-        ok, value, child_tb = pickle.load(rx)
-    except EOFError:
-        raise RuntimeError(f"the {child} process ended without a result") from None
-    if not ok:
-        if hasattr(value, "add_note"):  # Python 3.11 and later
-            value.add_note(f"raised in the {child} process:\n{child_tb}")
-        raise value
-    return value
+    def __exit__(self, *exc):
+        import signal
+        os.kill(self._pid, signal.SIGKILL)  # a no-op on a child that has ended
+        os.waitpid(self._pid, 0)
+        self._rx.close()
+        with contextlib.suppress(BrokenPipeError):  # what a failed `send` left buffered
+            self._tx.close()
 
 
 def _map_batches(fn, batches: list):
     """Yield fn(batch) for each of `batches`, in batch order.
 
-    Where a CPU is spare and there are at least two batches, a forked
-    helper computes every other batch, on its own copy of what fn uses,
-    and sends each result as soon as it has it, while this process
-    computes the rest; the pipe bounds the results in flight. An exception
-    in the helper is raised again here. When this side raises, or the
-    consumer stops early, the helper is killed and reaped.
+    Where a CPU is spare and there are at least two batches, a `_Worker`
+    computes every other batch while this process computes the rest. It is
+    asked for at most two batches ahead, so neither side can fill a pipe
+    that the other is not reading.
     """
     if len(batches) < 2 or _in_worker or not _cpu_spare():
         yield from map(fn, batches)
         return
-    rx, tx = os.pipe()
-    pid = _fork()
-    if pid == 0:
-        os.close(rx)
-        _serve(tx, fn, batches[1::2])
-    os.close(tx)
-    try:
-        with os.fdopen(rx, "rb") as replies:
-            for i, batch in enumerate(batches):
-                yield _receive(replies, "batch helper") if i % 2 else fn(batch)
-    finally:
-        import signal
-        os.kill(pid, signal.SIGKILL)  # a no-op on a helper that has finished
-        os.waitpid(pid, 0)
+    with _Worker(lambda i: fn(batches[i]), "batch helper") as helper:
+        helper.send(1)
+        for i, batch in enumerate(batches):
+            if i % 2:
+                yield helper.receive()
+                continue
+            if i + 3 < len(batches):
+                helper.send(i + 3)  # the helper's batch after next
+            yield fn(batch)
 
 
 class _DevEvals:
-    """A stage's dev evals, run in one forked child process while the
-    parent goes on training.
+    """A stage's dev evals, run in one forked `_Worker` while the parent
+    goes on training.
 
     Each eval sends the child a copy of the student's config and arrays as
     they are at that step. The record of an eval step, and every record
-    after it, is held until that eval's metric is back and is then written
-    in step order: the stream is byte-identical to evaluating inline. At
-    most one eval is in flight. Leaving the `with` block waits for it,
-    writes what is held and ends the child; an exception raised by the
-    eval is raised again in the parent (from Python 3.11 with the child's
-    traceback as a note). Where `_cpu_spare()` is false, each eval runs
-    inline.
+    after it, is held until the next eval or the end of the `with` block,
+    which wait for the metric, and is then written in step order: the
+    stream is byte-identical to evaluating inline, which is how each eval
+    runs where `_cpu_spare()` is false. At most one eval is in flight.
     """
 
     def __init__(self, metrics: MetricsWriter, data: EncodedDataset | None, kind: str):
         self._metrics = metrics
         self._data, self._kind = data, kind
-        self._pid = 0  # the child, if there is one
-        self._tx = self._rx = None
+        self._worker = None
         self._held: list[dict] = []  # an eval's record and the ones after it
 
     def write(self, record: dict) -> None:
-        if self._held:
-            import select
-            if select.select([self._rx], [], [], 0)[0]:  # the eval is back
-                self._collect()
         if self._held:
             self._held.append(record)
         else:
@@ -483,13 +496,11 @@ class _DevEvals:
         """Evaluate `model` as it is now into `record["eval_metric"]`."""
         self._collect()
         record["eval_metric_kind"] = self._kind
-        if not self._pid:
+        if self._worker is None:
             record["eval_metric"] = evaluate(model, self._data, self._kind)
             self._metrics.write(record)
             return
-        arrays = {name: p.data for name, p in model.params.items()}
-        pickle.dump((model.config, arrays), self._tx, protocol=pickle.HIGHEST_PROTOCOL)
-        self._tx.flush()
+        self._worker.send((model.config, {name: p.data for name, p in model.params.items()}))
         self._held = [record]
 
     def _collect(self) -> None:
@@ -497,7 +508,7 @@ class _DevEvals:
         if not self._held:
             return
         held, self._held = self._held, []
-        held[0]["eval_metric"] = _receive(self._rx, "dev eval")
+        held[0]["eval_metric"] = self._worker.receive()
         for record in held:
             self._metrics.write(record)
 
@@ -505,28 +516,8 @@ class _DevEvals:
         # forked before the training steps grow the heap, so the child
         # keeps few pages that the parent goes on to rewrite
         if self._data is not None and _cpu_spare():
-            child_rx, tx = os.pipe()
-            rx, child_tx = os.pipe()
-            self._pid = _fork()
-            if self._pid == 0:
-                os.close(tx)
-                os.close(rx)
-                _serve(child_tx, self._evaluate, self._requests(child_rx))
-            os.close(child_rx)
-            os.close(child_tx)
-            self._tx, self._rx = os.fdopen(tx, "wb"), os.fdopen(rx, "rb")
+            self._worker = _Worker(self._evaluate, "dev eval")
         return self
-
-    @staticmethod
-    def _requests(fd: int):
-        """In the child: each (config, arrays) that `submit` sends, until the
-        parent closes its end."""
-        with os.fdopen(fd, "rb") as rx:
-            while True:
-                try:
-                    yield pickle.load(rx)
-                except EOFError:
-                    return
 
     def _evaluate(self, request) -> float:
         config, arrays = request
@@ -537,12 +528,8 @@ class _DevEvals:
         try:
             self._collect()
         finally:
-            if self._pid:
-                self._tx.close()  # the child's EOF
-                self._rx.close()
-                os.waitpid(self._pid, 0)
-                self._pid = 0
-        return False
+            if self._worker is not None:
+                self._worker.__exit__()
 
 
 def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset]) -> EncodedDataset:
@@ -664,15 +651,18 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
              seed: int = 0, eval_kind: str = "accuracy") -> dict[Path, list[dict]]:
     """Run each arm's plan into its directory; return its stage summaries.
 
-    Every arm's stages are checked before any trains. Stage k draws
-    `stage_rng(seed, k)`; its teacher is reloaded from the arm's written
-    checkpoints. A stage whose prefix (plan model and stages 0..k) an
-    earlier arm trained is linked in, not trained again, so each directory
-    holds what a lone `run_plan` of its arm writes.
+    The metric kind and every arm's stages are checked before any trains.
+    Stage k draws `stage_rng(seed, k)`; its teacher is reloaded from the
+    arm's written checkpoints. A stage whose prefix (plan model and stages
+    0..k) an earlier arm trained is linked in, not trained again, so each
+    directory holds what a lone `run_plan` of its arm writes.
     """
+    check_metric_kind(eval_kind)
     for plan in arms.values():
         for stage in plan.stages:
             _stage_data(stage, datasets)
+            if stage.teacher is None:
+                ModelConfig.from_dict(stage.model or plan.model)
     trained = {}  # a prefix's repr -> (the directory that holds it, its summary)
     results = {}
     for out_dir, plan in arms.items():

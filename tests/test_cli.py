@@ -258,6 +258,28 @@ def test_finetune_rejects_unknown_train_keys(workspace, capsys):
     assert not (workspace / "ft_typo_out").exists()
 
 
+@pytest.mark.parametrize("command, flag, config, missing", [
+    ("finetune", "--config", {"train": {"epochs": 1}}, "['model']"),
+    ("sweep-frequency", "--config", {"model": {"H": 2}}, "['target']"),
+    ("run-plan", "--plan", {"preset": "scratch"}, "['model', 'target']"),
+    ("run-plan", "--plan", {"model": {"H": 2}}, "['stages']"),
+    ("sweep-architectures", "--archs", {"hp": {}}, "['architectures']"),
+], ids=["finetune", "sweep_frequency", "preset_plan", "explicit_plan", "architectures"])
+def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, command,
+                                               flag, config, missing):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    extra = {"sweep-frequency": ["--fractions", "0.5", "--lr-schedule", "constant"],
+             "sweep-architectures": ["--teacher",
+                                     str(workspace / "run" / "stage0_finetune.rst")]}
+    rc = main([command, flag, str(path), "--data", str(workspace / "data"),
+               "--out", str(tmp_path / "out"), *extra.get(command, [])])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"rosita-mini: error: {path}: missing required key(s) {missing}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_finetune_writes_the_bytes_of_a_plans_stage0(workspace, capsys):
     model = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
     (workspace / "ft_stage0.json").write_text(json.dumps(

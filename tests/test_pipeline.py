@@ -259,6 +259,14 @@ class TestPlanValidation:
         assert again == plan
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test leaves no child process behind: each forked one is reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="module")
 def task_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("task")
@@ -347,6 +355,17 @@ def test_evaluate_rejects_unlabeled_rows(task_dir):
     dev.labels[3] = -1
     with pytest.raises(ValueError, match="1 of 32 rows"):
         PL.evaluate(model, dev)
+
+
+def test_evaluate_checks_the_metric_kind_before_any_forward(task_dir, monkeypatch):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    model = Model.init(ModelConfig(**tiny_model_dict(info)), 0)
+    forwards = []
+    monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: forwards.append(1))
+    with pytest.raises(ValueError, match="unknown metric kind 'f1'"):
+        PL.evaluate(model, splits["dev"], "f1")
+    assert forwards == []
 
 
 def test_evaluate_rejects_an_empty_split(task_dir):
@@ -455,11 +474,6 @@ def _param_digest(model: Model) -> str:
     return h.hexdigest()
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestOverlappedEval:
     """run_stage evaluates the dev split in a forked child, on the student
     of the eval's step, while training goes on; the records stay the ones
@@ -499,7 +513,6 @@ class TestOverlappedEval:
                 run_stage(self.iterative_stage(), student, None, splits, metrics,
                           np.random.default_rng(1))
             streams.append((tmp_path / f"{fork}.ndjson").read_bytes())
-        assert_no_child_left()
         assert streams[0] == streams[1]
         assert b'"eval_metric"' in streams[0]
 
@@ -531,7 +544,6 @@ class TestOverlappedEval:
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
             run_stage(self.iterative_stage(), student, None, splits, metrics,
                       np.random.default_rng(1))
-        assert_no_child_left()
         rows = read_ndjson(tmp_path / "m.ndjson")
         assert [r["step"] for r in rows] == list(range(1, 7))
         assert [r["H"] for r in rows] == [2, 2, 1, 1, 1, 1]
@@ -561,7 +573,6 @@ class TestOverlappedEval:
         assert type(excinfo.value) is ValueError and excinfo.value.args == ("eval failed",)
         if sys.version_info >= (3, 11):
             assert "in evaluate" in excinfo.value.__notes__[0]
-        assert_no_child_left()
         assert [r["step"] for r in read_ndjson(tmp_path / "m.ndjson")] == [1]
 
     def test_child_ending_without_a_result_is_an_error(self, task_dir, tmp_path,
@@ -575,7 +586,6 @@ class TestOverlappedEval:
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
             with pytest.raises(RuntimeError, match="ended without a result"):
                 run_stage(stage, model, None, splits, metrics, np.random.default_rng(6))
-        assert_no_child_left()
 
     def test_nan_loss_keeps_records_before_it(self, task_dir, tmp_path, monkeypatch):
         path, info = task_dir
@@ -606,7 +616,6 @@ class TestOverlappedEval:
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
             with pytest.raises(FloatingPointError, match="at step 6$"):
                 run_stage(stage, model, None, splits, metrics, np.random.default_rng(7))
-        assert_no_child_left()
         rows = read_ndjson(tmp_path / "m.ndjson")
         assert [r["step"] for r in rows] == [1, 2, 3, 4, 5]
         assert ["eval_metric" in r for r in rows] == [False, True, False, True, False]
@@ -620,12 +629,11 @@ class TestBatchHelper:
     def test_results_come_back_in_batch_order(self, monkeypatch):
         monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
         parent = os.getpid()
-        for n in (1, 2, 5):
+        for n in (1, 2, 5, 12):
             out = list(PL._map_batches(lambda b: (b, os.getpid()), list(range(n))))
             assert [b for b, _ in out] == list(range(n))
             assert all(pid == parent for _, pid in out[0::2])
             assert all(pid != parent for _, pid in out[1::2])
-        assert_no_child_left()
 
     def test_forked_and_inline_results_are_the_same(self, task_dir, monkeypatch):
         path, info = task_dir
@@ -650,7 +658,6 @@ class TestBatchHelper:
             runs.append((metrics, [(led.batches_seen,
                                     {k: v.tobytes() for k, v in led.scores.items()})
                                    for led in ledgers]))
-        assert_no_child_left()
         assert runs[0] == runs[1]
         assert [seen for seen, _ in runs[0][1]] == [3, 3]
 
@@ -672,7 +679,6 @@ class TestBatchHelper:
         assert excinfo.value.args == ("helper batch", 10)
         if sys.version_info >= (3, 11):
             assert "in forward" in excinfo.value.__notes__[0]
-        assert_no_child_left()
 
     def test_helper_is_reaped_when_this_side_stops(self, task_dir, monkeypatch):
         path, info = task_dir
@@ -689,7 +695,6 @@ class TestBatchHelper:
         monkeypatch.setattr(Model, "forward", forward)
         with pytest.raises(RuntimeError, match="parent batch"):
             PL.evaluate(model, splits["dev"], batch_size=4)
-        assert_no_child_left()
         # the helper's first batch would outlast the test, were it not killed
         results = PL._map_batches(lambda b: b if os.getpid() == parent else time.sleep(60),
                                   list(range(6)))
@@ -697,7 +702,6 @@ class TestBatchHelper:
         assert next(results) == 0
         results.close()  # the consumer stops early
         assert time.monotonic() - started < 30
-        assert_no_child_left()
 
     def test_children_never_fork_again(self, task_dir, tmp_path, monkeypatch):
         def pids(_item=None):  # the processes that compute a 3-batch map
@@ -720,7 +724,6 @@ class TestBatchHelper:
         assert len(rows) == 3
         assert all(len(r["eval_metric"]) == 1 and parent not in r["eval_metric"]
                    for r in rows)
-        assert_no_child_left()
 
 
 class TestRunPlan:
@@ -804,14 +807,22 @@ class TestRunPlan:
         for name in teacher:
             np.testing.assert_array_equal(student[name], teacher[name])
 
-    def test_unloaded_dataset_fails_before_stage_0(self, task_dir, tmp_path):
+    @pytest.mark.parametrize("later, eval_kind, message", [
+        (dict(dataset="nope"), "accuracy", "'nope' not loaded"),
+        (dict(model=dict(L=0)), "accuracy", "needs H, L, d_I >= 1"),
+        ({}, "bogus", "unknown metric kind 'bogus'"),
+    ], ids=["dataset", "model", "eval_kind"])
+    def test_bad_later_stage_or_kind_fails_before_stage_0(self, task_dir, tmp_path,
+                                                          later, eval_kind, message):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
+        if "model" in later:
+            later = {"model": tiny_model_dict(info, **later["model"])}
         plan = StagePlan(model=tiny_model_dict(info), stages=[
             StageSpec(name="ft", dataset="train", epochs=1),
-            StageSpec(name="more", dataset="nope", epochs=1)])
-        with pytest.raises(ValueError, match="'nope' not loaded"):
-            run_plan(plan, splits, tmp_path / "out")
+            StageSpec(**{"name": "more", "dataset": "train", "epochs": 1, **later})])
+        with pytest.raises(ValueError, match=message):
+            run_plan(plan, splits, tmp_path / "out", eval_kind=eval_kind)
         assert not (tmp_path / "out").exists()
 
     def test_different_seed_differs(self, task_dir, tmp_path):
