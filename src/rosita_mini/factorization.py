@@ -165,9 +165,8 @@ def factorize_model_embedding(model, rank: int) -> None:
 
     if model.config.factorized:
         raise RuntimeError("embedding is already factorized")
-    k = min(model.config.vocab_size, model.config.d_X)
-    if not 1 <= rank <= k:
-        raise ValueError(f"factorization rank {rank} outside [1, {k}]")
+    if not 1 <= rank <= model.config.full_rank:
+        raise ValueError(f"factorization rank {rank} outside [1, {model.config.full_rank}]")
     dense = model.params["emb.W"]
     result = svd(dense.data)
     e_u, e_v = truncate(result, rank)

@@ -49,17 +49,19 @@ class ModelConfig:
                 f"attention width H*head_dim = {self.H * self.head_dim} "
                 f"exceeds d_X = {self.d_X}"
             )
-        if self.r < 0 or self.r > min(self.vocab_size, self.d_X):
-            raise ValueError(
-                f"rank r = {self.r} outside [0, min(|V|, d_X) = "
-                f"{min(self.vocab_size, self.d_X)}]"
-            )
+        if self.r < 0 or self.r > self.full_rank:
+            raise ValueError(f"rank r = {self.r} outside [0, min(|V|, d_X) = {self.full_rank}]")
         if self.vocab_size < 1 or self.max_len < 1 or self.n_classes < 2:
             raise ValueError("vocab_size, max_len >= 1 and n_classes >= 2 required")
 
     @property
     def factorized(self) -> bool:
         return self.r > 0
+
+    @property
+    def full_rank(self) -> int:
+        """The rank of a dense token embedding: min(|V|, d_X)."""
+        return min(self.vocab_size, self.d_X)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -48,8 +48,8 @@ from .factorization import factorize_model_embedding
 from .metrics import MetricsWriter, check_metric_kind, eval_metric
 from .model import Model, ModelConfig, count_params, cross_entropy
 from .optim import Adam
-from .pruning import (UNIT_DIMS, ArchitectureTarget, ImportanceLedger, apply_surgery,
-                      record_batch_scores, select_prune_set, weight_taylor_scores)
+from .pruning import (UNIT_DIMS, ArchitectureTarget, apply_surgery, record_batch_scores,
+                      record_scores, select_prune_set, weight_taylor_scores)
 
 # thread-count entry points of the OpenBLAS builds numpy ships with
 _OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
@@ -312,9 +312,13 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
 
 def collect_one_step_scores(student: Model, teacher: Model | None,
                             stage: StageSpec, data: EncodedDataset,
-                            layer_map: LayerMap | None) -> ImportanceLedger:
-    """Dataset-averaged Taylor scores with the stage's active loss, added
-    up in batch order wherever the batches were scored (`_map_batches`)."""
+                            layer_map: LayerMap | None) -> dict[str, np.ndarray]:
+    """Dataset-averaged Taylor scores with the stage's active loss: summed
+    in batch order wherever the batches were scored (`_map_batches`), then
+    divided once by the batch count."""
+    if not len(data):
+        raise ValueError(f"stage {stage.name!r}: one-step scoring needs rows, and "
+                         f"dataset {stage.dataset!r} has none")
 
     def batch_scores(batch):
         ids, mask, labels = batch
@@ -323,12 +327,15 @@ def collect_one_step_scores(student: Model, teacher: Model | None,
         loss.backward(leaves=student.parameters().values())
         return weight_taylor_scores(student)
 
-    ledger = ImportanceLedger(student, "one_step_average")
-    for scores in _map_batches(batch_scores, list(iter_batches(data, stage.batch_size))):
-        ledger.record(scores)
+    batches = list(iter_batches(data, stage.batch_size))
+    sums = {}
+    for scores in _map_batches(batch_scores, batches):
+        record_scores(sums, scores)
         del scores  # not held through the next batch's backward
     student.zero_grad()
-    return ledger
+    for s in sums.values():
+        s /= len(batches)  # in place, so the sums and the averages are not both held
+    return sums
 
 
 def one_step_prune(student: Model, teacher: Model | None, stage: StageSpec,
@@ -569,24 +576,22 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
 
     total_steps = stage.epochs * batches_per_epoch(len(data), stage.batch_size)
     event_steps, amounts = [], None
-    ledger = None
+    ledger = None  # Taylor score sums since the last pruning event
     if stage.prune is not None and stage.prune.mode == "iterative":
         if stage.prune.target.r is not None and not student.config.factorized:
             # iterative rank pruning trains the factors, so factorize at
             # full rank up front and let Taylor scores order the ranks
-            factorize_model_embedding(
-                student, min(student.config.vocab_size, student.config.d_X))
+            factorize_model_embedding(student, student.config.full_rank)
         event_steps, amounts = prune_events(student.config, stage.prune, total_steps)
-        ledger = ImportanceLedger(student, "iterative_accumulate")
+        ledger = {}
 
     optimizer = Adam(student.parameters())
     eval_every = max(1, total_steps // 25)
     dropout_key = int(rng.integers(2 ** 31)) if stage.dropout else 0
 
     step = 0
-    done = False
     with _DevEvals(metrics, datasets.get("dev"), eval_kind) as evals:
-        while not done:
+        for _ in range(stage.epochs):
             for ids, mask, labels in iter_batches(data, stage.batch_size, rng):
                 student.zero_grad()
                 loss, parts = _batch_loss(student, teacher, stage, layer_map,
@@ -607,7 +612,7 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                     units = select_prune_set(ledger, student, amounts)
                     report = apply_surgery(student, units)
                     optimizer.apply_surgery(report)
-                    ledger.reset_after_prune(student)
+                    ledger = {}
                     layer_map = fresh_layer_map()
 
                 record = {
@@ -621,9 +626,6 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                     evals.submit(record, student)
                 else:
                     evals.write(record)
-                if step >= total_steps:
-                    done = True
-                    break
     return student
 
 
@@ -658,11 +660,14 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
     directory holds what a lone `run_plan` of its arm writes.
     """
     check_metric_kind(eval_kind)
-    for plan in arms.values():
-        for stage in plan.stages:
+    for out_dir, plan in arms.items():
+        for k, stage in enumerate(plan.stages):
             _stage_data(stage, datasets)
             if stage.teacher is None:
-                ModelConfig.from_dict(stage.model or plan.model)
+                try:
+                    ModelConfig.from_dict(stage.model or plan.model)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{out_dir}: stage {k} {stage.name!r}: {exc}") from exc
     trained = {}  # a prefix's repr -> (the directory that holds it, its summary)
     results = {}
     for out_dir, plan in arms.items():

@@ -1,11 +1,13 @@
 """Taylor-importance scoring, aggregation to structural units, selection,
 and exact surgery on the parameter store.
 
-Per-weight importance is |dL/dW * W|, accumulated into a ledger either as
-a dataset average (one-step pruning) or as a running sum between pruning
-events (iterative pruning). Scores aggregate to FFN neurons, attention
-heads, and embedding ranks; layers are dropped keep-first instead of
-scored.
+Per-weight importance is |dL/dW * W|. A ledger is a plain dict from each
+scored parameter's name to its scores summed over the batches recorded
+into it (`record_scores`). One-step pruning divides the sums once by the
+batch count, a dataset average; iterative pruning ranks on the sums since
+the last pruning event and then starts a new ledger. Scores aggregate to
+FFN neurons, attention heads, and embedding ranks; layers are dropped
+keep-first instead of scored.
 
 `UNIT_SLICES` is the one statement of where a unit lives: for each kind,
 the (parameter, axis, scored) slices that hold one unit, and `UNIT_DIMS`
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Model, ModelConfig, param_shapes
+from .model import Model, ModelConfig
 from .tensor import Tensor
 
 # kind -> (parameter, axis, scored) slices holding one unit; layer kinds
@@ -73,9 +75,9 @@ class ArchitectureTarget:
         """Removal counts from a config down to this target.
 
         The rank delta is measured from the current rank when factorized,
-        else from the full rank min(|V|, d_X) the factorization would have.
+        else from the full rank (`config.full_rank`) a factorization has.
         """
-        current_r = config.r if config.factorized else min(config.vocab_size, config.d_X)
+        current_r = config.r if config.factorized else config.full_rank
         pairs = {"H": (config.H, self.H), "L": (config.L, self.L),
                  "d_I": (config.d_I, self.d_I), "r": (current_r, self.r)}
         out = {}
@@ -131,66 +133,39 @@ def weight_taylor_scores(model: Model) -> dict[str, np.ndarray]:
     return scores
 
 
-class ImportanceLedger:
-    """Accumulated per-weight Taylor scores plus a batch counter.
+def record_scores(ledger: dict[str, np.ndarray], scores: dict[str, np.ndarray]) -> None:
+    """Add one batch's per-weight scores into `ledger`, a dict of score sums.
 
-    one_step_average reports the score mean over recorded batches;
-    iterative_accumulate reports the raw sum since the last pruning event
-    and is reset after each event.
+    An empty ledger takes over the batch's arrays, so the caller must not
+    reuse them. Start a new ledger after surgery: a ledger of other
+    parameters or shapes is rejected.
     """
-
-    MODES = ("one_step_average", "iterative_accumulate")
-
-    def __init__(self, model: Model, mode: str):
-        if mode not in self.MODES:
-            raise ValueError(f"ledger mode must be one of {self.MODES}, got {mode!r}")
-        self.mode = mode
-        self.scores: dict[str, np.ndarray] = {}
-        self.batches_seen = 0
-        self._init_scores(model)
-
-    def _init_scores(self, model: Model) -> None:
-        self.scores = {
-            name: np.zeros(param_shapes(model.config)[name])
-            for name in _prunable_names(model.config)
-        }
-
-    def record(self, batch_scores: dict[str, np.ndarray]) -> None:
-        if set(batch_scores) != set(self.scores):
+    if not ledger:
+        ledger.update(scores)
+        return
+    if set(scores) != set(ledger):
+        raise RuntimeError(
+            "ledger/model mismatch: prunable parameter sets differ "
+            "(reset the ledger after surgery)"
+        )
+    for name, s in scores.items():
+        if s.shape != ledger[name].shape:
             raise RuntimeError(
-                "ledger/model mismatch: prunable parameter sets differ "
-                "(reset the ledger after surgery)"
+                f"ledger/model mismatch on {name}: {s.shape} vs "
+                f"{ledger[name].shape} (reset the ledger after surgery)"
             )
-        for name, s in batch_scores.items():
-            if s.shape != self.scores[name].shape:
-                raise RuntimeError(
-                    f"ledger/model mismatch on {name}: {s.shape} vs "
-                    f"{self.scores[name].shape} (reset the ledger after surgery)"
-                )
-            self.scores[name] += s
-        self.batches_seen += 1
-
-    def reported(self, name: str) -> np.ndarray:
-        if self.batches_seen == 0:
-            raise RuntimeError("ledger has no recorded batches")
-        if self.mode == "one_step_average":
-            return self.scores[name] / self.batches_seen
-        return self.scores[name]
-
-    def reset_after_prune(self, model: Model) -> None:
-        self._init_scores(model)
-        self.batches_seen = 0
+        ledger[name] += s
 
 
-def record_batch_scores(ledger: ImportanceLedger, model: Model) -> None:
-    """Fold the current batch's Taylor scores into the ledger.
+def record_batch_scores(ledger: dict[str, np.ndarray], model: Model) -> None:
+    """Add the current batch's Taylor scores into the ledger.
 
     Call after backward on the step's total training loss.
     """
-    ledger.record(weight_taylor_scores(model))
+    record_scores(ledger, weight_taylor_scores(model))
 
 
-def unit_importance(ledger: ImportanceLedger, model: Model, kind: str,
+def unit_importance(ledger: dict[str, np.ndarray], model: Model, kind: str,
                     layer: int | None = None) -> np.ndarray:
     """Per-unit score of `kind` in `layer` (None for embedding ranks): the
     summed ledger scores of each unit's scored slices, in table order."""
@@ -201,7 +176,7 @@ def unit_importance(ledger: ImportanceLedger, model: Model, kind: str,
     for name, axis, scored in UNIT_SLICES[kind]:
         if not scored:
             continue
-        s = ledger.reported(_param_name(name, layer))
+        s = ledger[_param_name(name, layer)]
         # scored axis-1 slices are one entry per unit
         part = s.reshape(n, -1).sum(axis=1) if axis == 0 else s.sum(axis=0)
         total = part if total is None else total + part
@@ -213,7 +188,7 @@ def _lowest(scores: np.ndarray, count: int) -> list[int]:
     return sorted(np.argsort(scores, kind="stable")[:count].tolist())
 
 
-def select_prune_set(ledger: ImportanceLedger | None, model: Model,
+def select_prune_set(ledger: dict[str, np.ndarray] | None, model: Model,
                      amounts: dict[str, int]) -> list[UnitId]:
     """The lowest-scoring units of each kind, `amounts[dim]` of them for
     each `UNIT_DIMS` field dim (absent means 0), and the last `amounts["L"]`

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .data import EncodedDataset
-from .metrics import MetricsWriter
+from .metrics import MetricsWriter, check_metric_kind
 from .pipeline import PruneSpec, StagePlan, run_arms, run_stage, stage_rng, stage_summary
 from .presets import (_finetune_stage, _hp, plan_iterative_width_depth_three_stage,
                       plan_iterative_width_two_stage)
@@ -31,8 +31,9 @@ def sweep_architectures(teacher_ckpt, archs: list[dict],
     with cross-entropy, and report the dev metric per architecture.
 
     archs entries: {"name": str, "target": {"H":…, "L":…, "d_I":…, "r":…}}.
-    Every arch's stage is built, and so checked, before any trains.
+    The metric kind and every arch's stage are checked before any trains.
     """
+    check_metric_kind(eval_kind)
     hp = _hp(hp)
     teacher_ck = load_checkpoint(teacher_ckpt)
     stages = {}

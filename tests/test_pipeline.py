@@ -25,7 +25,7 @@ from rosita_mini.model import Model, ModelConfig
 from rosita_mini.optim import Adam
 from rosita_mini.pipeline import (PruneSpec, StagePlan, StageSpec, lr_at, prune_events,
                                   run_plan, run_stage)
-from rosita_mini.pruning import ArchitectureTarget, UnitId, apply_surgery
+from rosita_mini.pruning import ArchitectureTarget, UnitId, apply_surgery, record_scores
 from rosita_mini.tensor import Tensor
 
 
@@ -651,15 +651,30 @@ class TestBatchHelper:
             monkeypatch.setattr(PL, "_cpu_spare", lambda: fork)
             # 32 dev rows in 10s and in 7s: 4 and 5 batches, the last partial
             metrics = [PL.evaluate(student, splits["dev"], batch_size=b) for b in (10, 7)]
-            ledgers = [PL.collect_one_step_scores(student, teacher if stage.kd else None,
-                                                  stage, splits["train"],
-                                                  layer_map if stage.kd else None)
-                       for stage in stages]
-            runs.append((metrics, [(led.batches_seen,
-                                    {k: v.tobytes() for k, v in led.scores.items()})
-                                   for led in ledgers]))
+            recorded = []  # one entry per batch the parent adds into a ledger
+            monkeypatch.setattr(PL, "record_scores",
+                                lambda sums, s: recorded.append(record_scores(sums, s)))
+            scores = [PL.collect_one_step_scores(student, teacher if stage.kd else None,
+                                                 stage, splits["train"],
+                                                 layer_map if stage.kd else None)
+                      for stage in stages]
+            runs.append((metrics, [{k: v.tobytes() for k, v in s.items()} for s in scores],
+                         len(recorded)))
         assert runs[0] == runs[1]
-        assert [seen for seen, _ in runs[0][1]] == [3, 3]
+        assert runs[0][2] == 3 + 3
+
+    def test_scoring_an_empty_split_names_it(self, task_dir):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        train = splits["train"]
+        empty = EncodedDataset(train.ids[:0], train.mask[:0], train.labels[:0])
+        student = Model.init(ModelConfig(**tiny_model_dict(info)), 5)
+        stage = StageSpec(name="prune", dataset="train", epochs=1,
+                          prune=PruneSpec(mode="one_step", target=ArchitectureTarget(H=1)))
+        with pytest.raises(ValueError, match="stage 'prune'.*dataset 'train' has none"):
+            PL.collect_one_step_scores(student, None, stage, empty, None)
+        with pytest.raises(ValueError, match="dataset 'train' has none"):
+            PL.one_step_prune(student, None, stage, empty, None)
 
     def test_helper_error_comes_out_of_evaluate(self, task_dir, monkeypatch):
         path, info = task_dir
@@ -809,7 +824,7 @@ class TestRunPlan:
 
     @pytest.mark.parametrize("later, eval_kind, message", [
         (dict(dataset="nope"), "accuracy", "'nope' not loaded"),
-        (dict(model=dict(L=0)), "accuracy", "needs H, L, d_I >= 1"),
+        (dict(model=dict(L=0)), "accuracy", "out: stage 1 'more': config needs H, L"),
         ({}, "bogus", "unknown metric kind 'bogus'"),
     ], ids=["dataset", "model", "eval_kind"])
     def test_bad_later_stage_or_kind_fails_before_stage_0(self, task_dir, tmp_path,
@@ -938,4 +953,18 @@ def test_sweep_architectures_keeps_hp_dropout(task_dir, tmp_path, monkeypatch):
                                hp={"dropout": 0.25, "finetune_epochs": 1,
                                    "batch_size": 16})
     assert [s.dropout for s in stages] == [0.25, 0.25]
+
+
+def test_sweep_architectures_checks_the_metric_kind_before_training(task_dir, tmp_path):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    teacher = tmp_path / "teacher.rst"
+    save_checkpoint(teacher, Model.init(ModelConfig(**tiny_model_dict(info)), 4),
+                    seed=4, stage="finetune")
+    archs = [{"name": "a", "target": {"H": 1}}]
+    with pytest.raises(ValueError, match="unknown metric kind 'bogus'"):
+        sweeps.sweep_architectures(teacher, archs, splits, tmp_path / "out",
+                                   hp={"finetune_epochs": 1, "batch_size": 16},
+                                   eval_kind="bogus")
+    assert not list(tmp_path.glob("**/arch_*.ndjson"))
 

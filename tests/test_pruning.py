@@ -6,9 +6,10 @@ import pytest
 
 from rosita_mini import pruning as P
 from rosita_mini import tensor as T
+from rosita_mini.data import EncodedDataset
 from rosita_mini.model import Model, ModelConfig, cross_entropy, count_params
-from rosita_mini.pruning import (UNIT_DIMS, ImportanceLedger, UnitId,
-                                 apply_surgery, record_batch_scores,
+from rosita_mini.pipeline import StageSpec, collect_one_step_scores
+from rosita_mini.pruning import (UNIT_DIMS, UnitId, apply_surgery, record_batch_scores,
                                  select_prune_set, weight_taylor_scores)
 from rosita_mini.tensor import Tensor
 from support import clone, num_params
@@ -104,6 +105,13 @@ class TestWeightTaylorScores:
             weight_taylor_scores(model)
 
 
+def filled_ledger(model, fill=lambda name, shape: 0.0):
+    """A ledger of the model's scored parameters, each array fill(name, shape)."""
+    shapes = {name: model.params[name].data.shape for name in P._prunable_names(model.config)}
+    return {name: np.broadcast_to(fill(name, shape), shape).astype(float)
+            for name, shape in shapes.items()}
+
+
 class TestLedger:
     def test_single_batch_identity(self):
         cfg = small_config()
@@ -111,31 +119,32 @@ class TestLedger:
         rng = np.random.default_rng(6)
         backprop_ce(model, *random_batch(cfg, rng))
         expect = weight_taylor_scores(model)
-        ledger = ImportanceLedger(model, "one_step_average")
+        ledger = {}
         record_batch_scores(ledger, model)
+        assert ledger.keys() == expect.keys()
         for name in expect:
-            np.testing.assert_array_equal(ledger.reported(name), expect[name])
+            np.testing.assert_array_equal(ledger[name], expect[name])
 
     def test_average_of_identical_batches(self):
         cfg = small_config()
         model = Model.init(cfg, 7)
         rng = np.random.default_rng(8)
-        batch = random_batch(cfg, rng)
-        ledger = ImportanceLedger(model, "one_step_average")
-        backprop_ce(model, *batch)
+        ids, mask, labels = random_batch(cfg, rng)
+        backprop_ce(model, ids, mask, labels)
         single = weight_taylor_scores(model)
-        record_batch_scores(ledger, model)
-        backprop_ce(model, *batch)
-        record_batch_scores(ledger, model)
-        assert ledger.batches_seen == 2
+        # the one-step pass over a split that holds the batch twice
+        twice = EncodedDataset(np.tile(ids, (2, 1)), np.tile(mask, (2, 1)), np.tile(labels, 2))
+        stage = StageSpec(name="score", dataset="train", epochs=1, batch_size=len(ids))
+        average = collect_one_step_scores(model, None, stage, twice, None)
+        assert average.keys() == single.keys()
         for name in single:
-            np.testing.assert_allclose(ledger.reported(name), single[name], atol=1e-15)
+            np.testing.assert_allclose(average[name], single[name], atol=1e-15)
 
     def test_accumulate_mode_sums(self):
         cfg = small_config()
         model = Model.init(cfg, 9)
         rng = np.random.default_rng(10)
-        ledger = ImportanceLedger(model, "iterative_accumulate")
+        ledger = {}
         total = None
         for _ in range(4):
             backprop_ce(model, *random_batch(cfg, rng))
@@ -148,26 +157,13 @@ class TestLedger:
                     total[k] += scores[k]
         # independent re-summation oracle
         for name in total:
-            np.testing.assert_allclose(ledger.reported(name), total[name], atol=1e-15)
-        assert ledger.batches_seen == 4
-
-    def test_reset_after_prune(self):
-        cfg = small_config()
-        model = Model.init(cfg, 11)
-        rng = np.random.default_rng(12)
-        ledger = ImportanceLedger(model, "iterative_accumulate")
-        backprop_ce(model, *random_batch(cfg, rng))
-        record_batch_scores(ledger, model)
-        ledger.reset_after_prune(model)
-        assert ledger.batches_seen == 0
-        with pytest.raises(RuntimeError):
-            ledger.reported("layer0.W_FI")
+            np.testing.assert_allclose(ledger[name], total[name], atol=1e-15)
 
     def test_shape_mismatch_after_surgery_rejected(self):
         cfg = small_config()
         model = Model.init(cfg, 13)
         rng = np.random.default_rng(14)
-        ledger = ImportanceLedger(model, "iterative_accumulate")
+        ledger = {}
         backprop_ce(model, *random_batch(cfg, rng))
         record_batch_scores(ledger, model)
         apply_surgery(model, [UnitId("ffn_neuron", 0, l) for l in range(cfg.L)])
@@ -175,38 +171,39 @@ class TestLedger:
         with pytest.raises(RuntimeError, match="reset"):
             record_batch_scores(ledger, model)
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ImportanceLedger(Model.init(small_config(), 0), "sometimes")
+    def test_parameter_set_mismatch_after_surgery_rejected(self):
+        cfg = small_config()
+        model = Model.init(cfg, 13)
+        rng = np.random.default_rng(14)
+        ledger = {}
+        backprop_ce(model, *random_batch(cfg, rng))
+        record_batch_scores(ledger, model)
+        apply_surgery(model, [UnitId("layer", cfg.L - 1)])
+        backprop_ce(model, *random_batch(cfg, rng))
+        with pytest.raises(RuntimeError, match="parameter sets differ"):
+            record_batch_scores(ledger, model)
 
     def test_scores_nonnegative(self):
         cfg = small_config()
         model = Model.init(cfg, 15)
         rng = np.random.default_rng(16)
-        ledger = ImportanceLedger(model, "one_step_average")
+        ledger = {}
         backprop_ce(model, *random_batch(cfg, rng))
         record_batch_scores(ledger, model)
-        assert all((ledger.reported(n) >= 0).all() for n in ledger.scores)
+        assert ledger and all((s >= 0).all() for s in ledger.values())
 
 
 class TestNeuronImportance:
-    def _ledger_with(self, model, fill):
-        ledger = ImportanceLedger(model, "one_step_average")
-        ledger.batches_seen = 1
-        for name in ledger.scores:
-            ledger.scores[name][:] = fill(name, ledger.scores[name].shape)
-        return ledger
-
     def test_all_zero(self):
         model = Model.init(small_config(), 17)
-        ledger = self._ledger_with(model, lambda n, s: 0.0)
+        ledger = filled_ledger(model)
         np.testing.assert_array_equal(
             P.unit_importance(ledger, model, "ffn_neuron", 0), 0.0)
 
     def test_single_entry_hits_one_neuron(self):
         model = Model.init(small_config(), 18)
-        ledger = self._ledger_with(model, lambda n, s: 0.0)
-        ledger.scores["layer0.W_FI"][0, 3] = 2.5
+        ledger = filled_ledger(model)
+        ledger["layer0.W_FI"][0, 3] = 2.5
         scores = P.unit_importance(ledger, model, "ffn_neuron", 0)
         assert scores[3] == 2.5
         assert (np.delete(scores, 3) == 0).all()
@@ -215,24 +212,24 @@ class TestNeuronImportance:
         cfg = small_config()
         model = Model.init(cfg, 19)
         rng = np.random.default_rng(20)
-        ledger = self._ledger_with(model, lambda n, s: rng.random(s))
+        ledger = filled_ledger(model, lambda n, s: rng.random(s))
         scores = P.unit_importance(ledger, model, "ffn_neuron", 1)
         for j in range(cfg.d_I):
-            expect = sum(ledger.scores["layer1.W_FI"][i, j] for i in range(cfg.d_X))
-            expect += sum(ledger.scores["layer1.W_FO"][j, k] for k in range(cfg.d_X))
-            expect += ledger.scores["layer1.b_FI"][j]
+            expect = sum(ledger["layer1.W_FI"][i, j] for i in range(cfg.d_X))
+            expect += sum(ledger["layer1.W_FO"][j, k] for k in range(cfg.d_X))
+            expect += ledger["layer1.b_FI"][j]
             assert abs(scores[j] - expect) < 1e-12
 
     def test_permutation_equivariant(self):
         cfg = small_config()
         model = Model.init(cfg, 21)
         rng = np.random.default_rng(22)
-        ledger = self._ledger_with(model, lambda n, s: rng.random(s))
+        ledger = filled_ledger(model, lambda n, s: rng.random(s))
         base = P.unit_importance(ledger, model, "ffn_neuron", 0)
         perm = rng.permutation(cfg.d_I)
-        ledger.scores["layer0.W_FI"] = ledger.scores["layer0.W_FI"][:, perm]
-        ledger.scores["layer0.b_FI"] = ledger.scores["layer0.b_FI"][perm]
-        ledger.scores["layer0.W_FO"] = ledger.scores["layer0.W_FO"][perm, :]
+        ledger["layer0.W_FI"] = ledger["layer0.W_FI"][:, perm]
+        ledger["layer0.b_FI"] = ledger["layer0.b_FI"][perm]
+        ledger["layer0.W_FO"] = ledger["layer0.W_FO"][perm, :]
         np.testing.assert_allclose(P.unit_importance(ledger, model, "ffn_neuron", 0),
                                    base[perm], atol=1e-15)
 
@@ -240,17 +237,15 @@ class TestNeuronImportance:
 class TestHeadImportance:
     def test_zero_ao_scores(self):
         model = Model.init(small_config(), 23)
-        ledger = ImportanceLedger(model, "one_step_average")
-        ledger.batches_seen = 1
+        ledger = filled_ledger(model)
         np.testing.assert_array_equal(
             P.unit_importance(ledger, model, "attention_head", 0), 0.0)
 
     def test_single_entry_hits_one_head(self):
         cfg = small_config()
         model = Model.init(cfg, 24)
-        ledger = ImportanceLedger(model, "one_step_average")
-        ledger.batches_seen = 1
-        ledger.scores["layer0.W_AO"][cfg.head_dim + 1, 2] = 4.0  # row in head 1's block
+        ledger = filled_ledger(model)
+        ledger["layer0.W_AO"][cfg.head_dim + 1, 2] = 4.0  # row in head 1's block
         scores = P.unit_importance(ledger, model, "attention_head", 0)
         assert scores[1] == 4.0
         assert scores[0] == 0.0 and scores[2] == 0.0
@@ -285,7 +280,7 @@ class TestHeadImportance:
                 backprop_ce(model, ids, mask, labels)
                 for p in model.parameters().values():
                     p.data = p.data - 0.3 * p.grad
-            ledger = ImportanceLedger(model, "one_step_average")
+            ledger = {}
             backprop_ce(model, ids, mask, labels)
             record_batch_scores(ledger, model)
             scores = P.unit_importance(ledger, model, "attention_head", 0)
@@ -305,10 +300,7 @@ class TestRankImportance:
     def test_zero_gradient_taylor_scores_zero(self):
         cfg = small_config()
         model = Model.init(cfg, 26)
-        ledger = ImportanceLedger(model, "iterative_accumulate")
-        for name in ledger.scores:
-            ledger.scores[name][:] = 0.0
-        ledger.batches_seen = 1
+        ledger = filled_ledger(model)
         np.testing.assert_array_equal(
             P.unit_importance(ledger, model, "embedding_rank"), 0.0)
 
@@ -316,28 +308,24 @@ class TestRankImportance:
         cfg = small_config()
         model = Model.init(cfg, 27)
         rng = np.random.default_rng(28)
-        ledger = ImportanceLedger(model, "iterative_accumulate")
+        ledger = {}
         backprop_ce(model, *random_batch(cfg, rng))
         record_batch_scores(ledger, model)
         scores = P.unit_importance(ledger, model, "embedding_rank")
         for i in range(cfg.r):
-            expect = ledger.scores["emb.E_U"][:, i].sum() + ledger.scores["emb.E_V"][i, :].sum()
+            expect = ledger["emb.E_U"][:, i].sum() + ledger["emb.E_V"][i, :].sum()
             assert abs(scores[i] - expect) < 1e-12
 
     def test_unfactorized_rejected(self):
         model = Model.init(small_config(r=0), 29)
-        ledger = ImportanceLedger(model, "one_step_average")
+        ledger = {}
         with pytest.raises(RuntimeError, match="factorized"):
             P.unit_importance(ledger, model, "embedding_rank")
 
 
 def random_ledger(model, seed=0):
-    ledger = ImportanceLedger(model, "one_step_average")
     rng = np.random.default_rng(seed)
-    for name in ledger.scores:
-        ledger.scores[name][:] = rng.random(ledger.scores[name].shape)
-    ledger.batches_seen = 1
-    return ledger
+    return filled_ledger(model, lambda name, shape: rng.random(shape))
 
 
 class TestSelectPruneSet:
@@ -351,10 +339,10 @@ class TestSelectPruneSet:
         model = Model.init(cfg, 31)
         ledger = random_ledger(model)
         for layer in range(cfg.L):
-            ao = np.zeros_like(ledger.scores[f"layer{layer}.W_AO"])
+            ao = np.zeros_like(ledger[f"layer{layer}.W_AO"])
             for h, s in enumerate([5.0, 1.0, 3.0]):
                 ao[h * cfg.head_dim, 0] = s
-            ledger.scores[f"layer{layer}.W_AO"] = ao
+            ledger[f"layer{layer}.W_AO"] = ao
         units = select_prune_set(ledger, model, {"H": 1})
         assert units == [UnitId("attention_head", 1, 0), UnitId("attention_head", 1, 1)]
 
@@ -362,10 +350,10 @@ class TestSelectPruneSet:
         cfg = small_config(H=3, L=1)
         model = Model.init(cfg, 32)
         ledger = random_ledger(model)
-        ao = np.zeros_like(ledger.scores["layer0.W_AO"])
+        ao = np.zeros_like(ledger["layer0.W_AO"])
         for h, s in enumerate([2.0, 2.0, 7.0]):
             ao[h * cfg.head_dim, 0] = s
-        ledger.scores["layer0.W_AO"] = ao
+        ledger["layer0.W_AO"] = ao
         units = select_prune_set(ledger, model, {"H": 1})
         assert units == [UnitId("attention_head", 0, 0)]
 
