@@ -35,7 +35,7 @@ class ModelConfig:
     eps: float = 1e-12
 
     def __post_init__(self):
-        if self.head_dim == 0:
+        if self.head_dim == 0 and self.H >= 1:  # validate rejects H < 1
             self.head_dim = self.d_X // self.H
         self.validate()
 

@@ -34,6 +34,7 @@ import gc
 import os
 import pickle
 import sys
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -274,7 +275,9 @@ def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
 def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
                 layer_map: LayerMap | None, ids, mask, labels,
                 dropout_key: int = 0):
-    """Total active training loss plus per-component values for metrics."""
+    """Total active training loss plus per-component values for metrics.
+    A `teacher` that is the student itself is not run again: its trace is
+    the student's."""
     trace_s = student.forward(ids, mask, stage.dropout, dropout_key)
     parts = {"loss_cross": None, "loss_pred": None, "loss_hidden": None}
     total = None
@@ -290,8 +293,10 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
             parts["loss_cross"] = ce.item()
             total = ce
     else:
-        with T.no_grad():
-            trace_t = teacher.forward(ids, mask)
+        trace_t = trace_s
+        if teacher is not student:
+            with T.no_grad():
+                trace_t = teacher.forward(ids, mask)
         if stage.kd.use_pred:
             pred = soft_cross_entropy(trace_t.logits, trace_s.logits,
                                       stage.kd.temperature)
@@ -485,6 +490,11 @@ class _DevEvals:
     which wait for the metric, and is then written in step order: the
     stream is byte-identical to evaluating inline, which is how each eval
     runs where `_cpu_spare()` is false. At most one eval is in flight.
+
+    A model whose config and parameter arrays are the very objects of the
+    last eval takes that eval's metric, with no new eval: nothing writes
+    into a parameter array (Adam, surgery and factorization assign new
+    ones), so the same objects are the same model.
     """
 
     def __init__(self, metrics: MetricsWriter, data: EncodedDataset | None, kind: str):
@@ -492,6 +502,8 @@ class _DevEvals:
         self._data, self._kind = data, kind
         self._worker = None
         self._held: list[dict] = []  # an eval's record and the ones after it
+        self._last: list = []  # weak references to the last evaluated config and arrays
+        self._metric = None  # their metric, once known
 
     def write(self, record: dict) -> None:
         if self._held:
@@ -503,8 +515,15 @@ class _DevEvals:
         """Evaluate `model` as it is now into `record["eval_metric"]`."""
         self._collect()
         record["eval_metric_kind"] = self._kind
+        objects = [model.config, *(p.data for p in model.params.values())]
+        if len(objects) == len(self._last) and all(
+                ref() is obj for ref, obj in zip(self._last, objects)):
+            record["eval_metric"] = self._metric
+            self._metrics.write(record)
+            return
+        self._last = [weakref.ref(obj) for obj in objects]
         if self._worker is None:
-            record["eval_metric"] = evaluate(model, self._data, self._kind)
+            record["eval_metric"] = self._metric = evaluate(model, self._data, self._kind)
             self._metrics.write(record)
             return
         self._worker.send((model.config, {name: p.data for name, p in model.params.items()}))
@@ -515,7 +534,7 @@ class _DevEvals:
         if not self._held:
             return
         held, self._held = self._held, []
-        held[0]["eval_metric"] = self._worker.receive()
+        held[0]["eval_metric"] = self._metric = self._worker.receive()
         for record in held:
             self._metrics.write(record)
 
@@ -548,6 +567,19 @@ def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset]) -> Encode
     return datasets[stage.dataset]
 
 
+def _is_fixed_point(stage: StageSpec, student: Model, teacher: Model | None) -> bool:
+    """Whether distillation cannot move `student`: it is an unpruned copy of
+    its teacher, config and array bytes, trained without dropout. Its
+    forwards are then the teacher's bit for bit, so every KD loss term has
+    a zero gradient at any temperature (equal L maps each layer to itself),
+    and Adam's zero moments leave every parameter as it is."""
+    if (stage.kd is None or teacher is None or stage.prune is not None or stage.dropout
+            or student.config != teacher.config):
+        return False
+    return all(p.data.tobytes() == teacher.params[name].data.tobytes()
+               for name, p in student.params.items())
+
+
 def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
               datasets: dict[str, EncodedDataset], metrics: MetricsWriter,
               rng: np.random.Generator, eval_kind: str = "accuracy") -> Model:
@@ -558,10 +590,18 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     steps and at the last step T, so the stage's last record carries the
     final student's dev metric. Each eval may run in a forked child,
     overlapping the next training steps; the records are the ones an
-    inline eval writes (see `_DevEvals`)."""
+    inline eval writes (see `_DevEvals`).
+
+    A KD stage whose student starts as its teacher's unpruned copy, without
+    dropout, cannot move (`_is_fixed_point`). Each of its steps runs only
+    the teacher's forward, under no_grad, for the step's losses; it skips
+    the student's forward, the backward and the Adam step, and its unchanged
+    student is evaluated once. Its records and its student are the ones
+    training writes."""
     data = _stage_data(stage, datasets)
     if teacher is not None:
         teacher.freeze()
+    fixed = _is_fixed_point(stage, student, teacher)
 
     def fresh_layer_map():
         if stage.kd is not None and stage.kd.use_hidden:
@@ -585,7 +625,7 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
         event_steps, amounts = prune_events(student.config, stage.prune, total_steps)
         ledger = {}
 
-    optimizer = Adam(student.parameters())
+    optimizer = None if fixed else Adam(student.parameters())
     eval_every = max(1, total_steps // 25)
     dropout_key = int(rng.integers(2 ** 31)) if stage.dropout else 0
 
@@ -593,19 +633,25 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     with _DevEvals(metrics, datasets.get("dev"), eval_kind) as evals:
         for _ in range(stage.epochs):
             for ids, mask, labels in iter_batches(data, stage.batch_size, rng):
-                student.zero_grad()
-                loss, parts = _batch_loss(student, teacher, stage, layer_map,
-                                          ids, mask, labels, dropout_key + step)
+                if fixed:
+                    with T.no_grad():
+                        loss, parts = _batch_loss(teacher, teacher, stage, layer_map,
+                                                  ids, mask, labels)
+                else:
+                    student.zero_grad()
+                    loss, parts = _batch_loss(student, teacher, stage, layer_map,
+                                              ids, mask, labels, dropout_key + step)
                 if not np.isfinite(loss.item()):
                     raise FloatingPointError(
                         f"stage {stage.name!r}: training loss is {loss.item()} at "
                         f"step {step + 1}"
                     )
-                loss.backward(leaves=student.parameters().values())
-                if ledger is not None:
-                    record_batch_scores(ledger, student)
                 lr = lr_at(stage.lr_kind, stage.base_lr, total_steps, step)
-                optimizer.step(student.parameters(), lr)
+                if not fixed:
+                    loss.backward(leaves=student.parameters().values())
+                    if ledger is not None:
+                        record_batch_scores(ledger, student)
+                    optimizer.step(student.parameters(), lr)
                 step += 1
 
                 if step in event_steps:

@@ -218,6 +218,22 @@ def test_run_plan_rejects_bad_later_stage_before_training(workspace, capsys, sec
     assert not [p for p in out.glob("*") if p.suffix in (".rst", ".ndjson")]
 
 
+def test_run_plan_names_the_stage_of_a_zero_head_model(workspace, capsys):
+    # no head_dim, so the config would derive it as d_X // H
+    plan = {"version": 1,
+            "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
+            "stages": [{"name": "ft", "dataset": "train", "epochs": 1},
+                       {"name": "fresh", "dataset": "train", "epochs": 1,
+                        "model": {"H": 0, "L": 2, "d_X": 16, "d_I": 32, "r": 0}}]}
+    (workspace / "zero_heads.json").write_text(json.dumps(plan))
+    out = workspace / "zero_heads_out"
+    rc = main(["run-plan", "--plan", str(workspace / "zero_heads.json"),
+               "--data", str(workspace / "data"), "--out", str(out)])
+    assert rc == 1
+    assert "stage 1 'fresh': config needs H, L, d_I >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_plan_scratch_preset_uses_target(workspace, capsys):
     plan = {"preset": "scratch",
             "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},

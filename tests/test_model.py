@@ -277,6 +277,11 @@ class TestForward:
         with pytest.raises(ValueError):
             tiny_config(L=0)
 
+    def test_config_rejects_zero_heads_before_deriving_head_dim(self):
+        with pytest.raises(ValueError, match="config needs H, L, d_I >= 1"):
+            ModelConfig(H=0, L=2, d_X=16, d_I=32, r=0, vocab_size=16, max_len=8,
+                        n_classes=2)
+
     def test_records_all_hidden_states(self):
         cfg = tiny_config(L=3)
         model = Model.init(cfg, 19)

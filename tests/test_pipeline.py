@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,10 @@ from rosita_mini import pipeline as PL
 from rosita_mini import presets, sweeps
 from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
-from rosita_mini.data import EncodedDataset, generate_marker_task, load_task_dir
+from rosita_mini.data import (EncodedDataset, batches_per_epoch, generate_marker_task,
+                              load_task_dir)
 from rosita_mini.distillation import KDConfig, build_layer_map
+from rosita_mini.factorization import factorize_model_embedding
 from rosita_mini.metrics import MetricsWriter, read_ndjson
 from rosita_mini.model import Model, ModelConfig
 from rosita_mini.optim import Adam
@@ -27,6 +29,7 @@ from rosita_mini.pipeline import (PruneSpec, StagePlan, StageSpec, lr_at, prune_
                                   run_plan, run_stage)
 from rosita_mini.pruning import ArchitectureTarget, UnitId, apply_surgery, record_scores
 from rosita_mini.tensor import Tensor
+from support import clone
 
 
 class TestLRSchedule:
@@ -968,3 +971,171 @@ def test_sweep_architectures_checks_the_metric_kind_before_training(task_dir, tm
                                    eval_kind="bogus")
     assert not list(tmp_path.glob("**/arch_*.ndjson"))
 
+
+
+def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
+    """Adam, surgery and factorization give each parameter they change a new
+    array and write into none: `_DevEvals` reuses the metric of the very
+    arrays it evaluated last, and this is why that is sound."""
+    cfg = ModelConfig(H=3, L=2, d_X=12, d_I=6, r=0, vocab_size=9, max_len=6,
+                      n_classes=2, head_dim=4)
+    model = Model.init(cfg, 0)
+    opt = Adam(model.parameters())
+
+    def snapshot():
+        return {name: (p.data, p.data.copy()) for name, p in model.params.items()}
+
+    def changed_since(before) -> set[str]:
+        for name, (old, copy) in before.items():
+            assert old.tobytes() == copy.tobytes(), f"{name} was written in place"
+        changed = {name for name, p in model.params.items()
+                   if name not in before or p.data.shape != before[name][1].shape
+                   or p.data.tobytes() != before[name][1].tobytes()}
+        for name in changed & before.keys():
+            assert model.params[name].data is not before[name][0], name
+        return changed
+
+    before = snapshot()
+    rng = np.random.default_rng(1)
+    for p in model.parameters().values():
+        p.grad = rng.normal(size=p.shape)
+    opt.step(model.parameters(), 1e-3)
+    assert changed_since(before) == set(before)
+
+    before = snapshot()
+    report = apply_surgery(model, [UnitId("attention_head", 1, 0),
+                                   UnitId("attention_head", 1, 1),
+                                   UnitId("ffn_neuron", 2, 0), UnitId("ffn_neuron", 2, 1)])
+    opt.apply_surgery(report)
+    assert changed_since(before) == set(report.kept)
+
+    before = snapshot()
+    factorize_model_embedding(model, 4)
+    assert changed_since(before) == {"emb.E_U", "emb.E_V"}
+    assert "emb.W" not in model.params
+
+
+def _training_forwards(monkeypatch) -> list:
+    """Record each forward that builds a graph: a student's training pass."""
+    forward = Model.forward
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        if T._grad_enabled() and any(p.requires_grad for p in self.params.values()):
+            calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    return calls
+
+
+class TestFixedPoint:
+    """A KD stage whose student is its teacher's unpruned copy, without
+    dropout, cannot move: it runs as teacher passes and one eval, and
+    writes the bytes that training it writes."""
+
+    KD = {"pred_t1": KDConfig(), "pred_t2": KDConfig(temperature=2.0),
+          "pred_hidden": KDConfig(use_hidden=True)}
+
+    @staticmethod
+    def stage(**over) -> StageSpec:
+        # 64 rows / 16 per batch x 2 epochs = 8 steps, an eval at each
+        return StageSpec(**{"name": "same", "dataset": "train_aug", "epochs": 2,
+                            "batch_size": 16, "teacher": "original", "kd": KDConfig(),
+                            **over})
+
+    @staticmethod
+    def pair(info):
+        teacher = Model.init(ModelConfig(**tiny_model_dict(info)), 5)
+        return teacher, clone(teacher)
+
+    @pytest.mark.parametrize("kd", list(KD))
+    @pytest.mark.parametrize("dev, fork", [(True, True), (True, False), (False, True),
+                                           (False, False)],
+                             ids=["dev-fork", "dev-inline", "nodev-fork", "nodev-inline"])
+    def test_writes_the_bytes_of_training(self, task_dir, tmp_path, monkeypatch, kd, dev,
+                                          fork):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        if not dev:
+            del splits["dev"]
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: fork)
+        evals = tmp_path / "evals"  # counted in a file: evals may run in a child
+        real_evaluate = PL.evaluate
+
+        def evaluate(*args, **kwargs):
+            with open(evals, "a") as fh:
+                fh.write("x")
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(PL, "evaluate", evaluate)
+        forwards = _training_forwards(monkeypatch)
+        runs = []
+        for fast in (True, False):
+            if not fast:
+                monkeypatch.setattr(PL, "_is_fixed_point", lambda *args: False)
+            evals.write_text("")
+            forwards.clear()
+            teacher, student = self.pair(info)
+            with MetricsWriter(tmp_path / f"{fast}.ndjson") as metrics:
+                out = run_stage(self.stage(kd=self.KD[kd]), student, teacher, splits,
+                                metrics, np.random.default_rng(9))
+            rows = read_ndjson(tmp_path / f"{fast}.ndjson")
+            assert len(forwards) == (0 if fast else 8)
+            assert len(evals.read_text()) == ((1 if fast else 8) if dev else 0)
+            assert sum("eval_metric" in r for r in rows) == (8 if dev else 0)
+            runs.append(((tmp_path / f"{fast}.ndjson").read_bytes(),
+                         {name: p.data.tobytes() for name, p in out.params.items()}))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == {name: p.data.tobytes() for name, p in teacher.params.items()}
+        assert all(r["loss_pred"] is not None for r in rows)
+        assert all((r["loss_hidden"] is not None) == (kd == "pred_hidden") for r in rows)
+
+    @pytest.mark.parametrize("change", ["dropout", "prune", "no_kd", "config", "one_ulp"])
+    def test_not_taken_where_the_student_can_move(self, task_dir, tmp_path, monkeypatch,
+                                                  change):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        teacher, student = self.pair(info)
+        stage = self.stage(dataset="train")  # labeled, for the stage without kd
+        assert PL._is_fixed_point(stage, student, teacher)
+        if change == "dropout":
+            stage = self.stage(dataset="train", dropout=0.1)
+        elif change == "prune":
+            stage = self.stage(dataset="train", prune=PruneSpec(
+                mode="iterative", target=ArchitectureTarget(H=1), prune_fraction=0.5,
+                n_events=1))
+        elif change == "no_kd":
+            stage = self.stage(dataset="train", kd=None)
+        elif change == "config":
+            student.config = replace(student.config, eps=1e-6)
+        else:
+            w = student.params["layer1.W_FO"].data.copy()
+            w[3, 5] = np.nextafter(w[3, 5], np.inf)
+            student.params["layer1.W_FO"].data = w
+        assert not PL._is_fixed_point(stage, student, teacher)
+        forwards = _training_forwards(monkeypatch)
+        with MetricsWriter(tmp_path / "m.ndjson") as metrics:
+            run_stage(stage, student, teacher, splits, metrics, np.random.default_rng(9))
+        assert len(forwards) == 6  # 48 rows / 16 per batch x 2 epochs
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_samesize_kd_writes_its_teachers_arrays_without_dropout(task_dir, tmp_path,
+                                                                monkeypatch, dropout):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    plan = presets.plan_iterative_width_depth_three_stage(
+        model=tiny_model_dict(info, H=3, head_dim=4),
+        target=dict(H=1, L=1, d_I=16, r=4),
+        hp=dict(finetune_epochs=2, kd_epochs=2, batch_size=16, width_events=2,
+                depth_events=1, prune_fraction=0.5, dropout=dropout))
+    forwards = _training_forwards(monkeypatch)
+    run_plan(plan, splits, tmp_path, seed=7)
+    teacher = load_checkpoint(tmp_path / "stage0_finetune.rst").params
+    samesize = load_checkpoint(tmp_path / "stage1_kd_samesize.rst").params
+    same = all(samesize[name].tobytes() == teacher[name].tobytes() for name in teacher)
+    assert same == (dropout == 0.0)
+    steps = [s.epochs * batches_per_epoch(len(splits[s.dataset]), s.batch_size)
+             for s in plan.stages]
+    assert len(forwards) == sum(steps) - (steps[1] if dropout == 0.0 else 0)
