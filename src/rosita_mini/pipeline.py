@@ -47,7 +47,7 @@ from .distillation import (KDConfig, LayerMap, build_layer_map, hidden_mse,
                            soft_cross_entropy)
 from .factorization import factorize_model_embedding
 from .metrics import MetricsWriter, check_metric_kind, eval_metric
-from .model import Model, ModelConfig, count_params, cross_entropy
+from .model import ForwardTrace, Model, ModelConfig, count_params, cross_entropy
 from .optim import Adam
 from .pruning import (UNIT_DIMS, ArchitectureTarget, apply_surgery, record_batch_scores,
                       record_scores, select_prune_set, weight_taylor_scores)
@@ -580,6 +580,52 @@ def _is_fixed_point(stage: StageSpec, student: Model, teacher: Model | None) -> 
                for name, p in student.params.items())
 
 
+_memo: tuple[bytes | None, dict[bytes, np.ndarray]] = (None, {})  # teacher digest, rows
+
+
+class _TeacherRows:
+    """A frozen teacher for a loss that reads only its logits, looked up per
+    row in one memo that outlives the stage.
+
+    The memo holds a copy of the teacher's last-layer first-token state of
+    each row it has run, keyed by the row's ids and mask bytes at the
+    batch's trimmed length. A row's hidden states do not depend on the
+    other rows of its batch at that length (each 3-D product is one GEMM
+    per sequence, and layer norm and softmax reduce along the last axis);
+    only the classifier's 2-D product does. So a batch whose rows all hit
+    takes that product on the stacked rows, and any other batch runs the
+    teacher and stores its rows. The memo belongs to one teacher, named by
+    a digest of its config and parameter bytes: a later KD stage with the
+    same teacher reuses it, and one with another teacher empties it. The
+    module holds it, so stages that a caller runs one by one share it.
+    """
+
+    def __init__(self, teacher: Model):
+        global _memo
+        import hashlib  # here, not at import: only a KD stage pays for it
+        digest = hashlib.blake2b(repr(teacher.config).encode())
+        for name, p in teacher.params.items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(p.data))
+        if _memo[0] != digest.digest():
+            _memo = (digest.digest(), {})
+        self.teacher, self.rows = teacher, _memo[1]
+
+    def forward(self, ids, mask, dropout_rate: float = 0.0, dropout_key: int = 0):
+        """The teacher's trace; on a batch the memo holds, logits only.
+        A teacher runs without dropout, so the rate is 0 and the key unused."""
+        keys = [i.tobytes() + m.tobytes() for i, m in zip(ids, mask)]
+        with T.no_grad():
+            if all(k in self.rows for k in keys):
+                params = self.teacher.params
+                return ForwardTrace(T.linear(np.stack([self.rows[k] for k in keys]),
+                                             params["cls.W"], params["cls.b"]), hidden=[])
+            trace = self.teacher.forward(ids, mask)
+        for k, row in zip(keys, trace.hidden[-1].data[:, 0, :]):
+            self.rows[k] = row.copy()
+        return trace
+
+
 def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
               datasets: dict[str, EncodedDataset], metrics: MetricsWriter,
               rng: np.random.Generator, eval_kind: str = "accuracy") -> Model:
@@ -593,15 +639,23 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     inline eval writes (see `_DevEvals`).
 
     A KD stage whose student starts as its teacher's unpruned copy, without
-    dropout, cannot move (`_is_fixed_point`). Each of its steps runs only
-    the teacher's forward, under no_grad, for the step's losses; it skips
+    dropout, cannot move (`_is_fixed_point`). Each of its steps takes only
+    the teacher's logits, under no_grad, for the step's losses; it skips
     the student's forward, the backward and the Adam step, and its unchanged
     student is evaluated once. Its records and its student are the ones
-    training writes."""
+    training writes.
+
+    A KD stage whose loss reads only logits takes its teacher's rows from
+    the memo of `_TeacherRows`, so the teacher runs once per row and
+    trimmed length while KD stages with its bytes follow one another."""
     data = _stage_data(stage, datasets)
     if teacher is not None:
         teacher.freeze()
     fixed = _is_fixed_point(stage, student, teacher)
+    if stage.kd is not None:
+        memo = _TeacherRows(teacher)  # any other teacher's rows go, whatever the loss
+        if not stage.kd.use_hidden:
+            teacher = memo
 
     def fresh_layer_map():
         if stage.kd is not None and stage.kd.use_hidden:
@@ -616,14 +670,15 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
 
     total_steps = stage.epochs * batches_per_epoch(len(data), stage.batch_size)
     event_steps, amounts = [], None
-    ledger = None  # Taylor score sums since the last pruning event
+    ledger = None  # Taylor score sums since the last event, while one ranks units
     if stage.prune is not None and stage.prune.mode == "iterative":
         if stage.prune.target.r is not None and not student.config.factorized:
             # iterative rank pruning trains the factors, so factorize at
             # full rank up front and let Taylor scores order the ranks
             factorize_model_embedding(student, student.config.full_rank)
         event_steps, amounts = prune_events(student.config, stage.prune, total_steps)
-        ledger = {}
+        if any(amounts[dim] for dim in UNIT_DIMS.values()):  # else no event ranks units
+            ledger = {}
 
     optimizer = None if fixed else Adam(student.parameters())
     eval_every = max(1, total_steps // 25)
@@ -658,7 +713,7 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                     units = select_prune_set(ledger, student, amounts)
                     report = apply_surgery(student, units)
                     optimizer.apply_surgery(report)
-                    ledger = {}
+                    ledger = None if ledger is None or step == event_steps[-1] else {}
                     layer_map = fresh_layer_map()
 
                 record = {

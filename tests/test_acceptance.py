@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The training-trend
 criteria 08 and 09 (iterative vs one-step pruning, multi-stage vs
 single-stage KD, pruned+KD vs scratch, over several seeds) are not yet
-implemented; ROADMAP item 2 plans them as an opt-in harness outside
+implemented; ROADMAP item 1 plans them as an opt-in harness outside
 this suite.
 """
 

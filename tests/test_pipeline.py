@@ -1139,3 +1139,184 @@ def test_samesize_kd_writes_its_teachers_arrays_without_dropout(task_dir, tmp_pa
     steps = [s.epochs * batches_per_epoch(len(splits[s.dataset]), s.batch_size)
              for s in plan.stages]
     assert len(forwards) == sum(steps) - (steps[1] if dropout == 0.0 else 0)
+
+
+def test_taylor_scores_are_recorded_only_while_a_later_event_ranks_them(
+        task_dir, tmp_path, monkeypatch):
+    """A depth-only stage drops layers without ranking units, so it records
+    no score; a width stage records up to its last event, and no further."""
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    calls = []
+    real = PL.record_batch_scores
+    monkeypatch.setattr(PL, "record_batch_scores",
+                        lambda *args: calls.append(1) or real(*args))
+    targets = {"depth": (ArchitectureTarget(L=1), [4], 0),
+               "width": (ArchitectureTarget(H=2, d_I=16), [2, 4], 4)}
+    for name, (target, events, recorded) in targets.items():
+        calls.clear()
+        # 64 rows / 16 per batch x 2 epochs = 8 steps; events over the first half
+        stage = StageSpec(name=name, dataset="train_aug", epochs=2, batch_size=16,
+                          teacher="original", kd=KDConfig(),
+                          prune=PruneSpec(mode="iterative", target=target,
+                                          prune_fraction=0.5, n_events=len(events)))
+        teacher = Model.init(ModelConfig(**tiny_model_dict(info, H=4, head_dim=4)), 5)
+        student = clone(teacher)
+        assert prune_events(student.config, stage.prune, 8)[0] == events
+        with MetricsWriter(tmp_path / f"{name}.ndjson") as metrics:
+            run_stage(stage, student, teacher, splits, metrics, np.random.default_rng(2))
+        assert len(calls) == recorded, name
+
+
+def test_a_frozen_models_rows_do_not_depend_on_their_batch():
+    """The premise of the teacher-row memo: at one trimmed length, every
+    hidden state of a row is bit-equal whatever batch it runs in, so only
+    the classifier's product depends on the batch. Run at the README
+    teacher's shape; if a numpy or BLAS build breaks this, this test says so."""
+    cfg = ModelConfig(H=8, L=8, d_X=64, d_I=256, r=0, vocab_size=60, max_len=14,
+                      n_classes=2)
+    model = Model.init(cfg, 1)
+    model.freeze()
+    rng = np.random.default_rng(0)
+    n, s = 64, 14
+    ids = rng.integers(4, cfg.vocab_size, size=(n, s))
+    lengths = rng.integers(5, s + 1, size=n)  # padded rows; every batch runs at s
+    mask = (np.arange(s)[None, :] < lengths[:, None]).astype(np.float64)
+    ids = np.where(mask > 0, ids, 0)
+    with T.no_grad():
+        ref = model.forward(ids, mask).hidden
+        for size in (32, 17, 1):
+            order = rng.permutation(n)
+            for start in range(0, n, size):
+                sel = order[start:start + size]
+                trace = model.forward(ids[sel], mask[sel])
+                for layer, (h, h_ref) in enumerate(zip(trace.hidden, ref)):
+                    assert h.data.tobytes() == h_ref.data[sel].tobytes(), (size, layer)
+                rows = np.stack([ref[-1].data[i, 0] for i in sel])
+                logits = T.linear(rows, model.params["cls.W"], model.params["cls.b"])
+                assert logits.data.tobytes() == trace.logits.data.tobytes(), size
+
+
+def _teacher_forwards(monkeypatch) -> list:
+    """Record the batch size of each forward of a frozen model: a teacher's pass."""
+    forward = Model.forward
+    calls = []
+
+    def counted(self, ids, *args, **kwargs):
+        if not any(p.requires_grad for p in self.params.values()):
+            calls.append(len(ids))
+        return forward(self, ids, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    return calls
+
+
+def _forget_rows(monkeypatch) -> None:
+    """Force every lookup of the teacher-row memo to miss."""
+    forward = PL._TeacherRows.forward
+
+    def missing(self, *args, **kwargs):
+        self.rows.clear()
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(PL._TeacherRows, "forward", missing)
+
+
+class TestTeacherMemo:
+    """A logit-only KD stage that looks its teacher up in the row memo
+    writes the bytes of one whose teacher runs at every step."""
+
+    CASES = {
+        "fixed_t1": dict(kd=KDConfig()),
+        "fixed_t2": dict(kd=KDConfig(temperature=2.0)),
+        "moving_t1": dict(kd=KDConfig(), dropout=0.1),
+        "moving_t2": dict(kd=KDConfig(temperature=2.0), dropout=0.1),
+        # 64 rows / 17 per batch: batches of 17, 17, 17 and 13
+        "two_lengths": dict(kd=KDConfig(temperature=2.0), dropout=0.1, batch_size=17),
+        "one_step": dict(kd=KDConfig(), prune=PruneSpec(
+            mode="one_step", target=ArchitectureTarget(H=1, d_I=16))),
+    }
+
+    @staticmethod
+    def splits(task_dir, two_lengths: bool) -> dict:
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        if two_lengths:  # all but 4 rows one token shorter
+            aug = splits["train_aug"]
+            ids, mask = aug.ids.copy(), aug.mask.copy()
+            ids[4:, -1], mask[4:, -1] = 0, 0.0
+            splits["train_aug"] = EncodedDataset(ids=ids, mask=mask, labels=aug.labels)
+        return splits
+
+    @staticmethod
+    def run(info, splits, out, teacher_seed=5, **over) -> tuple:
+        stage = StageSpec(**{"name": "kd", "dataset": "train_aug", "epochs": 2,
+                             "batch_size": 16, "teacher": "original", **over})
+        teacher = Model.init(ModelConfig(**tiny_model_dict(info)), teacher_seed)
+        student = clone(teacher)
+        with MetricsWriter(out) as metrics:
+            student = run_stage(stage, student, teacher, splits, metrics,
+                                np.random.default_rng(9))
+        return out.read_bytes(), {name: p.data.tobytes() for name, p in student.params.items()}
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "inline"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_writes_the_bytes_of_a_teacher_run_at_every_step(self, task_dir, tmp_path,
+                                                              monkeypatch, case, fork):
+        info = task_dir[1]
+        splits = self.splits(task_dir, case == "two_lengths")
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: fork)
+        monkeypatch.setattr(PL, "_memo", (None, {}))
+        lengths = []
+        real_batches = PL.iter_batches
+
+        def batches(*args, **kwargs):
+            for batch in real_batches(*args, **kwargs):
+                lengths.append(batch[0].shape[1])
+                yield batch
+
+        monkeypatch.setattr(PL, "iter_batches", batches)
+        forwards = _teacher_forwards(monkeypatch)
+        runs, counts = {}, {}
+        for mode in ("memo", "memo_again", "miss"):
+            if mode == "miss":
+                _forget_rows(monkeypatch)
+            forwards.clear()
+            runs[mode] = self.run(info, splits, tmp_path / f"{mode}.ndjson",
+                                  **self.CASES[case])
+            counts[mode] = len(forwards)
+        assert runs["memo"] == runs["memo_again"] == runs["miss"]
+        assert counts["miss"] >= 8  # 4 batches per epoch, and the one-step pass
+        assert counts["memo_again"] == 0  # the same batches: every row hits
+        if case == "two_lengths":  # so rows hit at either trimmed length
+            assert set(lengths) == {7, 8}
+        else:
+            assert counts["memo"] < 8
+        if case.startswith("fixed"):
+            assert counts["memo"] == 4  # the first epoch's batches
+
+    def test_a_second_teacher_replaces_the_memo(self, task_dir, tmp_path, monkeypatch):
+        info = task_dir[1]
+        splits = self.splits(task_dir, False)
+        monkeypatch.setattr(PL, "_memo", (None, {}))
+        forwards = _teacher_forwards(monkeypatch)
+        runs, counts = {}, {}
+        for mode in ("memo", "miss"):
+            if mode == "miss":
+                _forget_rows(monkeypatch)
+            runs[mode], counts[mode] = [], []
+            for k, seed in enumerate((5, 6, 5)):
+                forwards.clear()
+                runs[mode].append(self.run(info, splits, tmp_path / f"{mode}{k}.ndjson",
+                                           teacher_seed=seed, kd=KDConfig()))
+                counts[mode].append(len(forwards))
+            if mode == "memo":
+                digest, rows = PL._memo
+                assert len(rows) == len(splits["train_aug"])  # the last teacher's only
+                assert PL._TeacherRows(
+                    Model.init(ModelConfig(**tiny_model_dict(info)), 5)).rows is rows
+                assert PL._memo[0] == digest
+        assert runs["memo"] == runs["miss"]
+        assert runs["memo"][0] == runs["memo"][2] != runs["memo"][1]
+        # each teacher empties the last one's rows, so each runs its first epoch
+        assert counts == {"memo": [4, 4, 4], "miss": [8, 8, 8]}
