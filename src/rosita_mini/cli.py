@@ -18,8 +18,8 @@ from .data import generate_marker_task, load_task_dir
 from .factorization import factorize_model_embedding
 from .metrics import METRIC_KINDS, check_metric_kind
 from .model import count_params
-from .pipeline import (PruneSpec, StagePlan, StageSpec, collect_one_step_scores,
-                       evaluate, one_step_prune, run_plan)
+from .pipeline import (PruneSpec, StagePlan, StageSpec, _stage_data,
+                       collect_one_step_scores, evaluate, one_step_prune, run_plan)
 from .presets import HP_DEFAULTS, _finetune_stage, build_preset
 from .pruning import ArchitectureTarget, unit_importance
 from .sweeps import LR_KIND_ALIASES, sweep_architectures, sweep_frequency
@@ -99,13 +99,17 @@ def cmd_prune_one_step(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     model = ck.to_model()
     vocab, splits, info = _load_data(args, model.config.max_len)
-    target = ArchitectureTarget.from_dict(_read_json(args.target)
-                                          if Path(args.target).exists()
-                                          else json.loads(args.target))
+    try:
+        target = ArchitectureTarget.from_dict(_read_json(args.target)
+                                              if Path(args.target).exists()
+                                              else json.loads(args.target))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--target {args.target!r} is neither a file of JSON nor a "
+                         f"JSON literal ({exc})") from None
     stage = StageSpec(name="prune", dataset="train", epochs=1,
                       batch_size=args.batch_size,
                       prune=PruneSpec(mode="one_step", target=target))
-    one_step_prune(model, None, stage, splits["train"], None)
+    one_step_prune(model, None, stage, _stage_data(stage, splits), None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "pruned.rst"
@@ -140,30 +144,32 @@ def cmd_run_plan(args) -> int:
     return 0
 
 
-def cmd_sweep_architectures(args) -> int:
+def _sweep_inputs(args, *keys):
+    """A sweep's config, model with data defaults, seeds, splits and metric kind."""
     vocab, splits, info = _load_data(args)
-    spec = _read_json(args.archs, "architectures")
-    rows = sweep_architectures(args.teacher, spec["architectures"], splits,
-                               args.out, seed=args.seed, hp=spec.get("hp"),
-                               eval_kind=info["metric"])
+    cfg = _read_json(args.config, "model", *keys)
+    return (cfg, _with_data_defaults(cfg["model"], vocab, info),
+            [int(s) for s in args.seeds.split(",")], splits, info["metric"])
+
+
+def cmd_sweep_architectures(args) -> int:
+    cfg, model, seeds, splits, kind = _sweep_inputs(args, "architectures")
+    rows = sweep_architectures(model, cfg["architectures"], seeds, splits, args.out,
+                               hp=cfg.get("hp"), eval_kind=kind)
     print(json.dumps(rows, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_sweep_frequency(args) -> int:
-    vocab, splits, info = _load_data(args)
-    cfg = _read_json(args.config, "model", "target")
-    model = _with_data_defaults(cfg["model"], vocab, info)
+    cfg, model, seeds, splits, kind = _sweep_inputs(args, "target")
     fractions = [float(f) for f in args.fractions.split(",")]
     kinds = args.lr_schedule.split(",")
     unknown = [k for k in kinds if k not in LR_KIND_ALIASES]
     if unknown:
         raise SystemExit(f"unknown lr schedule(s) {unknown}; "
                          f"choices: {sorted(LR_KIND_ALIASES)}")
-    seeds = [int(s) for s in args.seeds.split(",")]
     rows = sweep_frequency(model, cfg["target"], fractions, kinds, seeds, splits,
-                           args.out, hp=cfg.get("hp"),
-                           eval_kind=info["metric"])
+                           args.out, hp=cfg.get("hp"), eval_kind=kind)
     print(json.dumps(rows, sort_keys=True, indent=2))
     return 0
 
@@ -189,7 +195,8 @@ def cmd_inspect(args) -> int:
     if args.data:
         vocab, splits, info = _load_data(args, model.config.max_len)
         stage = StageSpec(name="inspect", dataset="train", epochs=1, batch_size=32)
-        ledger = collect_one_step_scores(model, None, stage, splits["train"], None)
+        ledger = collect_one_step_scores(model, None, stage, _stage_data(stage, splits),
+                                         None)
         importance = {}
         for layer in range(model.config.L):
             importance[f"layer{layer}"] = {
@@ -262,12 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("sweep-architectures", cmd_sweep_architectures,
-            help="one-step prune + fine-tune across architectures")
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--archs", required=True)
+            help="fine-tune, then one-step prune + fine-tune across architectures")
+    p.add_argument("--config", required=True)
+    p.add_argument("--seeds", default="0")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("sweep-frequency", cmd_sweep_frequency,
             help="grid over pruning fraction and lr schedule")

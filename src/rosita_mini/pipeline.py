@@ -730,15 +730,6 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     return student
 
 
-def stage_summary(student: Model, metrics: MetricsWriter, **fields) -> dict:
-    """Summary row of a finished stage: `fields`, the student's config and
-    size, and the dev metric that the stage's last record carries."""
-    last = metrics.last
-    return {**fields, "config": student.config.to_dict(),
-            "param_count": count_params(student.config),
-            **{k: last[k] for k in ("eval_metric_kind", "eval_metric") if k in last}}
-
-
 def stage_rng(seed: int, k: int) -> np.random.Generator:
     """Stage k's rng under `seed`: SeedSequence(seed).spawn(n)[k], the same for any n > k."""
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
@@ -758,7 +749,9 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
     Stage k draws `stage_rng(seed, k)`; its teacher is reloaded from the
     arm's written checkpoints. A stage whose prefix (plan model and stages
     0..k) an earlier arm trained is linked in, not trained again, so each
-    directory holds what a lone `run_plan` of its arm writes.
+    directory holds what a lone `run_plan` of its arm writes. A stage's
+    summary holds its name, checkpoint, the student's config and size, and
+    the dev metric that the stage's last record carries.
     """
     check_metric_kind(eval_kind)
     for out_dir, plan in arms.items():
@@ -800,7 +793,11 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
                 student = run_stage(stage, student, teacher, datasets, metrics, rng,
                                     eval_kind)
             save_checkpoint(ckpt_path, student, seed=seed, stage=stage.name)
-            summaries.append(stage_summary(student, metrics, stage=stage.name,
-                                           checkpoint=str(ckpt_path)))
+            last = metrics.last
+            summaries.append({"stage": stage.name, "checkpoint": str(ckpt_path),
+                              "config": student.config.to_dict(),
+                              "param_count": count_params(student.config),
+                              **{k: last[k] for k in ("eval_metric_kind", "eval_metric")
+                                 if k in last}})
             trained[prefix] = (out_dir, summaries[-1])
     return results

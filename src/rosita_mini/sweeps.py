@@ -1,11 +1,9 @@
-"""Experiment orchestrators: architecture sweeps and the pruning-frequency
+"""Experiment orchestrators: the architecture study and the pruning-frequency
 by learning-rate-schedule grid.
 
-A frequency cell is the `run_arms` arm `f{fraction:g}_{lr_kind}_seed{seed}/`:
-the preset's stages before the final width-pruning one, trained once per
-seed, then the cell's own, so the cells of a seed differ in nothing but
-pruning fraction and schedule, not even in batches. Every architecture
-draws `stage_rng(seed, 1)`, the same batches wherever it is in the list.
+Each cell of either grid is the `run_arms` arm `{cell}_seed{seed}/`. The
+cells of a seed share their stage prefix, trained once, and the batches of
+their last stage, so they differ in nothing but the cell's own fields.
 """
 
 from __future__ import annotations
@@ -14,48 +12,35 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from .checkpoint import load_checkpoint
 from .data import EncodedDataset
-from .metrics import MetricsWriter, check_metric_kind
-from .pipeline import PruneSpec, StagePlan, run_arms, run_stage, stage_rng, stage_summary
+from .model import ModelConfig
+from .pipeline import PruneSpec, StagePlan, run_arms
 from .presets import (_finetune_stage, _hp, plan_iterative_width_depth_three_stage,
                       plan_iterative_width_two_stage)
 from .pruning import ArchitectureTarget
 
 
-def sweep_architectures(teacher_ckpt, archs: list[dict],
-                        datasets: dict[str, EncodedDataset], out_dir, seed: int = 0,
+def sweep_architectures(model: dict, archs: list[dict], seeds: list[int],
+                        datasets: dict[str, EncodedDataset], out_dir,
                         hp: dict | None = None,
                         eval_kind: str = "accuracy") -> list[dict]:
-    """One-step prune the fine-tuned model to each architecture, fine-tune
-    with cross-entropy, and report the dev metric per architecture.
+    """Per seed, fine-tune `model` once; then, per architecture, the cell
+    `arch_{name}` one-step prunes that to its target and fine-tunes it with
+    cross-entropy.
 
     archs entries: {"name": str, "target": {"H":…, "L":…, "d_I":…, "r":…}}.
-    The metric kind and every arch's stage are checked before any trains.
+    Every target is checked against `model` before anything trains.
     """
-    check_metric_kind(eval_kind)
-    hp = _hp(hp)
-    teacher_ck = load_checkpoint(teacher_ckpt)
-    stages = {}
+    finetune = _finetune_stage(_hp(hp))
+    cells = []
     for arch in archs:
-        name, target = arch["name"], ArchitectureTarget.from_dict(arch["target"])
-        if name in stages:
-            raise ValueError(f"architecture name {name!r} appears twice")
-        target.deltas(teacher_ck.config)
-        stages[name] = replace(_finetune_stage(hp), name=f"arch_{name}",
-                               prune=PruneSpec(mode="one_step", target=target))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for arch, stage in zip(archs, stages.values()):
-        student = teacher_ck.to_model()
-        with MetricsWriter(out_dir / f"{stage.name}.ndjson") as metrics:
-            run_stage(stage, student, None, datasets, metrics, stage_rng(seed, 1),
-                      eval_kind)
-        rows.append(stage_summary(student, metrics, name=arch["name"],
-                                  target=arch["target"]))
-    _write_summary(out_dir, rows)
-    return rows
+        target = ArchitectureTarget.from_dict(arch["target"])
+        target.deltas(ModelConfig.from_dict(model))
+        arch_stage = replace(finetune, name=f"arch_{arch['name']}", teacher="original",
+                             prune=PruneSpec("one_step", target))
+        cells.append((arch_stage.name, {"name": arch["name"], "target": arch["target"]},
+                      StagePlan(model, [finetune, arch_stage])))
+    return _run_cells(cells, seeds, datasets, out_dir, eval_kind)
 
 
 LR_KIND_ALIASES = {"linear": "linear_decay", "linear_decay": "linear_decay",
@@ -68,24 +53,35 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
                     hp: dict | None = None,
                     eval_kind: str = "accuracy") -> list[dict]:
     """Grid over (pruning fraction, lr schedule, seed) for the final
-    width-pruning KD stage; each cell is an arm in its own directory."""
-    hp = _hp(hp)
+    width-pruning KD stage: the cell `f{fraction:g}_{lr_kind}`."""
     preset = (plan_iterative_width_two_stage if target.get("L") is None
               else plan_iterative_width_depth_three_stage)
-    plan = preset(model, target, hp)
-    *shared, last = plan.stages
+    *shared, last = preset(model, target, hp).stages
     lr_kinds = [LR_KIND_ALIASES[k] for k in lr_kinds]
     # every cell's stage is built, and so checked, before anything trains
-    cells = {(fraction, kind): StagePlan(plan.model, shared + [replace(
-                 last, lr_kind=kind, prune=replace(last.prune, prune_fraction=fraction))])
-             for fraction in fractions for kind in lr_kinds}
+    cells = [(f"f{fraction:g}_{kind}", {"fraction": fraction, "lr_kind": kind},
+              StagePlan(model, shared + [replace(
+                  last, lr_kind=kind, prune=replace(last.prune, prune_fraction=fraction))]))
+             for fraction in fractions for kind in lr_kinds]
+    return _run_cells(cells, seeds, datasets, out_dir, eval_kind)
+
+
+def _run_cells(cells: list[tuple[str, dict, StagePlan]], seeds: list[int],
+               datasets: dict[str, EncodedDataset], out_dir,
+               eval_kind: str) -> list[dict]:
+    """Run each `(cell, fields, plan)` for each seed as the arm
+    `{cell}_seed{seed}/`, one `run_arms` call per seed, and write one summary
+    row per cell and seed: the cell's fields, the seed, and its last stage's
+    summary. A repeated cell or seed is rejected before anything trains."""
+    for what, items in (("cell", [cell for cell, _, _ in cells]), ("seed", seeds)):
+        if repeated := [x for i, x in enumerate(items) if x in items[:i]]:
+            raise ValueError(f"{what} {repeated[0]!r} appears twice")
     rows = []
     for seed in seeds:
-        arms = {Path(out_dir, f"f{fraction:g}_{kind}_seed{seed}"): cell
-                for (fraction, kind), cell in cells.items()}
-        results = run_arms(arms, datasets, seed, eval_kind)
-        for (fraction, kind), summaries in zip(cells, results.values()):
-            rows.append({"fraction": fraction, "lr_kind": kind, "seed": seed,
+        results = run_arms({Path(out_dir, f"{cell}_seed{seed}"): plan
+                            for cell, _, plan in cells}, datasets, seed, eval_kind)
+        for (_, fields, _), summaries in zip(cells, results.values()):
+            rows.append({**fields, "seed": seed,
                          **{k: v for k, v in summaries[-1].items()
                             if k not in ("stage", "checkpoint")}})
     Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import json
 import re
+import shlex
 import textwrap
 from pathlib import Path
 
@@ -279,15 +280,13 @@ def test_finetune_rejects_unknown_train_keys(workspace, capsys):
     ("sweep-frequency", "--config", {"model": {"H": 2}}, "['target']"),
     ("run-plan", "--plan", {"preset": "scratch"}, "['model', 'target']"),
     ("run-plan", "--plan", {"model": {"H": 2}}, "['stages']"),
-    ("sweep-architectures", "--archs", {"hp": {}}, "['architectures']"),
+    ("sweep-architectures", "--config", {"model": {"H": 2}}, "['architectures']"),
 ], ids=["finetune", "sweep_frequency", "preset_plan", "explicit_plan", "architectures"])
 def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, command,
                                                flag, config, missing):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    extra = {"sweep-frequency": ["--fractions", "0.5", "--lr-schedule", "constant"],
-             "sweep-architectures": ["--teacher",
-                                     str(workspace / "run" / "stage0_finetune.rst")]}
+    extra = {"sweep-frequency": ["--fractions", "0.5", "--lr-schedule", "constant"]}
     rc = main([command, flag, str(path), "--data", str(workspace / "data"),
                "--out", str(tmp_path / "out"), *extra.get(command, [])])
     assert rc == 1
@@ -399,43 +398,160 @@ def test_sweep_frequency_rejects_bad_fraction_before_training(workspace, capsys)
     assert not list(out.rglob("*.rst"))
 
 
+TINY_MODEL = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
+
+
 def test_sweep_architectures_subcommand(workspace, capsys):
-    spec = {"architectures": [
+    spec = {"model": TINY_MODEL,
+            "architectures": [
                 {"name": "a", "target": {"H": 1, "L": 1, "d_I": 16, "r": 4}},
                 {"name": "b", "target": {"H": 2, "L": 1, "d_I": 8, "r": 2}}],
             "hp": {"finetune_epochs": 1, "batch_size": 16}}
     (workspace / "archs.json").write_text(json.dumps(spec))
-    rc = main(["sweep-architectures", "--teacher", str(workspace / "run" / "stage0_finetune.rst"),
-               "--archs", str(workspace / "archs.json"),
-               "--data", str(workspace / "data"),
-               "--out", str(workspace / "archs_out")])
+    out = workspace / "archs_out"
+    rc = main(["sweep-architectures", "--config", str(workspace / "archs.json"),
+               "--seeds", "0,1", "--data", str(workspace / "data"), "--out", str(out)])
     assert rc == 0
     rows = json.loads(capsys.readouterr().out.strip())
-    assert [r["name"] for r in rows] == ["a", "b"]
+    assert [(r["name"], r["seed"]) for r in rows] == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
     assert rows[0]["config"]["H"] == 1
-    assert (workspace / "archs_out" / "arch_a.ndjson").exists()
+    assert rows[0]["target"] == spec["architectures"][0]["target"]
     for row in rows:
-        last = read_ndjson(workspace / "archs_out" / f"arch_{row['name']}.ndjson")[-1]
+        arm = out / f"arch_{row['name']}_seed{row['seed']}"
+        assert sorted(p.name for p in arm.iterdir()) == [
+            "stage0_finetune.ndjson", "stage0_finetune.rst",
+            f"stage1_arch_{row['name']}.ndjson", f"stage1_arch_{row['name']}.rst"]
+        last = read_ndjson(arm / f"stage1_arch_{row['name']}.ndjson")[-1]
         assert row["eval_metric"] == last["eval_metric"]
+    # the teacher is trained once per seed, and the other arms link it
+    for seed in (0, 1):
+        a, b = (out / f"arch_{n}_seed{seed}" / "stage0_finetune.rst" for n in "ab")
+        assert a.stat().st_ino == b.stat().st_ino
+    assert (out / "summary.tsv").read_text().splitlines()[0].split("\t") == \
+        ["name", "seed", "param_count", "eval_metric_kind", "eval_metric"]
+
+
+def test_an_arch_arm_writes_the_bytes_of_its_explicit_plan(workspace, capsys):
+    """An architecture is the two-stage plan [finetune, arch_x]; its stage 0
+    is what `finetune` writes with the same hp and seed."""
+    target = {"H": 1, "L": 1, "d_I": 16, "r": 4}
+    train = {"epochs": 2, "batch_size": 16, "base_lr": 3e-3}
+    finetune = {"name": "finetune", "dataset": "train", **train}
+    configs = {
+        "ft": {"model": TINY_MODEL, "train": train},
+        "plan": {"version": 1, "model": TINY_MODEL, "stages": [
+            finetune, {**finetune, "name": "arch_x", "teacher": "original",
+                       "prune": {"mode": "one_step", "target": target}}]},
+        "archs": {"model": TINY_MODEL, "architectures": [{"name": "x", "target": target}],
+                  "hp": {"finetune_epochs": 2, "batch_size": 16, "finetune_lr": 3e-3}},
+    }
+    for name, cfg in configs.items():
+        (workspace / f"ident_{name}.json").write_text(json.dumps(cfg))
+
+    def run(command, config_flag, name, seed_flag):
+        return main([command, config_flag, str(workspace / f"ident_{name}.json"),
+                     seed_flag, "3", "--data", str(workspace / "data"),
+                     "--out", str(workspace / f"ident_{name}")])
+
+    assert run("finetune", "--config", "ft", "--seed") == 0
+    assert run("run-plan", "--plan", "plan", "--seed") == 0
+    assert run("sweep-architectures", "--config", "archs", "--seeds") == 0
+    capsys.readouterr()
+    arm = workspace / "ident_archs" / "arch_x_seed3"
+    plan = workspace / "ident_plan"
+    names = ["stage0_finetune.ndjson", "stage0_finetune.rst",
+             "stage1_arch_x.ndjson", "stage1_arch_x.rst"]
+    assert sorted(p.name for p in arm.iterdir()) == names
+    for name in names:
+        assert (arm / name).read_bytes() == (plan / name).read_bytes(), name
+    assert (arm / "stage0_finetune.rst").read_bytes() == \
+        (workspace / "ident_ft" / "stage0_finetune.rst").read_bytes()
 
 
 @pytest.mark.parametrize("archs, message", [
     ([{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"H": 9}}], "H = 9"),
     ([{"name": "a", "target": {"H": 1}}, {"name": "a", "target": {"d_I": 8}}],
-     "'a' appears twice"),
+     "cell 'arch_a' appears twice"),
 ], ids=["target_above_teacher", "duplicate_name"])
 def test_sweep_architectures_checks_every_arch_before_training(workspace, capsys,
                                                                archs, message):
     (workspace / "bad_archs.json").write_text(json.dumps(
-        {"architectures": archs, "hp": {"finetune_epochs": 1, "batch_size": 16}}))
+        {"model": TINY_MODEL, "architectures": archs,
+         "hp": {"finetune_epochs": 1, "batch_size": 16}}))
     out = workspace / "bad_archs_out"
-    rc = main(["sweep-architectures",
-               "--teacher", str(workspace / "run" / "stage0_finetune.rst"),
-               "--archs", str(workspace / "bad_archs.json"),
+    rc = main(["sweep-architectures", "--config", str(workspace / "bad_archs.json"),
                "--data", str(workspace / "data"), "--out", str(out)])
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("sweep-frequency", ["--fractions", "1.0,1", "--lr-schedule", "linear,linear_decay"],
+     "cell 'f1_linear_decay' appears twice"),
+    ("sweep-frequency", ["--fractions", "0.5", "--lr-schedule", "constant",
+                         "--seeds", "0,1,0"], "seed 0 appears twice"),
+    ("sweep-architectures", ["--seeds", "2,2"], "seed 2 appears twice"),
+], ids=["frequency_cell", "frequency_seed", "architectures_seed"])
+def test_sweeps_reject_a_repeated_cell_or_seed_before_training(workspace, tmp_path,
+                                                               capsys, command, flags,
+                                                               message):
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {"model": TINY_MODEL, "target": {"H": 1},
+         "architectures": [{"name": "a", "target": {"H": 1}}],
+         "hp": {"finetune_epochs": 1, "width_events": 1, "batch_size": 16}}))
+    rc = main([command, "--config", str(tmp_path / "sweep.json"), *flags,
+               "--data", str(workspace / "data"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("prune-one-step", ["--target", '{"H": 1}', "--out", "pruned"]),
+    ("inspect", []),
+], ids=["prune_one_step", "inspect"])
+def test_a_data_dir_without_train_names_the_split(workspace, tmp_path, monkeypatch, capsys,
+                                                  command, flags):
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in (workspace / "data").iterdir():
+        if f.name != "train.tsv":
+            (data / f.name).write_bytes(f.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
+               "--data", str(data), *flags])
+    assert rc == 1
+    assert "dataset 'train' not loaded; loaded: ['dev', 'train_aug']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "pruned").exists()
+
+
+def test_prune_one_step_names_a_target_that_is_neither_file_nor_json(workspace, tmp_path,
+                                                                      capsys):
+    rc = main(["prune-one-step", "--checkpoint",
+               str(workspace / "run" / "stage0_finetune.rst"), "--target", "nothere.json",
+               "--data", str(workspace / "data"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--target 'nothere.json' is neither a file of JSON nor a JSON literal" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_commands_parse():
+    """Every `rosita-mini` command in a README code block, its backslash
+    continuations joined, parses under the CLI's parser (nothing runs)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```")[1::2]
+    commands = [line.strip() for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.strip().startswith("rosita-mini ")]
+    assert any(c.split()[1] == "sweep-frequency" for c in commands)
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def _args_reads(fn) -> set[str]:

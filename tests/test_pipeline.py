@@ -17,7 +17,7 @@ import pytest
 from rosita_mini import pipeline as PL
 from rosita_mini import presets, sweeps
 from rosita_mini import tensor as T
-from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
+from rosita_mini.checkpoint import load_checkpoint
 from rosita_mini.data import (EncodedDataset, batches_per_epoch, generate_marker_task,
                               load_task_dir)
 from rosita_mini.distillation import KDConfig, build_layer_map
@@ -925,52 +925,43 @@ class TestRunArms:
 def test_sweep_architectures_result_does_not_depend_on_list_order(task_dir, tmp_path):
     path, info = task_dir
     _, splits = load_task_dir(path, info["max_len"])
-    teacher = tmp_path / "teacher.rst"
-    save_checkpoint(teacher, Model.init(ModelConfig(**tiny_model_dict(info)), 4),
-                    seed=4, stage="finetune")
     archs = [{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"d_I": 16}}]
     hp = {"finetune_epochs": 1, "batch_size": 16}
-    sweeps.sweep_architectures(teacher, archs, splits, tmp_path / "ab", seed=5, hp=hp)
-    sweeps.sweep_architectures(teacher, archs[::-1], splits, tmp_path / "ba", seed=5,
-                               hp=hp)
-    for name in ("arch_a.ndjson", "arch_b.ndjson"):
-        assert (tmp_path / "ab" / name).read_bytes() == \
-            (tmp_path / "ba" / name).read_bytes(), name
+    model = tiny_model_dict(info)
+    sweeps.sweep_architectures(model, archs, [5], splits, tmp_path / "ab", hp=hp)
+    sweeps.sweep_architectures(model, archs[::-1], [5], splits, tmp_path / "ba", hp=hp)
+    for arm in ("arch_a_seed5", "arch_b_seed5"):
+        assert dir_bytes(tmp_path / "ab" / arm) == dir_bytes(tmp_path / "ba" / arm), arm
 
 
 def test_sweep_architectures_keeps_hp_dropout(task_dir, tmp_path, monkeypatch):
     path, info = task_dir
     _, splits = load_task_dir(path, info["max_len"])
-    teacher = tmp_path / "teacher.rst"
-    save_checkpoint(teacher, Model.init(ModelConfig(**tiny_model_dict(info)), 4),
-                    seed=4, stage="finetune")
-    stages = []
+    plans = []
 
-    def capture(stage, *args, **kwargs):
-        stages.append(stage)
-        return run_stage(stage, *args, **kwargs)
+    def capture(arms, *args, **kwargs):
+        plans.extend(arms.values())
+        return PL.run_arms(arms, *args, **kwargs)
 
-    monkeypatch.setattr(sweeps, "run_stage", capture)
+    monkeypatch.setattr(sweeps, "run_arms", capture)
     archs = [{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"d_I": 16}}]
-    sweeps.sweep_architectures(teacher, archs, splits, tmp_path / "out",
+    sweeps.sweep_architectures(tiny_model_dict(info), archs, [0], splits, tmp_path / "out",
                                hp={"dropout": 0.25, "finetune_epochs": 1,
                                    "batch_size": 16})
-    assert [s.dropout for s in stages] == [0.25, 0.25]
+    assert [[(s.name, s.dropout) for s in plan.stages] for plan in plans] == [
+        [("finetune", 0.25), ("arch_a", 0.25)], [("finetune", 0.25), ("arch_b", 0.25)]]
 
 
 def test_sweep_architectures_checks_the_metric_kind_before_training(task_dir, tmp_path):
     path, info = task_dir
     _, splits = load_task_dir(path, info["max_len"])
-    teacher = tmp_path / "teacher.rst"
-    save_checkpoint(teacher, Model.init(ModelConfig(**tiny_model_dict(info)), 4),
-                    seed=4, stage="finetune")
     archs = [{"name": "a", "target": {"H": 1}}]
     with pytest.raises(ValueError, match="unknown metric kind 'bogus'"):
-        sweeps.sweep_architectures(teacher, archs, splits, tmp_path / "out",
+        sweeps.sweep_architectures(tiny_model_dict(info), archs, [0], splits,
+                                   tmp_path / "out",
                                    hp={"finetune_epochs": 1, "batch_size": 16},
                                    eval_kind="bogus")
-    assert not list(tmp_path.glob("**/arch_*.ndjson"))
-
+    assert not (tmp_path / "out").exists()
 
 
 def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
