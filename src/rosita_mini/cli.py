@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import generate_marker_task, load_task_dir
+from .data import N_FILLER_WORDS, generate_marker_task, load_task_dir
 from .factorization import factorize_model_embedding
 from .metrics import METRIC_KINDS, check_metric_kind
 from .model import count_params
@@ -22,11 +22,14 @@ from .pipeline import (PruneSpec, StagePlan, StageSpec, _stage_data,
                        collect_one_step_scores, evaluate, one_step_prune, run_plan)
 from .presets import HP_DEFAULTS, _finetune_stage, build_preset
 from .pruning import ArchitectureTarget, unit_importance
-from .sweeps import LR_KIND_ALIASES, sweep_architectures, sweep_frequency
+from .sweeps import sweep_architectures, sweep_frequency
 
 
 def _read_json(path, *required) -> dict:
-    return _require(json.loads(Path(path).read_text(encoding="utf-8")), path, *required)
+    try:
+        return _require(json.loads(Path(path).read_text(encoding="utf-8")), path, *required)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _require(cfg: dict, path, *keys) -> dict:
@@ -44,7 +47,7 @@ def _load_data(args, max_len: int | None = None):
     if max_len is None:
         max_len = info.get("max_len")
     if max_len is None:
-        raise SystemExit("no max_len available: pass a model config or keep task.json")
+        raise ValueError("no max_len available: pass a model config or keep task.json")
     vocab, splits = load_task_dir(args.data, max_len)
     info.setdefault("metric", "accuracy")
     check_metric_kind(info["metric"])
@@ -163,13 +166,8 @@ def cmd_sweep_architectures(args) -> int:
 def cmd_sweep_frequency(args) -> int:
     cfg, model, seeds, splits, kind = _sweep_inputs(args, "target")
     fractions = [float(f) for f in args.fractions.split(",")]
-    kinds = args.lr_schedule.split(",")
-    unknown = [k for k in kinds if k not in LR_KIND_ALIASES]
-    if unknown:
-        raise SystemExit(f"unknown lr schedule(s) {unknown}; "
-                         f"choices: {sorted(LR_KIND_ALIASES)}")
-    rows = sweep_frequency(model, cfg["target"], fractions, kinds, seeds, splits,
-                           args.out, hp=cfg.get("hp"), eval_kind=kind)
+    rows = sweep_frequency(model, cfg["target"], fractions, args.lr_schedule.split(","),
+                           seeds, splits, args.out, hp=cfg.get("hp"), eval_kind=kind)
     print(json.dumps(rows, sort_keys=True, indent=2))
     return 0
 
@@ -178,7 +176,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint).to_model()
     vocab, splits, info = _load_data(args, model.config.max_len)
     if args.split not in splits:
-        raise SystemExit(f"split {args.split!r} not in {sorted(splits)}")
+        raise ValueError(f"split {args.split!r} not in {sorted(splits)}")
     kind = args.metric or info["metric"]
     value = evaluate(model, splits[args.split], kind)
     print(json.dumps({"split": args.split, "metric": kind, "value": value},
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-dev", type=int, default=768)
     p.add_argument("--n-aug", type=int, default=4096)
     p.add_argument("--seq-len", type=int, default=12)
-    p.add_argument("--n-words", type=int, default=58)
+    p.add_argument("--n-words", type=int, default=N_FILLER_WORDS)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("finetune", cmd_finetune, help="train a model with cross-entropy")

@@ -181,9 +181,12 @@ def _marker_sequences(n: int, seq_len: int, words: list[str], m1: str, m2: str,
     return out
 
 
+N_FILLER_WORDS = 58  # a 64-word vocab: rank 64 -> 10 divides into the README's 6 events
+
+
 def generate_marker_task(out_dir, n_train: int = 256, n_dev: int = 768,
                          n_aug: int = 4096, seq_len: int = 12,
-                         n_filler_words: int = 30, seed: int = 0) -> dict:
+                         n_filler_words: int = N_FILLER_WORDS, seed: int = 0) -> dict:
     """Binary order-of-markers task: which of two marker words comes first.
 
     Both markers appear exactly once per sequence at random positions among

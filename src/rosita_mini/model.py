@@ -239,8 +239,8 @@ def forward(model: Model, token_ids, mask, dropout_rate: float = 0.0,
     if dropout_rate:
         x = T.dropout(x, dropout_rate, dropout_key, 0)
     hidden = [x]
-    # (B, 1, 1, S) additive bias over key positions
-    mask_bias = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)
+    # (B, 1, 1, S) additive bias over key positions, in x's dtype: a float32 eval stays float32
+    mask_bias = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf).astype(x.data.dtype)
     for i in range(c.L):
         layer = _layer_slice(model.params, i)
         x = multi_head(x, layer, c, mask_bias)

@@ -255,6 +255,7 @@ class StagePlan:
 
 def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
+    """The `kind` metric on `data` of a float32 copy of `model`, run under no_grad."""
     check_metric_kind(kind)
     if not len(data):
         raise ValueError(f"evaluate: the split has {len(data)} rows; evaluate on a "
@@ -263,6 +264,9 @@ def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
     if unlabeled:
         raise ValueError(f"evaluate: {unlabeled} of {len(data.labels)} rows are unlabeled "
                          "(label -1); evaluate on a labeled split")
+
+    model = Model(model.config, {name: T.Tensor(p.data.astype(np.float32, copy=False))
+                                 for name, p in model.params.items()})
 
     def predict(batch):
         with T.no_grad():
@@ -484,12 +488,13 @@ class _DevEvals:
     """A stage's dev evals, run in one forked `_Worker` while the parent
     goes on training.
 
-    Each eval sends the child a copy of the student's config and arrays as
-    they are at that step. The record of an eval step, and every record
-    after it, is held until the next eval or the end of the `with` block,
-    which wait for the metric, and is then written in step order: the
-    stream is byte-identical to evaluating inline, which is how each eval
-    runs where `_cpu_spare()` is false. At most one eval is in flight.
+    Each eval sends the child the student's config and a float32 copy of
+    its arrays as they are at that step. The record of an eval step, and
+    every record after it, is held until the next eval or the end of the
+    `with` block, which wait for the metric, and is then written in step
+    order: the stream is byte-identical to evaluating inline, which is how
+    each eval runs where `_cpu_spare()` is false. At most one eval is in
+    flight.
 
     A model whose config and parameter arrays are the very objects of the
     last eval takes that eval's metric, with no new eval: nothing writes
@@ -526,7 +531,8 @@ class _DevEvals:
             record["eval_metric"] = self._metric = evaluate(model, self._data, self._kind)
             self._metrics.write(record)
             return
-        self._worker.send((model.config, {name: p.data for name, p in model.params.items()}))
+        self._worker.send((model.config, {name: p.data.astype(np.float32)
+                                          for name, p in model.params.items()}))
         self._held = [record]
 
     def _collect(self) -> None:

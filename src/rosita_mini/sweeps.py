@@ -54,6 +54,9 @@ def sweep_frequency(model: dict, target: dict, fractions: list[float],
                     eval_kind: str = "accuracy") -> list[dict]:
     """Grid over (pruning fraction, lr schedule, seed) for the final
     width-pruning KD stage: the cell `f{fraction:g}_{lr_kind}`."""
+    if unknown := [k for k in lr_kinds if k not in LR_KIND_ALIASES]:
+        raise ValueError(f"unknown lr schedule(s) {unknown}; "
+                         f"choices: {sorted(LR_KIND_ALIASES)}")
     preset = (plan_iterative_width_two_stage if target.get("L") is None
               else plan_iterative_width_depth_three_stage)
     *shared, last = preset(model, target, hp).stages

@@ -16,6 +16,10 @@ values and gradients are bit-identical to that chain.
 
 Gradient arrays are owned, not copied: an op hands an input the array
 it has just computed for that input alone, and the input keeps it.
+
+float32 data stays float32 and all else becomes float64: only the no-grad
+copy that `pipeline.evaluate` runs is float32, and a tensor that requires
+grad refuses float32 data, so training stays float64.
 """
 
 from __future__ import annotations
@@ -53,15 +57,18 @@ class no_grad:
         return False
 
 
-def _as_f64(data) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+def _as_float(data) -> np.ndarray:
+    data = np.asarray(data)
+    return np.ascontiguousarray(data, np.float32 if data.dtype == np.float32 else np.float64)
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = _as_float(data)
+        if requires_grad and self.data.dtype == np.float32:
+            raise TypeError("a tensor that requires grad must be float64, got float32 data")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()

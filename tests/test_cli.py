@@ -16,7 +16,7 @@ from rosita_mini import cli
 from rosita_mini import pipeline as PL
 from rosita_mini.checkpoint import load_checkpoint
 from rosita_mini.cli import _plan_from_file, build_parser, main
-from rosita_mini.data import load_task_dir
+from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import KDConfig
 from rosita_mini.metrics import read_ndjson
 from rosita_mini.model import ModelConfig
@@ -536,6 +536,60 @@ def test_prune_one_step_names_a_target_that_is_neither_file_nor_json(workspace, 
     err = capsys.readouterr().err
     assert "--target 'nothere.json' is neither a file of JSON nor a JSON literal" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("finetune", "--config"), ("run-plan", "--plan"), ("sweep-frequency", "--config"),
+    ("sweep-architectures", "--config"), ("prune-one-step", "--target"),
+], ids=["finetune", "run_plan", "sweep_frequency", "sweep_architectures", "target"])
+def test_a_file_that_is_not_json_is_named(workspace, tmp_path, capsys, command, flag):
+    path = tmp_path / "bad.json"
+    path.write_text('{"model": \n')
+    extra = {"sweep-frequency": ["--fractions", "0.5", "--lr-schedule", "constant"],
+             "prune-one-step": ["--checkpoint",
+                                str(workspace / "run" / "stage0_finetune.rst")]}
+    rc = main([command, flag, str(path), "--data", str(workspace / "data"),
+               "--out", str(tmp_path / "out"), *extra.get(command, [])])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"rosita-mini: error: {path}: not valid JSON "
+                                       "(Expecting value: line 2 column 1 (char 11))\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["no_max_len", "eval_split", "lr_schedule"])
+def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, case):
+    data = workspace / "data"
+    if case == "no_max_len":  # a data dir without task.json, and a plan with no max_len
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in (workspace / "data").glob("*.t*"):
+            (data / f.name).write_bytes(f.read_bytes())
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"model": TINY_MODEL, "stages": [{"name": "ft", "dataset": "train",
+                                              "epochs": 1}]}))
+        argv = ["run-plan", "--plan", str(tmp_path / "plan.json")]
+        message = "no max_len available: pass a model config or keep task.json"
+    elif case == "eval_split":
+        argv = ["eval", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
+                "--split", "test"]
+        message = "split 'test' not in ['dev', 'train', 'train_aug']"
+    else:
+        (tmp_path / "sweep.json").write_text(json.dumps(
+            {"model": TINY_MODEL, "target": {"H": 1}, "hp": {"finetune_epochs": 1}}))
+        argv = ["sweep-frequency", "--config", str(tmp_path / "sweep.json"),
+                "--fractions", "0.5", "--lr-schedule", "linear,cosine"]
+        message = "unknown lr schedule(s) ['cosine']; choices: " \
+                  "['constant', 'linear', 'linear_decay']"
+    out = ["--out", str(tmp_path / "out")] if case != "eval_split" else []
+    rc = main([*argv, "--data", str(data), *out])
+    assert rc == 1
+    assert capsys.readouterr().err == f"rosita-mini: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_make_data_and_the_library_share_the_filler_word_default():
+    library = inspect.signature(generate_marker_task).parameters["n_filler_words"].default
+    assert build_parser().parse_args(["make-data", "--out", "x"]).n_words == library == 58
 
 
 def test_readme_commands_parse():

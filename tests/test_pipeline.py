@@ -19,10 +19,10 @@ from rosita_mini import presets, sweeps
 from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint
 from rosita_mini.data import (EncodedDataset, batches_per_epoch, generate_marker_task,
-                              load_task_dir)
+                              iter_batches, load_task_dir)
 from rosita_mini.distillation import KDConfig, build_layer_map
 from rosita_mini.factorization import factorize_model_embedding
-from rosita_mini.metrics import MetricsWriter, read_ndjson
+from rosita_mini.metrics import MetricsWriter, eval_metric, read_ndjson
 from rosita_mini.model import Model, ModelConfig
 from rosita_mini.optim import Adam
 from rosita_mini.pipeline import (PruneSpec, StagePlan, StageSpec, lr_at, prune_events,
@@ -381,6 +381,65 @@ def test_evaluate_rejects_an_empty_split(task_dir):
         PL.evaluate(model, empty)
 
 
+class TestFloat32Eval:
+    """`evaluate` runs a float32 copy of the model. Against a float64
+    forward of the same batches, no logit moves by more than MAX_GAP, and a
+    row's prediction may change only where its float64 top-2 margin is
+    below MARGIN."""
+
+    MAX_GAP, MARGIN = 1e-5, 1e-4
+
+    def trained(self, splits, info, path) -> Model:
+        model = Model.init(ModelConfig(**tiny_model_dict(info)), 3)
+        stage = StageSpec(name="ft", dataset="train", epochs=10, batch_size=16, base_lr=3e-3)
+        with MetricsWriter(path) as metrics:
+            run_stage(stage, model, None, {"train": splits["train"]}, metrics,
+                      np.random.default_rng(0))
+        return model
+
+    @pytest.mark.parametrize("case", ["trained", "factorized", "two_lengths"])
+    def test_predictions_change_only_within_the_margin(self, task_dir, tmp_path, monkeypatch,
+                                                       case):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        model = self.trained(splits, info, tmp_path / "ft.ndjson")
+        dev = splits["dev"]
+        if case == "factorized":
+            factorize_model_embedding(model, 4)
+        if case == "two_lengths":  # every other row ends early: padded keys in each batch
+            mask = dev.mask.copy()
+            mask[1::2, 5:] = 0
+            dev = EncodedDataset(np.where(mask > 0, dev.ids, 0), mask, dev.labels)
+        batches = list(iter_batches(dev, 12))
+        if case == "two_lengths":
+            assert all({int(n) for n in b[1].sum(axis=1)} == {5, 8} for b in batches)
+        with T.no_grad():
+            oracle = np.concatenate([model.forward(ids, mask).logits.data
+                                     for ids, mask, _ in batches])
+        traces = []
+        real_forward = Model.forward
+
+        def forward(self, *args, **kwargs):
+            traces.append(real_forward(self, *args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(PL, "_cpu_spare", lambda: False)  # every batch in this process
+        monkeypatch.setattr(Model, "forward", forward)
+        metric = PL.evaluate(model, dev, batch_size=12)
+        assert len(traces) == len(batches) == 3
+        for trace in traces:  # no float64 constant promoted the eval
+            assert {t.data.dtype.name for t in [trace.logits, *trace.hidden]} == {"float32"}
+        assert {p.data.dtype.name for p in model.params.values()} == {"float64"}
+        logits = np.concatenate([t.logits.data for t in traces])
+        assert np.abs(logits - oracle).max() <= self.MAX_GAP
+        top2 = np.sort(oracle, axis=1)[:, -2:]
+        flipped = logits.argmax(axis=1) != oracle.argmax(axis=1)
+        assert (top2[flipped, 1] - top2[flipped, 0] < self.MARGIN).all()
+        assert metric == eval_metric(logits.argmax(axis=1), dev.labels, "accuracy")
+        assert abs(metric - eval_metric(oracle.argmax(axis=1), dev.labels, "accuracy")) \
+            <= flipped.sum() / len(dev)
+
+
 class TestRunStage:
     def test_plain_finetune_reduces_to_cross_entropy(self, task_dir, tmp_path):
         path, info = task_dir
@@ -470,10 +529,11 @@ def _wait_for(path, timeout=30.0) -> bool:
 
 
 def _param_digest(model: Model) -> str:
+    """A digest of the float32 values, which an eval request carries."""
     h = hashlib.sha256()
     for name in sorted(model.params):
         h.update(name.encode())
-        h.update(model.params[name].data.tobytes())
+        h.update(model.params[name].data.astype(np.float32).tobytes())
     return h.hexdigest()
 
 
@@ -539,7 +599,8 @@ class TestOverlappedEval:
             # hold the step-k eval until the parent has built step k+1's record
             evals.append(1)
             waited = len(evals) == 6 or _wait_for(tmp_path / f"built{len(evals) + 1}")
-            return [_param_digest(model), os.getpid(), waited]
+            return [_param_digest(model), os.getpid(), waited,
+                    sorted({p.data.dtype.name for p in model.params.values()})]
 
         monkeypatch.setattr(PL, "_cpu_spare", lambda: True)
         monkeypatch.setattr(PL, "count_params", count_params)
@@ -554,6 +615,7 @@ class TestOverlappedEval:
         assert len(set(at_step)) == 6
         assert all(r["eval_metric"][1] != os.getpid() for r in rows)
         assert all(r["eval_metric"][2] for r in rows)
+        assert all(r["eval_metric"][3] == ["float32"] for r in rows)  # cast in the parent
 
     def test_eval_error_comes_out_of_run_stage(self, task_dir, tmp_path, monkeypatch):
         path, info = task_dir
@@ -964,6 +1026,17 @@ def test_sweep_architectures_checks_the_metric_kind_before_training(task_dir, tm
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_frequency_lists_the_schedules_it_knows(task_dir, tmp_path):
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    with pytest.raises(ValueError, match=r"unknown lr schedule\(s\) \['cosine'\]; choices: "
+                                         r"\['constant', 'linear', 'linear_decay'\]"):
+        sweeps.sweep_frequency(tiny_model_dict(info), {"H": 1}, [0.5], ["constant", "cosine"],
+                               [0], splits, tmp_path / "out",
+                               hp={"finetune_epochs": 1, "width_events": 1})
+    assert not (tmp_path / "out").exists()
+
+
 def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
     """Adam, surgery and factorization give each parameter they change a new
     array and write into none: `_DevEvals` reuses the metric of the very
@@ -1189,12 +1262,15 @@ def test_a_frozen_models_rows_do_not_depend_on_their_batch():
 
 
 def _teacher_forwards(monkeypatch) -> list:
-    """Record the batch size of each forward of a frozen model: a teacher's pass."""
+    """Record the batch size of each forward of a frozen float64 model: a
+    teacher's pass."""
     forward = Model.forward
     calls = []
 
     def counted(self, ids, *args, **kwargs):
-        if not any(p.requires_grad for p in self.params.values()):
+        # a float32 model is `evaluate`'s copy, not a teacher
+        if not any(p.requires_grad or p.data.dtype != np.float64
+                   for p in self.params.values()):
             calls.append(len(ids))
         return forward(self, ids, *args, **kwargs)
 

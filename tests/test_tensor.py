@@ -181,6 +181,15 @@ def test_backward_unreached_leaf_is_zero():
     assert a.grad == 4.0
 
 
+def test_float32_data_stays_float32_and_cannot_require_grad():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    for data in ([1, 2], np.ones(2, np.int64), np.ones(2, np.float16), 2.0):
+        assert Tensor(data).data.dtype == np.float64
+        assert Tensor(data, requires_grad=True).data.dtype == np.float64
+    with pytest.raises(TypeError, match="requires grad must be float64"):
+        Tensor(np.ones(2, np.float32), requires_grad=True)
+
+
 def test_backward_rejects_non_scalar():
     a = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError):
