@@ -1,4 +1,4 @@
-"""Command-line surface for training, pruning, distillation, and sweeps.
+"""Command-line surface for training, pruning, distillation, and arms studies.
 
 Exit codes: 0 success, 1 runtime failure (diagnostic on stderr), 2 usage
 errors (argparse). File formats: TSV datasets, JSON configs/plans, NDJSON
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,10 +20,10 @@ from .factorization import factorize_model_embedding
 from .metrics import METRIC_KINDS, check_metric_kind
 from .model import count_params
 from .pipeline import (PruneSpec, StagePlan, StageSpec, _stage_data,
-                       collect_one_step_scores, evaluate, one_step_prune, run_plan)
+                       collect_one_step_scores, evaluate, one_step_prune, run_arms,
+                       run_plan)
 from .presets import HP_DEFAULTS, _finetune_stage, build_preset
 from .pruning import ArchitectureTarget, unit_importance
-from .sweeps import sweep_architectures, sweep_frequency
 
 
 def _read_json(path, *required) -> dict:
@@ -43,7 +44,7 @@ def _load_data(args, max_len: int | None = None):
     info = {}
     task_json = Path(args.data) / "task.json"
     if task_json.exists():
-        info = json.loads(task_json.read_text(encoding="utf-8"))
+        info = _read_json(task_json)
     if max_len is None:
         max_len = info.get("max_len")
     if max_len is None:
@@ -125,8 +126,9 @@ def cmd_prune_one_step(args) -> int:
     return 0
 
 
-def _plan_from_file(path, vocab, info) -> StagePlan:
-    raw = _read_json(path)
+def _plan_from_dict(raw: dict, path, vocab, info) -> StagePlan:
+    """The plan of `raw`, read from `path`: a preset with its target and hp,
+    or an explicit stage list, with its model configs' data defaults filled."""
     _require(raw, path, "model", "target" if "preset" in raw else "stages")
     if "preset" in raw:
         plan = build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
@@ -141,35 +143,78 @@ def _plan_from_file(path, vocab, info) -> StagePlan:
 
 def cmd_run_plan(args) -> int:
     vocab, splits, info = _load_data(args)
-    plan = _plan_from_file(args.plan, vocab, info)
+    plan = _plan_from_dict(_read_json(args.plan), args.plan, vocab, info)
     summaries = run_plan(plan, splits, args.out, seed=args.seed, eval_kind=info["metric"])
     print(json.dumps(summaries, sort_keys=True, indent=2))
     return 0
 
 
-def _sweep_inputs(args, *keys):
-    """A sweep's config, model with data defaults, seeds, splits and metric kind."""
+def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
+    """The spec's arms as `(name, grid fields, plan)`, all on the spec's model.
+    A `grid` arm is one cell `{name}_f{fraction:g}_{lr_kind}` per pair of
+    values, whose iterative last stage takes them."""
+    spec = _read_json(path, "model", "arms")
+    cells = []
+    for arm in spec["arms"]:
+        name, grid = _require(arm, path, "name")["name"], arm.get("grid")
+        if "model" in arm:
+            raise ValueError(f"{path}: arm {name!r} has a model; every arm takes the spec's")
+        body = {k: v for k, v in arm.items() if k not in ("name", "grid")}
+        plan = _plan_from_dict({**body, "model": spec["model"]}, path, vocab, info)
+        if grid is None:
+            cells.append((name, {}, plan))
+            continue
+        *shared, last = plan.stages
+        if sorted(grid) != ["lr_kind", "prune_fraction"] or last.prune is None \
+                or last.prune.mode != "iterative":
+            raise ValueError(f"{path}: arm {name!r}: a grid takes the lists 'prune_fraction' "
+                             f"and 'lr_kind', for an iterative last stage")
+        for fraction in grid["prune_fraction"]:
+            for kind in grid["lr_kind"]:
+                stage = replace(last, lr_kind=kind,
+                                prune=replace(last.prune, prune_fraction=fraction))
+                cells.append((f"{name}_f{fraction:g}_{kind}",
+                              {"prune_fraction": fraction, "lr_kind": kind},
+                              StagePlan(plan.model, shared + [stage])))
+    return cells
+
+
+def cmd_run_arms(args) -> int:
+    """Run each arm for each seed as `{arm}_seed{seed}/`, one `run_arms` call
+    per seed, and write one summary row per arm and seed: its name, any grid
+    fields, the seed and its last stage's summary. A repeated arm or seed is
+    rejected before anything trains."""
     vocab, splits, info = _load_data(args)
-    cfg = _read_json(args.config, "model", *keys)
-    return (cfg, _with_data_defaults(cfg["model"], vocab, info),
-            [int(s) for s in args.seeds.split(",")], splits, info["metric"])
-
-
-def cmd_sweep_architectures(args) -> int:
-    cfg, model, seeds, splits, kind = _sweep_inputs(args, "architectures")
-    rows = sweep_architectures(model, cfg["architectures"], seeds, splits, args.out,
-                               hp=cfg.get("hp"), eval_kind=kind)
+    arms = _arms_from_spec(args.spec, vocab, info)
+    for what, items in (("arm", [name for name, _, _ in arms]), ("seed", args.seeds)):
+        if repeated := [x for i, x in enumerate(items) if x in items[:i]]:
+            raise ValueError(f"{what} {repeated[0]!r} appears twice")
+    rows = []
+    for seed in args.seeds:
+        results = run_arms({Path(args.out, f"{name}_seed{seed}"): plan
+                            for name, _, plan in arms}, splits, seed, info["metric"])
+        for (name, fields, _), summaries in zip(arms, results.values()):
+            rows.append({"arm": name, **fields, "seed": seed,
+                         **{k: v for k, v in summaries[-1].items()
+                            if k not in ("stage", "checkpoint")}})
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    _write_summary(Path(args.out), rows)
     print(json.dumps(rows, sort_keys=True, indent=2))
     return 0
 
 
-def cmd_sweep_frequency(args) -> int:
-    cfg, model, seeds, splits, kind = _sweep_inputs(args, "target")
-    fractions = [float(f) for f in args.fractions.split(",")]
-    rows = sweep_frequency(model, cfg["target"], fractions, args.lr_schedule.split(","),
-                           seeds, splits, args.out, hp=cfg.get("hp"), eval_kind=kind)
-    print(json.dumps(rows, sort_keys=True, indent=2))
-    return 0
+def _write_summary(out_dir: Path, rows: list[dict]) -> None:
+    """`summary.json` and `summary.tsv`, each written to a temporary sibling
+    and renamed into place. The TSV's columns are the rows' keys whose
+    values are not dicts, in first-seen order."""
+    keys = list(dict.fromkeys(k for row in rows for k, v in row.items()
+                              if not isinstance(v, dict)))
+    lines = ["\t".join(keys)] + ["\t".join(str(row.get(k, "")) for k in keys) for row in rows]
+    for name, text in (("summary.json", json.dumps(rows, indent=2, sort_keys=True) + "\n"),
+                       ("summary.tsv", "\n".join(lines) + "\n")):
+        tmp = out_dir / f"{name}.tmp"
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out_dir / name)
 
 
 def cmd_eval(args) -> int:
@@ -236,6 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    def int_list(text):  # named in the usage error of a bad value
+        return [int(x) for x in text.split(",")]
+
     p = add("make-data", cmd_make_data, help="generate a built-in synthetic task")
     p.add_argument("--out", required=True)
     p.add_argument("--n-train", type=int, default=256)
@@ -266,19 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("sweep-architectures", cmd_sweep_architectures,
-            help="fine-tune, then one-step prune + fine-tune across architectures")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("sweep-frequency", cmd_sweep_frequency,
-            help="grid over pruning fraction and lr schedule")
-    p.add_argument("--config", required=True)
-    p.add_argument("--fractions", required=True)
-    p.add_argument("--lr-schedule", required=True)
-    p.add_argument("--seeds", default="0")
+    p = add("run-arms", cmd_run_arms,
+            help="run a spec's named plans side by side, for each seed")
+    p.add_argument("--spec", required=True)
+    p.add_argument("--seeds", type=int_list, default="0")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
 

@@ -35,7 +35,7 @@ import os
 import pickle
 import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -566,10 +566,9 @@ class _DevEvals:
 
 def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset]) -> EncodedDataset:
     if stage.dataset not in datasets:
-        raise ValueError(f"stage {stage.name!r}: dataset {stage.dataset!r} not loaded; "
-                         f"loaded: {sorted(datasets)}")
+        raise ValueError(f"dataset {stage.dataset!r} not loaded; loaded: {sorted(datasets)}")
     if not len(datasets[stage.dataset]):
-        raise ValueError(f"stage {stage.name!r}: dataset {stage.dataset!r} has no rows")
+        raise ValueError(f"dataset {stage.dataset!r} has no rows")
     return datasets[stage.dataset]
 
 
@@ -741,6 +740,33 @@ def stage_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
 
 
+def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[ModelConfig]:
+    """Each stage's end config, walked by training's rules without training: a
+    stage starts as its teacher's end config or fresh from its `model`, needs
+    rows in its dataset, fits a one-step target by `target.deltas` and an
+    iterative one by `prune_events` over its T = epochs x `batches_per_epoch`
+    steps, and ends at the target's set dimensions. A broken rule raises a
+    ValueError that names the stage."""
+    ends = []
+    for k, stage in enumerate(plan.stages):
+        try:
+            data = _stage_data(stage, datasets)
+            config = (ModelConfig.from_dict(stage.model or plan.model) if stage.teacher is None
+                      else ends[0 if stage.teacher == "original" else -1])
+            if stage.prune is not None:
+                if stage.prune.mode == "one_step":
+                    stage.prune.target.deltas(config)
+                else:
+                    prune_events(config, stage.prune,
+                                 stage.epochs * batches_per_epoch(len(data), stage.batch_size))
+                target = asdict(stage.prune.target)
+                config = replace(config, **{dim: v for dim, v in target.items() if v is not None})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"stage {k} {stage.name!r}: {exc}") from exc
+        ends.append(config)
+    return ends
+
+
 def run_plan(plan: StagePlan, datasets: dict[str, EncodedDataset], out_dir,
              seed: int = 0, eval_kind: str = "accuracy") -> list[dict]:
     """Run all stages in order, checkpointing each student (one arm)."""
@@ -751,7 +777,8 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
              seed: int = 0, eval_kind: str = "accuracy") -> dict[Path, list[dict]]:
     """Run each arm's plan into its directory; return its stage summaries.
 
-    The metric kind and every arm's stages are checked before any trains.
+    The metric kind and every arm's configs (`plan_configs`, its failure
+    naming the arm) are checked before any stage trains.
     Stage k draws `stage_rng(seed, k)`; its teacher is reloaded from the
     arm's written checkpoints. A stage whose prefix (plan model and stages
     0..k) an earlier arm trained is linked in, not trained again, so each
@@ -760,14 +787,12 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
     the dev metric that the stage's last record carries.
     """
     check_metric_kind(eval_kind)
+    configs = {}
     for out_dir, plan in arms.items():
-        for k, stage in enumerate(plan.stages):
-            _stage_data(stage, datasets)
-            if stage.teacher is None:
-                try:
-                    ModelConfig.from_dict(stage.model or plan.model)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{out_dir}: stage {k} {stage.name!r}: {exc}") from exc
+        try:
+            configs[out_dir] = plan_configs(plan, datasets)
+        except ValueError as exc:
+            raise ValueError(f"{out_dir}: {exc}") from exc
     trained = {}  # a prefix's repr -> (the directory that holds it, its summary)
     results = {}
     for out_dir, plan in arms.items():
@@ -789,7 +814,7 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
             rng = stage_rng(seed, k)
             if stage.teacher is None:
                 teacher = None
-                student = Model.init(ModelConfig.from_dict(stage.model or plan.model), rng)
+                student = Model.init(configs[out_dir][k], rng)
             else:
                 ck = load_checkpoint(
                     summaries[0 if stage.teacher == "original" else -1]["checkpoint"])

@@ -15,11 +15,12 @@ import pytest
 from rosita_mini import cli
 from rosita_mini import pipeline as PL
 from rosita_mini.checkpoint import load_checkpoint
-from rosita_mini.cli import _plan_from_file, build_parser, main
+from rosita_mini.cli import _plan_from_dict, build_parser, main
 from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import KDConfig
 from rosita_mini.metrics import read_ndjson
 from rosita_mini.model import ModelConfig
+from rosita_mini.presets import PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -196,27 +197,44 @@ def test_run_plan_rejects_removed_plan_field(workspace, capsys):
     assert "allow_hidden_outside_final" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("second, field", [
-    ({"lr_kind": "cosine"}, "lr_kind"),
-    ({"prune": {"mode": "iterative", "target": {"H": 1}, "prune_fraction": 1.5,
-                "n_events": 1}}, "prune_fraction"),
-    ({"dataset": "nope"}, "dataset"),
-    ({"dropout": 1.0}, "dropout"),
-    ({"prune": {"mode": "one_step", "target": {"H": 0}}}, "target"),
-], ids=["lr_kind", "prune_fraction", "dataset", "dropout", "target"])
-def test_run_plan_rejects_bad_later_stage_before_training(workspace, capsys, second,
+def _one_step(target, teacher="original"):
+    return {"teacher": teacher, "prune": {"mode": "one_step", "target": target}}
+
+
+@pytest.mark.parametrize("later, field", [
+    ([{"lr_kind": "cosine"}], "lr_kind"),
+    ([{"prune": {"mode": "iterative", "target": {"H": 1}, "prune_fraction": 1.5,
+                 "n_events": 1}}], "prune_fraction"),
+    ([{"dataset": "nope"}], "dataset"),
+    ([{"dropout": 1.0}], "dropout"),
+    ([{"prune": {"mode": "one_step", "target": {"H": 0}}}], "target"),
+    # the fit of a target into a stage's events, T steps and student (48
+    # train rows at batch size 32 make T = 2)
+    ([{"teacher": "original", "prune": {"mode": "iterative", "target": {"H": 1},
+                                        "prune_fraction": 1.0, "n_events": 2}}],
+     "out: stage 1 'later1': cannot reach target: H delta 1 is not divisible by 2 events"),
+    ([{"teacher": "original", "prune": {"mode": "iterative", "target": {"H": 1},
+                                        "n_events": 1}}],
+     "out: stage 1 'later1': floor(0.1 * 2) steps cannot hold 1 events"),
+    ([_one_step({"H": 3})], "out: stage 1 'later1': target H = 3 must lie in [1, current 2]"),
+    ([_one_step({"d_I": 8}), _one_step({"d_I": 16}, teacher="previous")],
+     "out: stage 2 'later2': target d_I = 16 must lie in [1, current 8]"),
+], ids=["lr_kind", "prune_fraction", "dataset", "dropout", "target", "indivisible_events",
+        "short_window", "above_original", "above_previous"])
+def test_run_plan_rejects_bad_later_stage_before_training(workspace, tmp_path, capsys, later,
                                                           field):
     plan = {"version": 1,
             "model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
-            "stages": [{"name": "ft", "dataset": "train", "epochs": 1},
-                       {"name": "second", "dataset": "train", "epochs": 1, **second}]}
-    (workspace / f"bad_{field}.json").write_text(json.dumps(plan))
-    out = workspace / f"bad_{field}_out"
-    rc = main(["run-plan", "--plan", str(workspace / f"bad_{field}.json"),
+            "stages": [{"name": "ft", "dataset": "train", "epochs": 1}] + [
+                {"name": f"later{k}", "dataset": "train", "epochs": 1, **stage}
+                for k, stage in enumerate(later, 1)]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    out = tmp_path / "out"
+    rc = main(["run-plan", "--plan", str(tmp_path / "plan.json"),
                "--data", str(workspace / "data"), "--out", str(out)])
     assert rc == 1
     assert field in capsys.readouterr().err
-    assert not [p for p in out.glob("*") if p.suffix in (".rst", ".ndjson")]
+    assert not out.exists()
 
 
 def test_run_plan_names_the_stage_of_a_zero_head_model(workspace, capsys):
@@ -277,18 +295,18 @@ def test_finetune_rejects_unknown_train_keys(workspace, capsys):
 
 @pytest.mark.parametrize("command, flag, config, missing", [
     ("finetune", "--config", {"train": {"epochs": 1}}, "['model']"),
-    ("sweep-frequency", "--config", {"model": {"H": 2}}, "['target']"),
+    ("run-arms", "--spec", {"model": {"H": 2}}, "['arms']"),
     ("run-plan", "--plan", {"preset": "scratch"}, "['model', 'target']"),
     ("run-plan", "--plan", {"model": {"H": 2}}, "['stages']"),
-    ("sweep-architectures", "--config", {"model": {"H": 2}}, "['architectures']"),
-], ids=["finetune", "sweep_frequency", "preset_plan", "explicit_plan", "architectures"])
+    ("run-arms", "--spec", {"model": {"H": 2}, "arms": [{"name": "a", "preset": "scratch"}]},
+     "['target']"),
+], ids=["finetune", "spec", "preset_plan", "explicit_plan", "spec_arm"])
 def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, command,
                                                flag, config, missing):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    extra = {"sweep-frequency": ["--fractions", "0.5", "--lr-schedule", "constant"]}
     rc = main([command, flag, str(path), "--data", str(workspace / "data"),
-               "--out", str(tmp_path / "out"), *extra.get(command, [])])
+               "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == \
         f"rosita-mini: error: {path}: missing required key(s) {missing}\n"
@@ -345,8 +363,7 @@ def test_readme_plan_examples_load(workspace):
     info = json.loads((workspace / "data" / "task.json").read_text())
     vocab, _ = load_task_dir(workspace / "data", info["max_len"])
     for block in blocks:
-        (workspace / "readme_plan.json").write_text(block)
-        plan = _plan_from_file(workspace / "readme_plan.json", vocab, info)
+        plan = _plan_from_dict(json.loads(block), "README.md", vocab, info)
         assert ModelConfig.from_dict(plan.model).vocab_size == len(vocab)
         for stage in plan.stages:
             if stage.model is not None:
@@ -364,86 +381,94 @@ def test_readme_documents_every_plan_field():
     assert [f for f in removed if f in section] == []
 
 
-def test_sweep_frequency_subcommand(workspace, capsys):
-    cfg = {"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
-           "target": {"H": 1, "d_I": 16, "r": 4},
-           "hp": {"finetune_epochs": 1, "kd_epochs": 2, "batch_size": 16,
-                  "width_events": 1, "depth_events": 1, "prune_fraction": 0.5}}
-    (workspace / "sweep.json").write_text(json.dumps(cfg))
-    rc = main(["sweep-frequency", "--config", str(workspace / "sweep.json"),
-               "--fractions", "0.5,1.0", "--lr-schedule", "linear",
-               "--seeds", "0", "--data", str(workspace / "data"),
-               "--out", str(workspace / "sweep_out")])
-    assert rc == 0, capsys.readouterr().err
-    rows = json.loads(capsys.readouterr().out.strip())
-    assert len(rows) == 2
-    cells = sorted(p.name for p in (workspace / "sweep_out").glob("f*") if p.is_dir())
-    assert cells == ["f0.5_linear_decay_seed0", "f1_linear_decay_seed0"]
-    for row, cell in zip(rows, cells):
-        last = read_ndjson(workspace / "sweep_out" / cell / "stage2_kd_width.ndjson")[-1]
-        assert row["eval_metric"] == last["eval_metric"]
-    assert (workspace / "sweep_out" / "summary.tsv").exists()
-
-
-def test_sweep_frequency_rejects_bad_fraction_before_training(workspace, capsys):
-    cfg = {"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
-           "target": {"H": 1}, "hp": {"finetune_epochs": 1, "width_events": 1}}
-    (workspace / "bad_sweep.json").write_text(json.dumps(cfg))
-    out = workspace / "bad_sweep_out"
-    rc = main(["sweep-frequency", "--config", str(workspace / "bad_sweep.json"),
-               "--fractions", "0.5,1.5", "--lr-schedule", "linear",
-               "--data", str(workspace / "data"), "--out", str(out)])
-    assert rc == 1
-    assert "prune_fraction" in capsys.readouterr().err
-    assert not list(out.rglob("*.rst"))
-
-
 TINY_MODEL = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
+TINY_HP = {"finetune_epochs": 1, "kd_epochs": 1, "batch_size": 16, "width_events": 1,
+           "depth_events": 1, "prune_fraction": 0.5}
 
 
-def test_sweep_architectures_subcommand(workspace, capsys):
-    spec = {"model": TINY_MODEL,
-            "architectures": [
-                {"name": "a", "target": {"H": 1, "L": 1, "d_I": 16, "r": 4}},
-                {"name": "b", "target": {"H": 2, "L": 1, "d_I": 8, "r": 2}}],
-            "hp": {"finetune_epochs": 1, "batch_size": 16}}
-    (workspace / "archs.json").write_text(json.dumps(spec))
-    out = workspace / "archs_out"
-    rc = main(["sweep-architectures", "--config", str(workspace / "archs.json"),
-               "--seeds", "0,1", "--data", str(workspace / "data"), "--out", str(out)])
-    assert rc == 0
+def _arch_arm(name, target, **train):
+    """The architecture-study arm `arch_{name}`: fine-tune, then a one-step
+    prune of that teacher to `target`, fine-tuned with cross-entropy."""
+    finetune = {"name": "finetune", "dataset": "train", "epochs": 1, "batch_size": 16,
+                **train}
+    return {"name": f"arch_{name}", "stages": [
+        finetune, {**finetune, "name": f"arch_{name}", **_one_step(target)}]}
+
+
+def _grid_arm(fractions, lr_kinds, preset="iterative_width_two_stage", **hp):
+    return {"name": "freq", "preset": preset, "target": {"H": 1, "d_I": 16, "r": 4},
+            "hp": {**TINY_HP, **hp}, "grid": {"prune_fraction": fractions, "lr_kind": lr_kinds}}
+
+
+def _run_arms(workspace, tmp_path, arms, *flags):
+    (tmp_path / "spec.json").write_text(json.dumps({"model": TINY_MODEL, "arms": arms}))
+    return main(["run-arms", "--spec", str(tmp_path / "spec.json"), *flags,
+                 "--data", str(workspace / "data"), "--out", str(tmp_path / "out")])
+
+
+def test_run_arms_runs_a_grid_arm_as_cells(workspace, tmp_path, capsys):
+    assert _run_arms(workspace, tmp_path, [_grid_arm([0.5, 1.0], ["linear_decay"],
+                                                     kd_epochs=2)]) == 0
     rows = json.loads(capsys.readouterr().out.strip())
-    assert [(r["name"], r["seed"]) for r in rows] == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
-    assert rows[0]["config"]["H"] == 1
-    assert rows[0]["target"] == spec["architectures"][0]["target"]
+    assert [(r["arm"], r["prune_fraction"], r["lr_kind"], r["seed"]) for r in rows] == [
+        ("freq_f0.5_linear_decay", 0.5, "linear_decay", 0),
+        ("freq_f1_linear_decay", 1.0, "linear_decay", 0)]
     for row in rows:
-        arm = out / f"arch_{row['name']}_seed{row['seed']}"
+        last = read_ndjson(tmp_path / "out" / f"{row['arm']}_seed0" / "stage2_kd_width.ndjson")
+        assert row["eval_metric"] == last[-1]["eval_metric"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "freq_f0.5_linear_decay_seed0", "freq_f1_linear_decay_seed0", "summary.json",
+        "summary.tsv"]
+
+
+def test_the_summary_tsv_has_every_rows_columns(workspace, tmp_path, capsys):
+    arms = [{"name": "plain", "preset": "scratch", "target": {"H": 1}, "hp": TINY_HP},
+            _grid_arm([1.0], ["constant"])]
+    assert _run_arms(workspace, tmp_path, arms) == 0
+    rows = json.loads(capsys.readouterr().out.strip())
+    header, *lines = (tmp_path / "out" / "summary.tsv").read_text().splitlines()
+    assert header.split("\t") == ["arm", "seed", "param_count", "eval_metric_kind",
+                                  "eval_metric", "prune_fraction", "lr_kind"]
+    assert [line.split("\t")[:2] + line.split("\t")[5:] for line in lines] == [
+        ["plain", "0", "", ""], ["freq_f1_constant", "0", "1.0", "constant"]]
+    assert json.loads((tmp_path / "out" / "summary.json").read_text()) == rows
+    assert not list((tmp_path / "out").glob("*.tmp"))
+
+
+def test_run_arms_runs_the_architecture_study(workspace, tmp_path, capsys):
+    arms = [_arch_arm("a", {"H": 1, "L": 1, "d_I": 16, "r": 4}),
+            _arch_arm("b", {"H": 2, "L": 1, "d_I": 8, "r": 2})]
+    assert _run_arms(workspace, tmp_path, arms, "--seeds", "0,1") == 0
+    rows = json.loads(capsys.readouterr().out.strip())
+    assert [(r["arm"], r["seed"]) for r in rows] == \
+        [("arch_a", 0), ("arch_b", 0), ("arch_a", 1), ("arch_b", 1)]
+    assert rows[0]["config"]["H"] == 1 and rows[1]["config"]["d_I"] == 8
+    out = tmp_path / "out"
+    for row in rows:
+        arm = out / f"{row['arm']}_seed{row['seed']}"
         assert sorted(p.name for p in arm.iterdir()) == [
             "stage0_finetune.ndjson", "stage0_finetune.rst",
-            f"stage1_arch_{row['name']}.ndjson", f"stage1_arch_{row['name']}.rst"]
-        last = read_ndjson(arm / f"stage1_arch_{row['name']}.ndjson")[-1]
+            f"stage1_{row['arm']}.ndjson", f"stage1_{row['arm']}.rst"]
+        last = read_ndjson(arm / f"stage1_{row['arm']}.ndjson")[-1]
         assert row["eval_metric"] == last["eval_metric"]
     # the teacher is trained once per seed, and the other arms link it
     for seed in (0, 1):
         a, b = (out / f"arch_{n}_seed{seed}" / "stage0_finetune.rst" for n in "ab")
         assert a.stat().st_ino == b.stat().st_ino
     assert (out / "summary.tsv").read_text().splitlines()[0].split("\t") == \
-        ["name", "seed", "param_count", "eval_metric_kind", "eval_metric"]
+        ["arm", "seed", "param_count", "eval_metric_kind", "eval_metric"]
 
 
 def test_an_arch_arm_writes_the_bytes_of_its_explicit_plan(workspace, capsys):
-    """An architecture is the two-stage plan [finetune, arch_x]; its stage 0
-    is what `finetune` writes with the same hp and seed."""
+    """A one-arm spec writes what `run-plan` writes of the arm's plan, and
+    its stage 0 is what `finetune` writes with the same hp and seed."""
     target = {"H": 1, "L": 1, "d_I": 16, "r": 4}
     train = {"epochs": 2, "batch_size": 16, "base_lr": 3e-3}
-    finetune = {"name": "finetune", "dataset": "train", **train}
+    arm = _arch_arm("x", target, **train)
     configs = {
         "ft": {"model": TINY_MODEL, "train": train},
-        "plan": {"version": 1, "model": TINY_MODEL, "stages": [
-            finetune, {**finetune, "name": "arch_x", "teacher": "original",
-                       "prune": {"mode": "one_step", "target": target}}]},
-        "archs": {"model": TINY_MODEL, "architectures": [{"name": "x", "target": target}],
-                  "hp": {"finetune_epochs": 2, "batch_size": 16, "finetune_lr": 3e-3}},
+        "plan": {"version": 1, "model": TINY_MODEL, "stages": arm["stages"]},
+        "archs": {"model": TINY_MODEL, "arms": [arm]},
     }
     for name, cfg in configs.items():
         (workspace / f"ident_{name}.json").write_text(json.dumps(cfg))
@@ -455,7 +480,7 @@ def test_an_arch_arm_writes_the_bytes_of_its_explicit_plan(workspace, capsys):
 
     assert run("finetune", "--config", "ft", "--seed") == 0
     assert run("run-plan", "--plan", "plan", "--seed") == 0
-    assert run("sweep-architectures", "--config", "archs", "--seeds") == 0
+    assert run("run-arms", "--spec", "archs", "--seeds") == 0
     capsys.readouterr()
     arm = workspace / "ident_archs" / "arch_x_seed3"
     plan = workspace / "ident_plan"
@@ -468,43 +493,71 @@ def test_an_arch_arm_writes_the_bytes_of_its_explicit_plan(workspace, capsys):
         (workspace / "ident_ft" / "stage0_finetune.rst").read_bytes()
 
 
-@pytest.mark.parametrize("archs, message", [
-    ([{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"H": 9}}], "H = 9"),
-    ([{"name": "a", "target": {"H": 1}}, {"name": "a", "target": {"d_I": 8}}],
-     "cell 'arch_a' appears twice"),
-], ids=["target_above_teacher", "duplicate_name"])
-def test_sweep_architectures_checks_every_arch_before_training(workspace, capsys,
-                                                               archs, message):
-    (workspace / "bad_archs.json").write_text(json.dumps(
-        {"model": TINY_MODEL, "architectures": archs,
-         "hp": {"finetune_epochs": 1, "batch_size": 16}}))
-    out = workspace / "bad_archs_out"
-    rc = main(["sweep-architectures", "--config", str(workspace / "bad_archs.json"),
-               "--data", str(workspace / "data"), "--out", str(out)])
-    assert rc == 1
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, flags, message", [
-    ("sweep-frequency", ["--fractions", "1.0,1", "--lr-schedule", "linear,linear_decay"],
-     "cell 'f1_linear_decay' appears twice"),
-    ("sweep-frequency", ["--fractions", "0.5", "--lr-schedule", "constant",
-                         "--seeds", "0,1,0"], "seed 0 appears twice"),
-    ("sweep-architectures", ["--seeds", "2,2"], "seed 2 appears twice"),
-], ids=["frequency_cell", "frequency_seed", "architectures_seed"])
-def test_sweeps_reject_a_repeated_cell_or_seed_before_training(workspace, tmp_path,
-                                                               capsys, command, flags,
-                                                               message):
-    (tmp_path / "sweep.json").write_text(json.dumps(
-        {"model": TINY_MODEL, "target": {"H": 1},
-         "architectures": [{"name": "a", "target": {"H": 1}}],
-         "hp": {"finetune_epochs": 1, "width_events": 1, "batch_size": 16}}))
-    rc = main([command, "--config", str(tmp_path / "sweep.json"), *flags,
-               "--data", str(workspace / "data"), "--out", str(tmp_path / "out")])
-    assert rc == 1
+@pytest.mark.parametrize("arms, seeds, message", [
+    ([_arch_arm("a", {"H": 1}), _arch_arm("b", {"H": 9})], "0",
+     "arch_b_seed0: stage 1 'arch_b': target H = 9 must lie in [1, current 2]"),
+    ([_arch_arm("a", {"H": 1}), _arch_arm("a", {"d_I": 8})], "0", "arm 'arch_a' appears twice"),
+    ([_grid_arm([1.0, 1], ["linear_decay"])], "0", "arm 'freq_f1_linear_decay' appears twice"),
+    ([_arch_arm("a", {"H": 1})], "0,1,0", "seed 0 appears twice"),
+    ([_grid_arm([0.5, 1.5], ["constant"])], "0", "prune_fraction 1.5 outside (0, 1]"),
+    # the last arm's target cannot be reached: the first arm trains nothing
+    ([_arch_arm("a", {"H": 1}), {"name": "iter", "preset": "iterative_width_two_stage",
+                                 "target": {"d_I": 10}, "hp": {**TINY_HP, "width_events": 6}}],
+     "0", "iter_seed0: stage 2 'kd_width': cannot reach target: d_I delta 22 is not "
+          "divisible by 6 events"),
+    ([_grid_arm([0.5], ["constant"], preset="one_step_two_stage")], "0",
+     "arm 'freq': a grid takes the lists 'prune_fraction' and 'lr_kind', for an iterative "
+     "last stage"),
+    ([{**_arch_arm("a", {"H": 1}), "model": TINY_MODEL}], "0",
+     "arm 'arch_a' has a model; every arm takes the spec's"),
+], ids=["target_above_teacher", "repeated_arm", "repeated_grid_cell", "repeated_seed",
+        "bad_fraction", "unreachable_in_the_last_arm", "grid_without_iterative_stage",
+        "arm_model"])
+def test_run_arms_rejects_before_training(workspace, tmp_path, capsys, arms, seeds, message):
+    assert _run_arms(workspace, tmp_path, arms, "--seeds", seeds) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_seed_list_is_a_usage_error_that_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-arms", "--spec", "spec.json", "--seeds", "0,,1", "--data", "data",
+              "--out", "out"])
+    assert exc.value.code == 2
+    assert "argument --seeds: invalid int_list value: '0,,1'" in capsys.readouterr().err
+
+
+def test_a_preset_arms_hp_reaches_every_stage_of_its_cells(workspace, tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps({"model": TINY_MODEL, "arms": [
+        _grid_arm([0.5, 1.0], ["constant"], dropout=0.25)]}))
+    info = json.loads((workspace / "data" / "task.json").read_text())
+    vocab, _ = load_task_dir(workspace / "data", info["max_len"])
+    cells = cli._arms_from_spec(tmp_path / "spec.json", vocab, info)
+    assert [[(s.name, s.dropout) for s in plan.stages] for _, _, plan in cells] == 2 * [
+        [("finetune", 0.25), ("kd_samesize", 0.25), ("kd_width", 0.25)]]
+    assert [(plan.stages[-1].prune.prune_fraction, plan.stages[-1].lr_kind)
+            for _, _, plan in cells] == [(0.5, "constant"), (1.0, "constant")]
+
+
+def test_the_walked_configs_are_the_trained_ones(workspace, tmp_path, capsys):
+    """`plan_configs` gives each stage the config its trained student has, for
+    every preset and a grid cell."""
+    target = {"H": 1, "L": 1, "d_I": 16, "r": 4}
+    arms = [{"name": name, "preset": name, "target": target, "hp": TINY_HP}
+            for name in sorted(PRESETS)]
+    arms.append({**_grid_arm([1.0], ["constant"], "iterative_width_depth_three_stage"),
+                 "target": target})
+    assert _run_arms(workspace, tmp_path, arms) == 0
+    capsys.readouterr()
+    info = json.loads((workspace / "data" / "task.json").read_text())
+    vocab, splits = load_task_dir(workspace / "data", info["max_len"])
+    cells = cli._arms_from_spec(tmp_path / "spec.json", vocab, info)
+    assert len(cells) == 6
+    for name, _, plan in cells:
+        trained = [load_checkpoint(tmp_path / "out" / f"{name}_seed0" / f"stage{k}_{s.name}.rst")
+                   .config for k, s in enumerate(plan.stages)]
+        assert PL.plan_configs(plan, splits) == trained, name
+        assert (trained[-1].H, trained[-1].d_I, trained[-1].r) == (1, 16, 4)
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -539,14 +592,13 @@ def test_prune_one_step_names_a_target_that_is_neither_file_nor_json(workspace, 
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("finetune", "--config"), ("run-plan", "--plan"), ("sweep-frequency", "--config"),
-    ("sweep-architectures", "--config"), ("prune-one-step", "--target"),
-], ids=["finetune", "run_plan", "sweep_frequency", "sweep_architectures", "target"])
+    ("finetune", "--config"), ("run-plan", "--plan"), ("run-arms", "--spec"),
+    ("prune-one-step", "--target"),
+], ids=["finetune", "run_plan", "run_arms", "target"])
 def test_a_file_that_is_not_json_is_named(workspace, tmp_path, capsys, command, flag):
     path = tmp_path / "bad.json"
     path.write_text('{"model": \n')
-    extra = {"sweep-frequency": ["--fractions", "0.5", "--lr-schedule", "constant"],
-             "prune-one-step": ["--checkpoint",
+    extra = {"prune-one-step": ["--checkpoint",
                                 str(workspace / "run" / "stage0_finetune.rst")]}
     rc = main([command, flag, str(path), "--data", str(workspace / "data"),
                "--out", str(tmp_path / "out"), *extra.get(command, [])])
@@ -556,7 +608,7 @@ def test_a_file_that_is_not_json_is_named(workspace, tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["no_max_len", "eval_split", "lr_schedule"])
+@pytest.mark.parametrize("case", ["no_max_len", "task_json", "eval_split", "lr_schedule"])
 def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, case):
     data = workspace / "data"
     if case == "no_max_len":  # a data dir without task.json, and a plan with no max_len
@@ -569,17 +621,25 @@ def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, ca
                                               "epochs": 1}]}))
         argv = ["run-plan", "--plan", str(tmp_path / "plan.json")]
         message = "no max_len available: pass a model config or keep task.json"
+    elif case == "task_json":  # a truncated task.json
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in (workspace / "data").iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        (data / "task.json").write_text('{"max_len":\n')
+        argv = ["finetune", "--config", str(workspace / "ft.json")]
+        message = (f"{data / 'task.json'}: not valid JSON "
+                   "(Expecting value: line 2 column 1 (char 12))")
     elif case == "eval_split":
         argv = ["eval", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
                 "--split", "test"]
         message = "split 'test' not in ['dev', 'train', 'train_aug']"
     else:
-        (tmp_path / "sweep.json").write_text(json.dumps(
-            {"model": TINY_MODEL, "target": {"H": 1}, "hp": {"finetune_epochs": 1}}))
-        argv = ["sweep-frequency", "--config", str(tmp_path / "sweep.json"),
-                "--fractions", "0.5", "--lr-schedule", "linear,cosine"]
-        message = "unknown lr schedule(s) ['cosine']; choices: " \
-                  "['constant', 'linear', 'linear_decay']"
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"model": TINY_MODEL, "arms": [_grid_arm([0.5], ["linear_decay", "cosine"])]}))
+        argv = ["run-arms", "--spec", str(tmp_path / "spec.json")]
+        message = "stage 'kd_width': unknown lr_kind 'cosine'; choices: " \
+                  "['constant', 'linear_decay']"
     out = ["--out", str(tmp_path / "out")] if case != "eval_split" else []
     rc = main([*argv, "--data", str(data), *out])
     assert rc == 1
@@ -600,7 +660,7 @@ def test_readme_commands_parse():
     commands = [line.strip() for block in blocks
                 for line in block.replace("\\\n", " ").splitlines()
                 if line.strip().startswith("rosita-mini ")]
-    assert any(c.split()[1] == "sweep-frequency" for c in commands)
+    assert any(c.split()[1] == "run-arms" for c in commands)
     for command in commands:
         try:
             build_parser().parse_args(shlex.split(command)[1:])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rosita_mini import pipeline as PL
-from rosita_mini import presets, sweeps
+from rosita_mini import presets
 from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint
 from rosita_mini.data import (EncodedDataset, batches_per_epoch, generate_marker_task,
@@ -983,58 +983,30 @@ class TestRunArms:
             PL.run_arms({**arms, tmp_path / "out" / "bad": bad}, splits)
         assert not (tmp_path / "out").exists()
 
+    def test_an_unknown_metric_kind_fails_before_any_arm(self, task_dir, tmp_path):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        with pytest.raises(ValueError, match="unknown metric kind 'bogus'"):
+            PL.run_arms(self.arms(info, tmp_path / "out"), splits, eval_kind="bogus")
+        assert not (tmp_path / "out").exists()
 
-def test_sweep_architectures_result_does_not_depend_on_list_order(task_dir, tmp_path):
-    path, info = task_dir
-    _, splits = load_task_dir(path, info["max_len"])
-    archs = [{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"d_I": 16}}]
-    hp = {"finetune_epochs": 1, "batch_size": 16}
-    model = tiny_model_dict(info)
-    sweeps.sweep_architectures(model, archs, [5], splits, tmp_path / "ab", hp=hp)
-    sweeps.sweep_architectures(model, archs[::-1], [5], splits, tmp_path / "ba", hp=hp)
-    for arm in ("arch_a_seed5", "arch_b_seed5"):
-        assert dir_bytes(tmp_path / "ab" / arm) == dir_bytes(tmp_path / "ba" / arm), arm
+    def test_results_do_not_depend_on_arm_order(self, task_dir, tmp_path):
+        """Stage k of every arm draws `stage_rng(seed, k)`, wherever the arm sits."""
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        finetune = StageSpec(name="finetune", dataset="train", epochs=1, batch_size=16)
 
+        def arch(name, **target):
+            prune = PruneSpec("one_step", ArchitectureTarget(**target))
+            return StagePlan(tiny_model_dict(info), [finetune, replace(
+                finetune, name=f"arch_{name}", teacher="original", prune=prune)])
 
-def test_sweep_architectures_keeps_hp_dropout(task_dir, tmp_path, monkeypatch):
-    path, info = task_dir
-    _, splits = load_task_dir(path, info["max_len"])
-    plans = []
-
-    def capture(arms, *args, **kwargs):
-        plans.extend(arms.values())
-        return PL.run_arms(arms, *args, **kwargs)
-
-    monkeypatch.setattr(sweeps, "run_arms", capture)
-    archs = [{"name": "a", "target": {"H": 1}}, {"name": "b", "target": {"d_I": 16}}]
-    sweeps.sweep_architectures(tiny_model_dict(info), archs, [0], splits, tmp_path / "out",
-                               hp={"dropout": 0.25, "finetune_epochs": 1,
-                                   "batch_size": 16})
-    assert [[(s.name, s.dropout) for s in plan.stages] for plan in plans] == [
-        [("finetune", 0.25), ("arch_a", 0.25)], [("finetune", 0.25), ("arch_b", 0.25)]]
-
-
-def test_sweep_architectures_checks_the_metric_kind_before_training(task_dir, tmp_path):
-    path, info = task_dir
-    _, splits = load_task_dir(path, info["max_len"])
-    archs = [{"name": "a", "target": {"H": 1}}]
-    with pytest.raises(ValueError, match="unknown metric kind 'bogus'"):
-        sweeps.sweep_architectures(tiny_model_dict(info), archs, [0], splits,
-                                   tmp_path / "out",
-                                   hp={"finetune_epochs": 1, "batch_size": 16},
-                                   eval_kind="bogus")
-    assert not (tmp_path / "out").exists()
-
-
-def test_sweep_frequency_lists_the_schedules_it_knows(task_dir, tmp_path):
-    path, info = task_dir
-    _, splits = load_task_dir(path, info["max_len"])
-    with pytest.raises(ValueError, match=r"unknown lr schedule\(s\) \['cosine'\]; choices: "
-                                         r"\['constant', 'linear', 'linear_decay'\]"):
-        sweeps.sweep_frequency(tiny_model_dict(info), {"H": 1}, [0.5], ["constant", "cosine"],
-                               [0], splits, tmp_path / "out",
-                               hp={"finetune_epochs": 1, "width_events": 1})
-    assert not (tmp_path / "out").exists()
+        plans = {"arch_a": arch("a", H=1), "arch_b": arch("b", d_I=16)}
+        for order in ("ab", "ba"):
+            PL.run_arms({tmp_path / order / f"arch_{x}": plans[f"arch_{x}"] for x in order},
+                        splits, seed=5)
+        for arm in plans:
+            assert dir_bytes(tmp_path / "ab" / arm) == dir_bytes(tmp_path / "ba" / arm), arm
 
 
 def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
