@@ -493,30 +493,51 @@ def test_an_arch_arm_writes_the_bytes_of_its_explicit_plan(workspace, capsys):
         (workspace / "ident_ft" / "stage0_finetune.rst").read_bytes()
 
 
-@pytest.mark.parametrize("arms, seeds, message", [
-    ([_arch_arm("a", {"H": 1}), _arch_arm("b", {"H": 9})], "0",
-     "arch_b_seed0: stage 1 'arch_b': target H = 9 must lie in [1, current 2]"),
-    ([_arch_arm("a", {"H": 1}), _arch_arm("a", {"d_I": 8})], "0", "arm 'arch_a' appears twice"),
-    ([_grid_arm([1.0, 1], ["linear_decay"])], "0", "arm 'freq_f1_linear_decay' appears twice"),
-    ([_arch_arm("a", {"H": 1})], "0,1,0", "seed 0 appears twice"),
-    ([_grid_arm([0.5, 1.5], ["constant"])], "0", "prune_fraction 1.5 outside (0, 1]"),
-    # the last arm's target cannot be reached: the first arm trains nothing
-    ([_arch_arm("a", {"H": 1}), {"name": "iter", "preset": "iterative_width_two_stage",
-                                 "target": {"d_I": 10}, "hp": {**TINY_HP, "width_events": 6}}],
-     "0", "iter_seed0: stage 2 'kd_width': cannot reach target: d_I delta 22 is not "
-          "divisible by 6 events"),
-    ([_grid_arm([0.5], ["constant"], preset="one_step_two_stage")], "0",
-     "arm 'freq': a grid takes the lists 'prune_fraction' and 'lr_kind', for an iterative "
-     "last stage"),
-    ([{**_arch_arm("a", {"H": 1}), "model": TINY_MODEL}], "0",
-     "arm 'arch_a' has a model; every arm takes the spec's"),
-], ids=["target_above_teacher", "repeated_arm", "repeated_grid_cell", "repeated_seed",
-        "bad_fraction", "unreachable_in_the_last_arm", "grid_without_iterative_stage",
-        "arm_model"])
-def test_run_arms_rejects_before_training(workspace, tmp_path, capsys, arms, seeds, message):
+def _rejected_before_training(workspace, tmp_path, capsys, arms, seeds, message):
     assert _run_arms(workspace, tmp_path, arms, "--seeds", seeds) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("arms, message", [
+    ([_arch_arm("a", {"H": 1}), _arch_arm("b", {"H": 9})],
+     "arch_b_seed0: stage 1 'arch_b': target H = 9 must lie in [1, current 2]"),
+    ([_arch_arm("a", {"H": 1}), _arch_arm("a", {"d_I": 8})], "arm 'arch_a' appears twice"),
+], ids=["target_above_teacher", "duplicate_name"])
+def test_sweep_architectures_checks_every_arch_before_training(workspace, tmp_path, capsys,
+                                                               arms, message):
+    _rejected_before_training(workspace, tmp_path, capsys, arms, "0", message)
+
+
+@pytest.mark.parametrize("arms, seeds, message", [
+    ([_grid_arm([1.0, 1], ["linear_decay"])], "0", "arm 'freq_f1_linear_decay' appears twice"),
+    ([_grid_arm([0.5], ["constant"])], "0,1,0", "seed 0 appears twice"),
+    ([_arch_arm("a", {"H": 1})], "2,2", "seed 2 appears twice"),
+], ids=["frequency_cell", "frequency_seed", "architectures_seed"])
+def test_sweeps_reject_a_repeated_cell_or_seed_before_training(workspace, tmp_path, capsys,
+                                                               arms, seeds, message):
+    _rejected_before_training(workspace, tmp_path, capsys, arms, seeds, message)
+
+
+def test_sweep_frequency_rejects_bad_fraction_before_training(workspace, tmp_path, capsys):
+    _rejected_before_training(workspace, tmp_path, capsys, [_grid_arm([0.5, 1.5], ["constant"])],
+                              "0", "prune_fraction 1.5 outside (0, 1]")
+
+
+@pytest.mark.parametrize("arms, message", [
+    # the last arm's target cannot be reached: the first arm trains nothing
+    ([_arch_arm("a", {"H": 1}), {"name": "iter", "preset": "iterative_width_two_stage",
+                                 "target": {"d_I": 10}, "hp": {**TINY_HP, "width_events": 6}}],
+     "iter_seed0: stage 2 'kd_width': cannot reach target: d_I delta 22 is not "
+     "divisible by 6 events"),
+    ([_grid_arm([0.5], ["constant"], preset="one_step_two_stage")],
+     "arm 'freq': a grid takes the lists 'prune_fraction' and 'lr_kind', for an iterative "
+     "last stage"),
+    ([{**_arch_arm("a", {"H": 1}), "model": TINY_MODEL}],
+     "arm 'arch_a' has a model; every arm takes the spec's"),
+], ids=["unreachable_in_the_last_arm", "grid_without_iterative_stage", "arm_model"])
+def test_run_arms_rejects_before_training(workspace, tmp_path, capsys, arms, message):
+    _rejected_before_training(workspace, tmp_path, capsys, arms, "0", message)
 
 
 def test_a_bad_seed_list_is_a_usage_error_that_names_the_flag(capsys):

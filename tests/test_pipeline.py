@@ -1009,6 +1009,17 @@ class TestRunArms:
             assert dir_bytes(tmp_path / "ab" / arm) == dir_bytes(tmp_path / "ba" / arm), arm
 
 
+def test_sweep_frequency_lists_the_schedules_it_knows(task_dir):
+    """A frequency-grid cell is the iterative preset's last stage with the
+    cell's lr_kind; a kind it does not know fails there, naming those it knows."""
+    _, info = task_dir
+    plan = presets.build_preset("iterative_width_two_stage", tiny_model_dict(info), {"H": 1},
+                                {"finetune_epochs": 1, "width_events": 1})
+    with pytest.raises(ValueError, match=r"stage 'kd_width': unknown lr_kind 'cosine'; "
+                                         r"choices: \['constant', 'linear_decay'\]"):
+        replace(plan.stages[-1], lr_kind="cosine")
+
+
 def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
     """Adam, surgery and factorization give each parameter they change a new
     array and write into none: `_DevEvals` reuses the metric of the very
