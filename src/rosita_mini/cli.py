@@ -1,7 +1,10 @@
 """Command-line surface for training, pruning, distillation, and arms studies.
 
+One command per job: fine-tuning is `run-plan` of a one-stage plan, and
+factorizing a dense embedding is `prune-one-step` with only an `r` target.
+
 Exit codes: 0 success, 1 runtime failure (diagnostic on stderr), 2 usage
-errors (argparse). File formats: TSV datasets, JSON configs/plans, NDJSON
+errors (argparse). File formats: TSV datasets, JSON plans and specs, NDJSON
 metrics, RSTA binary checkpoints.
 """
 
@@ -16,13 +19,12 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import N_FILLER_WORDS, generate_marker_task, load_task_dir
-from .factorization import factorize_model_embedding
 from .metrics import METRIC_KINDS, check_metric_kind
 from .model import count_params
 from .pipeline import (PruneSpec, StagePlan, StageSpec, _stage_data,
                        collect_one_step_scores, evaluate, one_step_prune, run_arms,
                        run_plan)
-from .presets import HP_DEFAULTS, _finetune_stage, build_preset
+from .presets import build_preset
 from .pruning import ArchitectureTarget, unit_importance
 
 
@@ -76,29 +78,6 @@ def cmd_make_data(args) -> int:
     return 0
 
 
-# the keys of a finetune config's "train" block; those it omits take the
-# presets' finetune stage, built from HP_DEFAULTS
-_TRAIN_KEYS = ("dataset", "epochs", "batch_size", "lr_kind", "base_lr", "dropout")
-
-
-def cmd_finetune(args) -> int:
-    """The stage 0 of every distillation preset, run as a one-stage plan."""
-    cfg = _read_json(args.config, "model")
-    train = cfg.get("train", {})
-    unknown = sorted(set(train) - set(_TRAIN_KEYS))
-    if unknown:
-        raise ValueError(f"unknown train keys {unknown}; known: {sorted(_TRAIN_KEYS)}")
-    vocab, splits, info = _load_data(args, cfg["model"].get("max_len"))
-    plan = StagePlan(_with_data_defaults(cfg["model"], vocab, info),
-                     [replace(_finetune_stage(HP_DEFAULTS), **train)])
-    [summary] = run_plan(plan, splits, args.out, seed=args.seed, eval_kind=info["metric"])
-    result = {k: summary[k] for k in ("checkpoint", "param_count")}
-    if "eval_metric" in summary:
-        result["dev_metric"] = summary["eval_metric"]
-    print(json.dumps(result, sort_keys=True))
-    return 0
-
-
 def cmd_prune_one_step(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     model = ck.to_model()
@@ -126,14 +105,22 @@ def cmd_prune_one_step(args) -> int:
     return 0
 
 
-def _plan_from_dict(raw: dict, path, vocab, info) -> StagePlan:
-    """The plan of `raw`, read from `path`: a preset with its target and hp,
-    or an explicit stage list, with its model configs' data defaults filled."""
+def _plan_from_dict(raw: dict, path, vocab, info, arm: str | None = None) -> StagePlan:
+    """The plan of `raw`, read from `path` (as `arm` of a spec): a preset with
+    its target and hp, or an explicit stage list, with its model configs'
+    data defaults filled. A bad key or value names the file, arm and stage."""
     _require(raw, path, "model", "target" if "preset" in raw else "stages")
-    if "preset" in raw:
-        plan = build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
-    else:
-        plan = StagePlan.from_dict(raw)
+    try:
+        if "preset" not in raw:
+            plan = StagePlan.from_dict(raw)
+        elif unknown := sorted(set(raw) - {"preset", "model", "target", "hp"}):
+            raise ValueError(f"plan: unknown keys {unknown}; a preset plan takes "
+                             f"'preset', 'model', 'target' and 'hp'")
+        else:
+            plan = build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
+    except (TypeError, ValueError) as exc:
+        where = path if arm is None else f"{path}: arm {arm!r}"
+        raise ValueError(f"{where}: {exc}") from exc
     plan.model = _with_data_defaults(plan.model, vocab, info)
     for stage in plan.stages:
         if stage.model is not None:
@@ -154,28 +141,35 @@ def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
     A `grid` arm is one cell `{name}_f{fraction:g}_{lr_kind}` per pair of
     values, whose iterative last stage takes them."""
     spec = _read_json(path, "model", "arms")
+    if not isinstance(spec["arms"], list) or not spec["arms"]:
+        raise ValueError(f"{path}: 'arms' must be a list of one arm or more")
     cells = []
     for arm in spec["arms"]:
         name, grid = _require(arm, path, "name")["name"], arm.get("grid")
         if "model" in arm:
             raise ValueError(f"{path}: arm {name!r} has a model; every arm takes the spec's")
         body = {k: v for k, v in arm.items() if k not in ("name", "grid")}
-        plan = _plan_from_dict({**body, "model": spec["model"]}, path, vocab, info)
+        plan = _plan_from_dict({**body, "model": spec["model"]}, path, vocab, info, name)
         if grid is None:
             cells.append((name, {}, plan))
             continue
         *shared, last = plan.stages
-        if sorted(grid) != ["lr_kind", "prune_fraction"] or last.prune is None \
-                or last.prune.mode != "iterative":
+        if not isinstance(grid, dict) or sorted(grid) != ["lr_kind", "prune_fraction"] \
+                or not all(isinstance(v, list) and v for v in grid.values()) \
+                or last.prune is None or last.prune.mode != "iterative":
             raise ValueError(f"{path}: arm {name!r}: a grid takes the lists 'prune_fraction' "
-                             f"and 'lr_kind', for an iterative last stage")
-        for fraction in grid["prune_fraction"]:
-            for kind in grid["lr_kind"]:
-                stage = replace(last, lr_kind=kind,
-                                prune=replace(last.prune, prune_fraction=fraction))
-                cells.append((f"{name}_f{fraction:g}_{kind}",
-                              {"prune_fraction": fraction, "lr_kind": kind},
-                              StagePlan(plan.model, shared + [stage])))
+                             f"and 'lr_kind', for an iterative last stage, each with a value "
+                             f"or more")
+        try:
+            for fraction in grid["prune_fraction"]:
+                for kind in grid["lr_kind"]:
+                    stage = replace(last, lr_kind=kind,
+                                    prune=replace(last.prune, prune_fraction=fraction))
+                    cells.append((f"{name}_f{fraction:g}_{kind}",
+                                  {"prune_fraction": fraction, "lr_kind": kind},
+                                  StagePlan(plan.model, shared + [stage])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: arm {name!r}: {exc}") from exc
     return cells
 
 
@@ -255,20 +249,6 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def cmd_factorize_embedding(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
-    model = ck.to_model()
-    factorize_model_embedding(model, args.rank)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "factorized.rst"
-    save_checkpoint(ckpt, model, seed=ck.seed, stage=ck.stage)
-    print(json.dumps({"checkpoint": str(ckpt),
-                      "config": model.config.to_dict(),
-                      "param_count": count_params(model.config)}, sort_keys=True))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rosita-mini",
@@ -291,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-aug", type=int, default=4096)
     p.add_argument("--seq-len", type=int, default=12)
     p.add_argument("--n-words", type=int, default=N_FILLER_WORDS)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("finetune", cmd_finetune, help="train a model with cross-entropy")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("prune-one-step", cmd_prune_one_step,
@@ -331,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="print config, parameter count, importance summaries")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data")
-
-    p = add("factorize-embedding", cmd_factorize_embedding,
-            help="replace the token embedding with truncated SVD factors")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--out", required=True)
 
     return parser
 

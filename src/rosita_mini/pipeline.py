@@ -35,7 +35,7 @@ import os
 import pickle
 import sys
 import weakref
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +141,17 @@ def prune_events(config: ModelConfig, prune: PruneSpec,
 # stage plans
 
 
+def _plan_fields(cls, d: dict, where: str) -> dict:
+    """A copy of `d`, the plan file's dict for a `cls`, once it is known to
+    hold each field `cls` requires and no key `cls` lacks."""
+    names = [f.name for f in fields(cls)]
+    if unknown := sorted(set(d) - set(names)):
+        raise ValueError(f"{where}: unknown keys {unknown}; known: {names}")
+    if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]:
+        raise ValueError(f"{where}: missing keys {missing}")
+    return dict(d)
+
+
 @dataclass
 class PruneSpec:
     mode: str  # "one_step" | "iterative"
@@ -158,7 +169,7 @@ class PruneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PruneSpec":
-        d = dict(d)
+        d = _plan_fields(cls, d, "prune")
         d["target"] = ArchitectureTarget.from_dict(d["target"])
         return cls(**d)
 
@@ -201,11 +212,15 @@ class StageSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageSpec":
-        d = dict(d)
-        if d.get("kd") is not None:
-            d["kd"] = KDConfig(**d["kd"])
-        if d.get("prune") is not None:
-            d["prune"] = PruneSpec.from_dict(d["prune"])
+        where = f"stage {dict(d).get('name')!r}"
+        d = _plan_fields(cls, d, where)
+        try:
+            if d.get("kd") is not None:
+                d["kd"] = KDConfig(**_plan_fields(KDConfig, d["kd"], "kd"))
+            if d.get("prune") is not None:
+                d["prune"] = PruneSpec.from_dict(d["prune"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
         return cls(**d)
 
 
@@ -244,7 +259,7 @@ class StagePlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StagePlan":
-        d = dict(d)
+        d = _plan_fields(cls, d, "plan")
         d["stages"] = [StageSpec.from_dict(s) for s in d["stages"]]
         return cls(**d)
 

@@ -54,15 +54,12 @@ def _kd_stage(name: str, hp: dict, *, teacher: str, use_hidden: bool,
                      dropout=hp["dropout"])
 
 
-def _width_target(target: dict) -> ArchitectureTarget:
-    return ArchitectureTarget(H=target.get("H"), d_I=target.get("d_I"),
-                              r=target.get("r"))
-
-
 def plan_scratch(model: dict, target: dict, hp: dict | None = None) -> StagePlan:
     """Baseline: train the base model reshaped to the target dimensions from
     scratch, with cross-entropy only and no KD."""
-    stage = replace(_finetune_stage(_hp(hp)), name="scratch", model={**model, **target})
+    ArchitectureTarget.from_dict(target)  # rejects an unknown or nonpositive dimension
+    dims = {k: v for k, v in target.items() if v is not None}
+    stage = replace(_finetune_stage(_hp(hp)), name="scratch", model={**model, **dims})
     return StagePlan(model=model, stages=[stage])
 
 
@@ -95,7 +92,8 @@ def plan_iterative_width_two_stage(model: dict, target: dict,
     """Same-size KD, then iterative pruning of the width dimensions
     (heads, FFN neurons, embedding ranks) during the final KD stage."""
     hp = _hp(hp)
-    prune = PruneSpec(mode="iterative", target=_width_target(target),
+    target = ArchitectureTarget.from_dict(target)
+    prune = PruneSpec(mode="iterative", target=replace(target, L=None),
                       prune_fraction=hp["prune_fraction"],
                       n_events=hp["width_events"])
     return StagePlan(model=model, stages=[
@@ -110,10 +108,13 @@ def plan_iterative_width_depth_three_stage(model: dict, target: dict,
     """Depth is pruned iteratively in its own prediction-only stage; the
     resulting shallow model teaches the final width-pruning stage."""
     hp = _hp(hp)
-    depth = PruneSpec(mode="iterative", target=ArchitectureTarget(L=target["L"]),
+    target = ArchitectureTarget.from_dict(target)
+    if target.L is None:
+        raise ValueError("its depth stage needs a target L")
+    depth = PruneSpec(mode="iterative", target=ArchitectureTarget(L=target.L),
                       prune_fraction=hp["prune_fraction"],
                       n_events=hp["depth_events"])
-    width = PruneSpec(mode="iterative", target=_width_target(target),
+    width = PruneSpec(mode="iterative", target=replace(target, L=None),
                       prune_fraction=hp["prune_fraction"],
                       n_events=hp["width_events"])
     return StagePlan(model=model, stages=[
@@ -137,4 +138,7 @@ def build_preset(name: str, model: dict, target: dict,
                  hp: dict | None = None) -> StagePlan:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
-    return PRESETS[name](model, target, hp)
+    try:
+        return PRESETS[name](model, target, hp)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"preset {name!r}: {exc}") from exc

@@ -10,6 +10,7 @@ import shlex
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rosita_mini import cli
@@ -18,9 +19,19 @@ from rosita_mini.checkpoint import load_checkpoint
 from rosita_mini.cli import _plan_from_dict, build_parser, main
 from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import KDConfig
+from rosita_mini.factorization import factorize_model_embedding
 from rosita_mini.metrics import read_ndjson
 from rosita_mini.model import ModelConfig
-from rosita_mini.presets import PRESETS
+from rosita_mini.pipeline import StagePlan
+from rosita_mini.presets import PRESETS, build_preset
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TINY_MODEL = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
+
+
+def _finetune_plan(**stage):
+    """The one-stage plan that fine-tunes TINY_MODEL, as README step 2 does."""
+    return {"model": TINY_MODEL, "stages": [{"name": "finetune", "dataset": "train", **stage}]}
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +41,9 @@ def workspace(tmp_path_factory):
                "--n-dev", "32", "--n-aug", "64", "--seq-len", "6",
                "--n-words", "10", "--seed", "0"])
     assert rc == 0
-    cfg = {"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
-           "train": {"epochs": 3, "batch_size": 16, "base_lr": 3e-3}}
-    (root / "ft.json").write_text(json.dumps(cfg))
-    rc = main(["finetune", "--config", str(root / "ft.json"), "--data",
+    (root / "ft.json").write_text(json.dumps(
+        _finetune_plan(epochs=3, batch_size=16, base_lr=3e-3)))
+    rc = main(["run-plan", "--plan", str(root / "ft.json"), "--data",
                str(root / "data"), "--out", str(root / "run"), "--seed", "1"])
     assert rc == 0
     return root
@@ -65,13 +75,13 @@ def test_finetune_dev_metric_is_last_record(workspace, capsys, monkeypatch):
 
     for module in (PL, cli):
         monkeypatch.setattr(module, "evaluate", counted(module.evaluate))
-    rc = main(["finetune", "--config", str(workspace / "ft.json"), "--data",
+    rc = main(["run-plan", "--plan", str(workspace / "ft.json"), "--data",
                str(workspace / "data"), "--out", str(workspace / "ft_again"),
                "--seed", "1"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out.strip())
+    [out] = json.loads(capsys.readouterr().out)
     rows = read_ndjson(workspace / "ft_again" / "stage0_finetune.ndjson")
-    assert out["dev_metric"] == rows[-1]["eval_metric"]
+    assert out["eval_metric"] == rows[-1]["eval_metric"]
     assert len(calls.read_text()) == sum("eval_metric" in r for r in rows)
 
 
@@ -132,14 +142,22 @@ def test_prune_one_step_rejects_seed(workspace, capsys):
 
 
 def test_factorize_embedding_subcommand(workspace, capsys):
-    rc = main(["factorize-embedding", "--checkpoint",
-               str(workspace / "run" / "stage0_finetune.rst"), "--rank", "4",
-               "--out", str(workspace / "fact")])
+    """`prune-one-step` with only an `r` target on a dense embedding is the
+    SVD factorization: it writes the arrays `factorize_model_embedding` gives."""
+    teacher = workspace / "run" / "stage0_finetune.rst"
+    rc = main(["prune-one-step", "--checkpoint", str(teacher), "--target", '{"r": 4}',
+               "--data", str(workspace / "data"), "--out", str(workspace / "fact")])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip())
     assert out["config"]["r"] == 4
-    reloaded = load_checkpoint(workspace / "fact" / "factorized.rst").to_model()
-    assert "emb.E_U" in reloaded.params
+    expected = load_checkpoint(teacher).to_model()
+    factorize_model_embedding(expected, 4)
+    written = load_checkpoint(workspace / "fact" / "pruned.rst")
+    assert written.config == expected.config and "emb.E_U" in written.params
+    assert list(written.params) == list(expected.params)
+    for name, param in expected.params.items():
+        np.testing.assert_array_equal(written.params[name], param.data.astype(np.float32),
+                                      err_msg=name)
 
 
 def test_run_plan_preset_file(workspace, capsys):
@@ -219,8 +237,10 @@ def _one_step(target, teacher="original"):
     ([_one_step({"H": 3})], "out: stage 1 'later1': target H = 3 must lie in [1, current 2]"),
     ([_one_step({"d_I": 8}), _one_step({"d_I": 16}, teacher="previous")],
      "out: stage 2 'later2': target d_I = 16 must lie in [1, current 8]"),
+    ([{"prune": {"mode": "one_step"}}], "plan.json: stage 'later1': prune: missing keys "
+                                        "['target']"),
 ], ids=["lr_kind", "prune_fraction", "dataset", "dropout", "target", "indivisible_events",
-        "short_window", "above_original", "above_previous"])
+        "short_window", "above_original", "above_previous", "prune_without_target"])
 def test_run_plan_rejects_bad_later_stage_before_training(workspace, tmp_path, capsys, later,
                                                           field):
     plan = {"version": 1,
@@ -282,19 +302,48 @@ def test_run_plan_rejects_unknown_hp_key(workspace, capsys):
 
 
 def test_finetune_rejects_unknown_train_keys(workspace, capsys):
-    cfg = {"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8},
-           "train": {"epochs": 1, "eval_every": 5, "batchsize": 8}}
-    (workspace / "ft_typo.json").write_text(json.dumps(cfg))
-    rc = main(["finetune", "--config", str(workspace / "ft_typo.json"), "--data",
-               str(workspace / "data"), "--out", str(workspace / "ft_typo_out")])
+    path = workspace / "ft_typo.json"
+    path.write_text(json.dumps(_finetune_plan(epochs=1, eval_every=5, batchsize=8)))
+    rc = main(["run-plan", "--plan", str(path), "--data", str(workspace / "data"),
+               "--out", str(workspace / "ft_typo_out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "'batchsize'" in err and "'eval_every'" in err
+    assert f"{path}: stage 'finetune': unknown keys ['batchsize', 'eval_every']" in err
     assert not (workspace / "ft_typo_out").exists()
 
 
+FT_STAGE = {"name": "ft", "dataset": "train", "epochs": 1}
+
+
+@pytest.mark.parametrize("plan, where", [
+    ({"stages": [FT_STAGE], "bogus": 1}, "plan"),
+    ({"stages": [{**FT_STAGE, "bogus": 1}]}, "stage 'ft'"),
+    ({"stages": [FT_STAGE, {**FT_STAGE, "name": "kd", "teacher": "original",
+                            "kd": {"bogus": 1}}]}, "stage 'kd': kd"),
+    ({"stages": [{**FT_STAGE, "prune": {"mode": "one_step", "target": {"H": 1},
+                                        "bogus": 1}}]}, "stage 'ft': prune"),
+    ({"preset": "scratch", "target": {"H": 1}, "bogus": 1}, "plan"),
+], ids=["plan", "stage", "kd", "prune", "preset_plan"])
+@pytest.mark.parametrize("command", ["run-plan", "run-arms"])
+def test_an_unknown_plan_key_names_file_arm_and_stage(workspace, tmp_path, capsys, plan,
+                                                      where, command):
+    path = tmp_path / "plan.json"
+    if command == "run-plan":
+        path.write_text(json.dumps({"model": TINY_MODEL, **plan}))
+    else:
+        path.write_text(json.dumps({"model": TINY_MODEL, "arms": [{"name": "a", **plan}]}))
+        where = f"arm 'a': {where}"
+    flag = "--plan" if command == "run-plan" else "--spec"
+    rc = main([command, flag, str(path), "--data", str(workspace / "data"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"rosita-mini: error: {path}: {where}: unknown keys ['bogus']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, flag, config, missing", [
-    ("finetune", "--config", {"train": {"epochs": 1}}, "['model']"),
+    ("run-plan", "--plan", {"stages": _finetune_plan(epochs=1)["stages"]}, "['model']"),
     ("run-arms", "--spec", {"model": {"H": 2}}, "['arms']"),
     ("run-plan", "--plan", {"preset": "scratch"}, "['model', 'target']"),
     ("run-plan", "--plan", {"model": {"H": 2}}, "['stages']"),
@@ -313,20 +362,32 @@ def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+def _readme_heredoc(name: str) -> dict:
+    return json.loads(README.read_text(encoding="utf-8")
+                      .split(f"cat > {name} <<'EOF'\n", 1)[1].split("EOF\n", 1)[0])
+
+
 def test_finetune_writes_the_bytes_of_a_plans_stage0(workspace, capsys):
-    model = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
+    """README step 2's one-stage plan is step 3's preset plan cut to its stage
+    0, so at one seed it writes that stage's files byte for byte; the bytes
+    are compared here on the tiny model, at tiny hp."""
+    step2, step3 = _readme_heredoc("ft.json"), _readme_heredoc("plan.json")
+    preset = build_preset(step3["preset"], step3["model"], step3["target"], step3["hp"])
+    assert StagePlan.from_dict(step2) == StagePlan(preset.model, preset.stages[:1])
+    [stage] = step2["stages"]
     (workspace / "ft_stage0.json").write_text(json.dumps(
-        {"model": model, "train": {"epochs": 2, "batch_size": 16, "base_lr": 3e-3}}))
+        {"model": TINY_MODEL, "stages": [{**stage, "epochs": 2, "batch_size": 16,
+                                          "base_lr": 3e-3}]}))
     (workspace / "plan_stage0.json").write_text(json.dumps(
-        {"preset": "one_step_one_stage", "model": model,
+        {"preset": "one_step_one_stage", "model": TINY_MODEL,
          "target": {"H": 1, "L": 1, "d_I": 16, "r": 4},
          "hp": {"finetune_epochs": 2, "batch_size": 16, "finetune_lr": 3e-3,
                 "kd_epochs": 1}}))
-    assert main(["finetune", "--config", str(workspace / "ft_stage0.json"), "--data",
+    assert main(["run-plan", "--plan", str(workspace / "ft_stage0.json"), "--data",
                  str(workspace / "data"), "--out", str(workspace / "ft_stage0"),
                  "--seed", "3"]) == 0
-    out = json.loads(capsys.readouterr().out.strip())
-    assert sorted(out) == ["checkpoint", "dev_metric", "param_count"]
+    [out] = json.loads(capsys.readouterr().out)
+    assert out["stage"] == "finetune"
     assert main(["run-plan", "--plan", str(workspace / "plan_stage0.json"), "--data",
                  str(workspace / "data"), "--out", str(workspace / "plan_stage0"),
                  "--seed", "3"]) == 0
@@ -381,7 +442,6 @@ def test_readme_documents_every_plan_field():
     assert [f for f in removed if f in section] == []
 
 
-TINY_MODEL = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "head_dim": 8}
 TINY_HP = {"finetune_epochs": 1, "kd_epochs": 1, "batch_size": 16, "width_events": 1,
            "depth_events": 1, "prune_fraction": 0.5}
 
@@ -461,12 +521,11 @@ def test_run_arms_runs_the_architecture_study(workspace, tmp_path, capsys):
 
 def test_an_arch_arm_writes_the_bytes_of_its_explicit_plan(workspace, capsys):
     """A one-arm spec writes what `run-plan` writes of the arm's plan, and
-    its stage 0 is what `finetune` writes with the same hp and seed."""
+    its stage 0 is what a one-stage plan of that stage writes at the seed."""
     target = {"H": 1, "L": 1, "d_I": 16, "r": 4}
-    train = {"epochs": 2, "batch_size": 16, "base_lr": 3e-3}
-    arm = _arch_arm("x", target, **train)
+    arm = _arch_arm("x", target, epochs=2, batch_size=16, base_lr=3e-3)
     configs = {
-        "ft": {"model": TINY_MODEL, "train": train},
+        "ft": {"model": TINY_MODEL, "stages": arm["stages"][:1]},
         "plan": {"version": 1, "model": TINY_MODEL, "stages": arm["stages"]},
         "archs": {"model": TINY_MODEL, "arms": [arm]},
     }
@@ -478,7 +537,7 @@ def test_an_arch_arm_writes_the_bytes_of_its_explicit_plan(workspace, capsys):
                      seed_flag, "3", "--data", str(workspace / "data"),
                      "--out", str(workspace / f"ident_{name}")])
 
-    assert run("finetune", "--config", "ft", "--seed") == 0
+    assert run("run-plan", "--plan", "ft", "--seed") == 0
     assert run("run-plan", "--plan", "plan", "--seed") == 0
     assert run("run-arms", "--spec", "archs", "--seeds") == 0
     capsys.readouterr()
@@ -535,7 +594,16 @@ def test_sweep_frequency_rejects_bad_fraction_before_training(workspace, tmp_pat
      "last stage"),
     ([{**_arch_arm("a", {"H": 1}), "model": TINY_MODEL}],
      "arm 'arch_a' has a model; every arm takes the spec's"),
-], ids=["unreachable_in_the_last_arm", "grid_without_iterative_stage", "arm_model"])
+    ([{**_grid_arm([0.5], ["constant"]),
+       "grid": {"prune_fraction": 0.5, "lr_kind": ["constant"]}}],
+     "arm 'freq': a grid takes the lists 'prune_fraction' and 'lr_kind', for an iterative "
+     "last stage, each with a value or more"),
+    ([_grid_arm([], ["constant"])], "arm 'freq': a grid takes the lists"),
+    ([_arch_arm("a", {"H": 1}), _grid_arm([0.5], ["cosine"])],
+     "arm 'freq': stage 'kd_width': unknown lr_kind 'cosine'"),
+    ([], "spec.json: 'arms' must be a list of one arm or more"),
+], ids=["unreachable_in_the_last_arm", "grid_without_iterative_stage", "arm_model",
+        "grid_value_not_a_list", "empty_grid_list", "grid_lr_kind", "no_arms"])
 def test_run_arms_rejects_before_training(workspace, tmp_path, capsys, arms, message):
     _rejected_before_training(workspace, tmp_path, capsys, arms, "0", message)
 
@@ -612,20 +680,22 @@ def test_prune_one_step_names_a_target_that_is_neither_file_nor_json(workspace, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("finetune", "--config"), ("run-plan", "--plan"), ("run-arms", "--spec"),
-    ("prune-one-step", "--target"),
+@pytest.mark.parametrize("command, flag, text, char", [
+    ("run-plan", "--plan", '{"model": {}, "stages": [{"name": "finetune", "epochs": \n', 57),
+    ("run-plan", "--plan", '{"model": \n', 11), ("run-arms", "--spec", '{"model": \n', 11),
+    ("prune-one-step", "--target", '{"model": \n', 11),
 ], ids=["finetune", "run_plan", "run_arms", "target"])
-def test_a_file_that_is_not_json_is_named(workspace, tmp_path, capsys, command, flag):
+def test_a_file_that_is_not_json_is_named(workspace, tmp_path, capsys, command, flag, text,
+                                          char):
     path = tmp_path / "bad.json"
-    path.write_text('{"model": \n')
+    path.write_text(text)
     extra = {"prune-one-step": ["--checkpoint",
                                 str(workspace / "run" / "stage0_finetune.rst")]}
     rc = main([command, flag, str(path), "--data", str(workspace / "data"),
                "--out", str(tmp_path / "out"), *extra.get(command, [])])
     assert rc == 1
     assert capsys.readouterr().err == (f"rosita-mini: error: {path}: not valid JSON "
-                                       "(Expecting value: line 2 column 1 (char 11))\n")
+                                       f"(Expecting value: line 2 column 1 (char {char}))\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -648,7 +718,7 @@ def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, ca
         for f in (workspace / "data").iterdir():
             (data / f.name).write_bytes(f.read_bytes())
         (data / "task.json").write_text('{"max_len":\n')
-        argv = ["finetune", "--config", str(workspace / "ft.json")]
+        argv = ["run-plan", "--plan", str(workspace / "ft.json")]
         message = (f"{data / 'task.json'}: not valid JSON "
                    "(Expecting value: line 2 column 1 (char 12))")
     elif case == "eval_split":
@@ -659,8 +729,8 @@ def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, ca
         (tmp_path / "spec.json").write_text(json.dumps(
             {"model": TINY_MODEL, "arms": [_grid_arm([0.5], ["linear_decay", "cosine"])]}))
         argv = ["run-arms", "--spec", str(tmp_path / "spec.json")]
-        message = "stage 'kd_width': unknown lr_kind 'cosine'; choices: " \
-                  "['constant', 'linear_decay']"
+        message = f"{tmp_path / 'spec.json'}: arm 'freq': stage 'kd_width': unknown " \
+                  "lr_kind 'cosine'; choices: ['constant', 'linear_decay']"
     out = ["--out", str(tmp_path / "out")] if case != "eval_split" else []
     rc = main([*argv, "--data", str(data), *out])
     assert rc == 1
@@ -716,6 +786,16 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["finetune", "factorize-embedding"])
+def test_a_removed_subcommand_exits_2(capsys, command):
+    """Fine-tuning is `run-plan` of a one-stage plan, and factorizing is
+    `prune-one-step` with an `r` target; the old commands are unknown."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -908,7 +908,7 @@ class TestRunPlan:
     def test_different_seed_differs(self, task_dir, tmp_path):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
-        plan = presets.plan_scratch(tiny_model_dict(info), tiny_model_dict(info),
+        plan = presets.plan_scratch(tiny_model_dict(info), {},
                                     hp=dict(finetune_epochs=1, batch_size=16))
         run_plan(plan, splits, tmp_path / "s1", seed=1)
         run_plan(plan, splits, tmp_path / "s2", seed=2)
@@ -1018,6 +1018,38 @@ def test_sweep_frequency_lists_the_schedules_it_knows(task_dir):
     with pytest.raises(ValueError, match=r"stage 'kd_width': unknown lr_kind 'cosine'; "
                                          r"choices: \['constant', 'linear_decay'\]"):
         replace(plan.stages[-1], lr_kind="cosine")
+
+
+@pytest.mark.parametrize("name, target, message", [
+    ("iterative_width_two_stage", {"H": 1, "d_i": 4}, "unknown target dimensions ['d_i']"),
+    ("iterative_width_depth_three_stage", {"L": 1, "d_i": 4},
+     "unknown target dimensions ['d_i']"),
+    ("iterative_width_depth_three_stage", {"H": 1}, "its depth stage needs a target L"),
+    ("scratch", {"d_I": 0}, "target dimensions must be >= 1, got {'d_I': 0}"),
+    ("scratch", {"d_i": 4}, "unknown target dimensions ['d_i']"),
+], ids=["width_unknown_dim", "depth_unknown_dim", "depth_without_L", "scratch_zero",
+        "scratch_unknown_dim"])
+def test_every_preset_reads_its_target_through_from_dict(name, target, message):
+    with pytest.raises(ValueError) as exc:
+        presets.build_preset(name, {"H": 2, "L": 2, "d_X": 16, "d_I": 32}, target)
+    assert str(exc.value) == f"preset {name!r}: {message}"
+
+
+def test_every_preset_prunes_to_its_target():
+    """Each pruning stage takes the target (its width part where depth has a
+    stage of its own, or in the width-only preset); scratch trains at it."""
+    model = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0}
+    target = {"H": 1, "L": 1, "d_I": 16, "r": 4}
+    full = ArchitectureTarget(**target)
+    width = replace(full, L=None)
+    plans = {name: presets.build_preset(name, model, target) for name in presets.PRESETS}
+    assert {name: [s.prune.target for s in plan.stages if s.prune]
+            for name, plan in plans.items()} == {
+        "one_step_one_stage": [full], "one_step_two_stage": [full],
+        "iterative_width_two_stage": [width],
+        "iterative_width_depth_three_stage": [ArchitectureTarget(L=1), width],
+        "scratch": []}
+    assert plans["scratch"].stages[0].model == {**model, **target}
 
 
 def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
