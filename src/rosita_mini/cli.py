@@ -36,7 +36,7 @@ def _read_json(path, *required) -> dict:
 
 
 def _require(cfg: dict, path, *keys) -> dict:
-    """`cfg`, read from `path`, once it is known to have every one of `keys`."""
+    """`cfg`, read from `path` (a file, or an arm of one), once it has all `keys`."""
     if missing := [key for key in keys if key not in cfg]:
         raise ValueError(f"{path}: missing required key(s) {missing}")
     return cfg
@@ -109,7 +109,8 @@ def _plan_from_dict(raw: dict, path, vocab, info, arm: str | None = None) -> Sta
     """The plan of `raw`, read from `path` (as `arm` of a spec): a preset with
     its target and hp, or an explicit stage list, with its model configs'
     data defaults filled. A bad key or value names the file, arm and stage."""
-    _require(raw, path, "model", "target" if "preset" in raw else "stages")
+    where = path if arm is None else f"{path}: arm {arm!r}"
+    _require(raw, where, "model", "target" if "preset" in raw else "stages")
     try:
         if "preset" not in raw:
             plan = StagePlan.from_dict(raw)
@@ -119,7 +120,6 @@ def _plan_from_dict(raw: dict, path, vocab, info, arm: str | None = None) -> Sta
         else:
             plan = build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
     except (TypeError, ValueError) as exc:
-        where = path if arm is None else f"{path}: arm {arm!r}"
         raise ValueError(f"{where}: {exc}") from exc
     plan.model = _with_data_defaults(plan.model, vocab, info)
     for stage in plan.stages:

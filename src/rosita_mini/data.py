@@ -100,10 +100,14 @@ def load_tsv(path) -> list[Example]:
             raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, "
                              f"got {len(cells)}")
         label = cells[label_col].strip()
+        try:
+            label = int(label) if label else None
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: label {label!r} is not an integer") from None
         examples.append(Example(
             text=cells[text_col],
             text_b=cells[text_b_col] if text_b_col is not None else None,
-            label=int(label) if label else None,
+            label=label,
         ))
     return examples
 

@@ -107,6 +107,8 @@ def hidden_mse(trace_teacher: ForwardTrace, trace_student: ForwardTrace,
 
     Each term is a mean over batch, unmasked sequence positions, and the
     hidden axis, so the loss scale is independent of d_X and padding.
+    One node; teacher states are constants, and each tracked student state
+    gets gs + gs, gs = (g * weight) * diff, as the product rule adds it.
     """
     t_hidden, s_hidden = trace_teacher.hidden, trace_student.hidden
     if len(s_hidden) != layer_map.student_layers + 1:
@@ -129,9 +131,13 @@ def hidden_mse(trace_teacher: ForwardTrace, trace_student: ForwardTrace,
         mask = np.ones(s_hidden[0].shape[:2])
     weight = mask[:, :, None] / (mask.sum() * d)
 
-    total = None
-    for l_s, l_t in enumerate(layer_map.g):
-        diff = T.sub(s_hidden[l_s], t_hidden[l_t].detach())
-        term = T.sum_all(T.scale(T.mul(diff, diff), weight))
-        total = term if total is None else T.add(total, term)
-    return total
+    diffs = [s.data - t_hidden[l_t].data for s, l_t in zip(s_hidden, layer_map.g)]
+    total = sum((diff * diff * weight).sum() for diff in diffs)  # 0 + term 0 is term 0
+
+    def bwd(g):
+        for state, diff in zip(s_hidden, diffs):
+            if state.tracked:
+                gs = (g * weight) * diff
+                state.accumulate_grad(gs + gs, owned=True)
+
+    return T._node(np.asarray(total), tuple(s_hidden), bwd)

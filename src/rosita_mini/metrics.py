@@ -22,8 +22,8 @@ def check_metric_kind(kind: str) -> None:
 def eval_metric(predictions, labels, kind: str) -> float:
     """accuracy = fraction correct; mcc = Matthews correlation (binary).
 
-    mcc is 0 by convention when its denominator vanishes (e.g. constant
-    predictions).
+    mcc takes only the classes 0 and 1, and is 0 by convention when its
+    denominator vanishes (e.g. constant predictions).
     """
     check_metric_kind(kind)
     predictions = np.asarray(predictions)
@@ -34,6 +34,9 @@ def eval_metric(predictions, labels, kind: str) -> float:
         )
     if kind == "accuracy":
         return float((predictions == labels).mean())
+    if not set(seen := np.union1d(predictions, labels).tolist()) <= {0, 1}:
+        raise ValueError(f"eval_metric: mcc is binary, but the labels and predictions "
+                         f"hold the classes {seen}")
     tp = int(((predictions == 1) & (labels == 1)).sum())
     tn = int(((predictions == 0) & (labels == 0)).sum())
     fp = int(((predictions == 1) & (labels == 0)).sum())

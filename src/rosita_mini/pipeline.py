@@ -34,7 +34,6 @@ import gc
 import os
 import pickle
 import sys
-import weakref
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -268,20 +267,29 @@ class StagePlan:
 # training
 
 
+def _float32(model: Model) -> Model:
+    """A float32 copy of `model` for no-grad forwards; float32 arrays are shared."""
+    return Model(model.config, {name: T.Tensor(p.data.astype(np.float32, copy=False))
+                                for name, p in model.params.items()})
+
+
+def _check_eval_split(data: EncodedDataset, what: str) -> None:
+    """Reject a split that has no rows, or an unlabeled one (label -1)."""
+    if not len(data):
+        raise ValueError(f"{what}: the split has {len(data)} rows; evaluate on a "
+                         "split with rows")
+    unlabeled = int((data.labels < 0).sum())
+    if unlabeled:
+        raise ValueError(f"{what}: {unlabeled} of {len(data.labels)} rows are unlabeled "
+                         "(label -1); evaluate on a labeled split")
+
+
 def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
     """The `kind` metric on `data` of a float32 copy of `model`, run under no_grad."""
     check_metric_kind(kind)
-    if not len(data):
-        raise ValueError(f"evaluate: the split has {len(data)} rows; evaluate on a "
-                         "split with rows")
-    unlabeled = int((data.labels < 0).sum())
-    if unlabeled:
-        raise ValueError(f"evaluate: {unlabeled} of {len(data.labels)} rows are unlabeled "
-                         "(label -1); evaluate on a labeled split")
-
-    model = Model(model.config, {name: T.Tensor(p.data.astype(np.float32, copy=False))
-                                 for name, p in model.params.items()})
+    _check_eval_split(data, "evaluate")
+    model = _float32(model)
 
     def predict(batch):
         with T.no_grad():
@@ -503,18 +511,13 @@ class _DevEvals:
     """A stage's dev evals, run in one forked `_Worker` while the parent
     goes on training.
 
-    Each eval sends the child the student's config and a float32 copy of
-    its arrays as they are at that step. The record of an eval step, and
-    every record after it, is held until the next eval or the end of the
-    `with` block, which wait for the metric, and is then written in step
-    order: the stream is byte-identical to evaluating inline, which is how
-    each eval runs where `_cpu_spare()` is false. At most one eval is in
-    flight.
-
-    A model whose config and parameter arrays are the very objects of the
-    last eval takes that eval's metric, with no new eval: nothing writes
-    into a parameter array (Adam, surgery and factorization assign new
-    ones), so the same objects are the same model.
+    Each eval sends the child the student's float32 copy (`_float32`) as
+    it is at that step. The record of an eval step, and every record after
+    it, is held until the next eval or the end of the `with` block, which
+    wait for the metric, and is then written in step order: the stream is
+    byte-identical to evaluating inline, which is how each eval runs where
+    `_cpu_spare()` is false. At most one eval is in flight. Without `data`
+    nothing forks, and only `write` may be called.
     """
 
     def __init__(self, metrics: MetricsWriter, data: EncodedDataset | None, kind: str):
@@ -522,8 +525,6 @@ class _DevEvals:
         self._data, self._kind = data, kind
         self._worker = None
         self._held: list[dict] = []  # an eval's record and the ones after it
-        self._last: list = []  # weak references to the last evaluated config and arrays
-        self._metric = None  # their metric, once known
 
     def write(self, record: dict) -> None:
         if self._held:
@@ -535,19 +536,11 @@ class _DevEvals:
         """Evaluate `model` as it is now into `record["eval_metric"]`."""
         self._collect()
         record["eval_metric_kind"] = self._kind
-        objects = [model.config, *(p.data for p in model.params.values())]
-        if len(objects) == len(self._last) and all(
-                ref() is obj for ref, obj in zip(self._last, objects)):
-            record["eval_metric"] = self._metric
-            self._metrics.write(record)
-            return
-        self._last = [weakref.ref(obj) for obj in objects]
         if self._worker is None:
-            record["eval_metric"] = self._metric = evaluate(model, self._data, self._kind)
+            record["eval_metric"] = evaluate(model, self._data, self._kind)
             self._metrics.write(record)
             return
-        self._worker.send((model.config, {name: p.data.astype(np.float32)
-                                          for name, p in model.params.items()}))
+        self._worker.send(_float32(model))
         self._held = [record]
 
     def _collect(self) -> None:
@@ -555,7 +548,7 @@ class _DevEvals:
         if not self._held:
             return
         held, self._held = self._held, []
-        held[0]["eval_metric"] = self._metric = self._worker.receive()
+        held[0]["eval_metric"] = self._worker.receive()
         for record in held:
             self._metrics.write(record)
 
@@ -563,13 +556,9 @@ class _DevEvals:
         # forked before the training steps grow the heap, so the child
         # keeps few pages that the parent goes on to rewrite
         if self._data is not None and _cpu_spare():
-            self._worker = _Worker(self._evaluate, "dev eval")
+            self._worker = _Worker(lambda model: evaluate(model, self._data, self._kind),
+                                   "dev eval")
         return self
-
-    def _evaluate(self, request) -> float:
-        config, arrays = request
-        return evaluate(Model(config, {name: T.Tensor(a) for name, a in arrays.items()}),
-                        self._data, self._kind)
 
     def __exit__(self, *exc):
         try:
@@ -661,9 +650,9 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     A KD stage whose student starts as its teacher's unpruned copy, without
     dropout, cannot move (`_is_fixed_point`). Each of its steps takes only
     the teacher's logits, under no_grad, for the step's losses; it skips
-    the student's forward, the backward and the Adam step, and its unchanged
-    student is evaluated once. Its records and its student are the ones
-    training writes.
+    the student's forward, the backward and the Adam step. Its student is
+    evaluated once, before the first step and with no dev-eval child, for
+    every eval record. Its records and student are those training writes.
 
     A KD stage whose loss reads only logits takes its teacher's rows from
     the memo of `_TeacherRows`, so the teacher runs once per row and
@@ -703,9 +692,11 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     optimizer = None if fixed else Adam(student.parameters())
     eval_every = max(1, total_steps // 25)
     dropout_key = int(rng.integers(2 ** 31)) if stage.dropout else 0
+    dev = datasets.get("dev")
+    fixed_metric = evaluate(student, dev, eval_kind) if fixed and dev is not None else None
 
     step = 0
-    with _DevEvals(metrics, datasets.get("dev"), eval_kind) as evals:
+    with _DevEvals(metrics, None if fixed else dev, eval_kind) as evals:
         for _ in range(stage.epochs):
             for ids, mask, labels in iter_batches(data, stage.batch_size, rng):
                 if fixed:
@@ -743,10 +734,13 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                     "d_I": student.config.d_I, "r": student.config.r,
                     "param_count": count_params(student.config),
                 }
-                if "dev" in datasets and (step % eval_every == 0 or step == total_steps):
-                    evals.submit(record, student)
-                else:
+                if dev is None or (step % eval_every and step != total_steps):
                     evals.write(record)
+                elif fixed:
+                    evals.write({**record, "eval_metric_kind": eval_kind,
+                                 "eval_metric": fixed_metric})
+                else:
+                    evals.submit(record, student)
     return student
 
 
@@ -758,14 +752,19 @@ def stage_rng(seed: int, k: int) -> np.random.Generator:
 def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[ModelConfig]:
     """Each stage's end config, walked by training's rules without training: a
     stage starts as its teacher's end config or fresh from its `model`, needs
-    rows in its dataset, fits a one-step target by `target.deltas` and an
-    iterative one by `prune_events` over its T = epochs x `batches_per_epoch`
-    steps, and ends at the target's set dimensions. A broken rule raises a
-    ValueError that names the stage."""
+    rows in its dataset (labeled ones without `kd`) and a labeled `dev` split,
+    fits a one-step target by `target.deltas` and an iterative one by
+    `prune_events` over its T = epochs x `batches_per_epoch` steps, and ends at
+    the target's set dimensions. A broken rule raises a ValueError naming the stage."""
     ends = []
     for k, stage in enumerate(plan.stages):
         try:
             data = _stage_data(stage, datasets)
+            if stage.kd is None and not (data.labels >= 0).any():
+                raise ValueError(f"dataset {stage.dataset!r} has no labeled row, and a "
+                                 f"stage without kd trains on labels")
+            if "dev" in datasets:
+                _check_eval_split(datasets["dev"], "dev split")
             config = (ModelConfig.from_dict(stage.model or plan.model) if stage.teacher is None
                       else ends[0 if stage.teacher == "original" else -1])
             if stage.prune is not None:
@@ -792,20 +791,20 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
              seed: int = 0, eval_kind: str = "accuracy") -> dict[Path, list[dict]]:
     """Run each arm's plan into its directory; return its stage summaries.
 
-    The metric kind and every arm's configs (`plan_configs`, its failure
-    naming the arm) are checked before any stage trains.
+    The metric kind and every arm's configs and labels (`plan_configs`, its
+    failure naming the arm) are checked before any stage trains.
     Stage k draws `stage_rng(seed, k)`; its teacher is reloaded from the
-    arm's written checkpoints. A stage whose prefix (plan model and stages
+    arm's written checkpoints, and one without starts fresh from its `model`
+    (default: the plan's). A stage whose prefix (plan model and stages
     0..k) an earlier arm trained is linked in, not trained again, so each
     directory holds what a lone `run_plan` of its arm writes. A stage's
     summary holds its name, checkpoint, the student's config and size, and
     the dev metric that the stage's last record carries.
     """
     check_metric_kind(eval_kind)
-    configs = {}
     for out_dir, plan in arms.items():
         try:
-            configs[out_dir] = plan_configs(plan, datasets)
+            plan_configs(plan, datasets)
         except ValueError as exc:
             raise ValueError(f"{out_dir}: {exc}") from exc
     trained = {}  # a prefix's repr -> (the directory that holds it, its summary)
@@ -829,7 +828,7 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
             rng = stage_rng(seed, k)
             if stage.teacher is None:
                 teacher = None
-                student = Model.init(configs[out_dir][k], rng)
+                student = Model.init(ModelConfig.from_dict(stage.model or plan.model), rng)
             else:
                 ck = load_checkpoint(
                     summaries[0 if stage.teacher == "original" else -1]["checkpoint"])

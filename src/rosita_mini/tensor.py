@@ -12,7 +12,8 @@ The encoder's sub-layers are single nodes: `linear` (matmul plus bias),
 head merge) and `layer_norm` of a sum (residual plus layer norm). Each
 fused node runs the same numpy products, on operands of the same shapes
 and memory layouts, as the chain of elementary ops it replaces, so its
-values and gradients are bit-identical to that chain.
+values and gradients are bit-identical to that chain. Each loss is one
+`_node` too, where it is defined; `mul` and `sum_all` build the tests' probes.
 
 Gradient arrays are owned, not copied: an op hands an input the array
 it has just computed for that input alone, and the input keeps it.
@@ -87,9 +88,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> Tensor:
-        return Tensor(self.data)
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
         """Add g into .grad. `owned` says the caller has just computed g for
@@ -190,19 +188,6 @@ def add(a, b) -> Tensor:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.tracked:
             b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _node(data, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    data = a.data - b.data
-
-    def bwd(g):
-        if a.tracked:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.tracked:
-            b.accumulate_grad(_unbroadcast(-g, b.shape), owned=True)
 
     return _node(data, (a, b), bwd)
 

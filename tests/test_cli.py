@@ -357,8 +357,9 @@ def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, comm
     rc = main([command, flag, str(path), "--data", str(workspace / "data"),
                "--out", str(tmp_path / "out")])
     assert rc == 1
+    where = f"{path}: arm 'a'" if "arms" in config else path  # an arm's keys name the arm
     assert capsys.readouterr().err == \
-        f"rosita-mini: error: {path}: missing required key(s) {missing}\n"
+        f"rosita-mini: error: {where}: missing required key(s) {missing}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -95,6 +95,13 @@ class TestTsv:
         with pytest.raises(ValueError, match="columns"):
             load_tsv(tmp_path / "bad.tsv")
 
+    def test_a_label_that_is_not_an_integer_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("text\tlabel\na b\t1\nc d\tx\n")
+        with pytest.raises(ValueError) as exc:
+            load_tsv(path)
+        assert str(exc.value) == f"{path}:3: label 'x' is not an integer"
+
 
 class TestBatching:
     def test_shuffle_is_seed_deterministic(self):
@@ -144,6 +151,15 @@ class TestEvalMetric:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_metric([1, 0], [1], "accuracy")
+
+    def test_mcc_refuses_classes_outside_0_and_1(self):
+        # class-2 rows count as neither positive nor negative, so the wrong
+        # prediction in the last row would go unseen
+        with pytest.raises(ValueError, match=r"the classes \[0, 1, 2\]"):
+            eval_metric([0, 1, 2, 2], [0, 1, 2, 1], "mcc")
+        with pytest.raises(ValueError, match=r"the classes \[-1, 0, 1\]"):
+            eval_metric([0, 1, 1], [0, 1, -1], "mcc")
+        assert eval_metric([0, 1, 2, 2], [0, 1, 2, 1], "accuracy") == 0.75
 
 
 class TestMetricsWriter:

@@ -143,6 +143,44 @@ class TestHiddenMse:
         loss.backward(leaves=student.parameters().values())
         assert np.abs(student.params["layer0.W_Q"].grad).max() > 0
 
+    def test_one_node_with_the_bits_of_the_elementwise_chain(self):
+        """One node whose parents are the student's states; through a model's
+        backward it gives the loss and gradient bits of the chain of
+        elementwise nodes, with the difference as an add of -teacher."""
+        teacher = Model.init(ModelConfig(H=2, L=4, d_X=8, d_I=6, r=0, vocab_size=7,
+                                         max_len=5, n_classes=2, head_dim=4), 5)
+        teacher.freeze()
+        student = Model.init(ModelConfig(H=2, L=2, d_X=8, d_I=6, r=3, vocab_size=7,
+                                         max_len=5, n_classes=2, head_dim=4), 6)
+        ids = np.array([[1, 2, 3, 4], [5, 6, 0, 0]])
+        mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+        lm = D.build_layer_map(4, 2)
+        with T.no_grad():
+            t_trace = teacher.forward(ids, mask)
+        weight = mask[:, :, None] / (mask.sum() * 8)
+
+        def chain(t_trace, s_trace, lm, mask):
+            total = None
+            for l_s, l_t in enumerate(lm.g):
+                diff = T.add(s_trace.hidden[l_s], Tensor(-t_trace.hidden[l_t].data))
+                term = T.sum_all(T.scale(T.mul(diff, diff), weight))
+                total = term if total is None else T.add(total, term)
+            return total
+
+        runs = []
+        for hidden_loss in (D.hidden_mse, chain):
+            student.zero_grad()
+            s_trace = student.forward(ids, mask)
+            hidden = hidden_loss(t_trace, s_trace, lm, mask)
+            if hidden_loss is D.hidden_mse:
+                assert hidden._parents == tuple(s_trace.hidden)
+            loss = T.add(D.soft_cross_entropy(t_trace.logits, s_trace.logits, 2.0),
+                         T.scale(hidden, 0.7))
+            loss.backward(leaves=student.parameters().values())
+            runs.append((hidden.data.tobytes(), {name: p.grad.tobytes()
+                                                 for name, p in student.params.items()}))
+        assert runs[0] == runs[1]
+
 
 class TestBuildLayerMap:
     def test_paper_even_case(self):

@@ -17,7 +17,7 @@ import pytest
 from rosita_mini import pipeline as PL
 from rosita_mini import presets
 from rosita_mini import tensor as T
-from rosita_mini.checkpoint import load_checkpoint
+from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
 from rosita_mini.data import (EncodedDataset, batches_per_epoch, generate_marker_task,
                               iter_batches, load_task_dir)
 from rosita_mini.distillation import KDConfig, build_layer_map
@@ -990,6 +990,52 @@ class TestRunArms:
             PL.run_arms(self.arms(info, tmp_path / "out"), splits, eval_kind="bogus")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["one_step", "iterative"])
+    def test_a_stage_without_a_teacher_prunes_from_the_plans_model(self, task_dir,
+                                                                   tmp_path, mode):
+        """Its student starts at the plan's model, not at the stage's end config."""
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        stage = StageSpec(name="cut", dataset="train", epochs=2, batch_size=16,
+                          prune=PruneSpec(mode, ArchitectureTarget(H=1, d_I=8),
+                                          prune_fraction=0.5, n_events=1))
+        plan = StagePlan(tiny_model_dict(info), [stage])
+        run_plan(plan, splits, tmp_path / "plan", seed=4)
+        rng = PL.stage_rng(4, 0)
+        student = Model.init(ModelConfig.from_dict(plan.model), rng)
+        with MetricsWriter(tmp_path / "stage0_cut.ndjson") as metrics:
+            out = run_stage(stage, student, None, splits, metrics, rng)
+        save_checkpoint(tmp_path / "stage0_cut.rst", out, seed=4, stage="cut")
+        assert (out.config.H, out.config.d_I) == (1, 8)
+        for name in ("stage0_cut.ndjson", "stage0_cut.rst"):
+            assert (tmp_path / "plan" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty_dev", "stage 0 'ft': dev split: the split has 0 rows"),
+        ("unlabeled_dev", "stage 0 'ft': dev split: 1 of 32 rows are unlabeled"),
+        ("no_labels_without_kd", "stage 1 'more': dataset 'train_aug' has no labeled row, "
+                                 "and a stage without kd trains on labels"),
+    ], ids=["empty_dev", "unlabeled_dev", "no_labels_without_kd"])
+    def test_labels_are_checked_before_stage_0(self, task_dir, tmp_path, case, message):
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        dev = splits["dev"]
+        if case == "empty_dev":
+            splits["dev"] = EncodedDataset(dev.ids[:0], dev.mask[:0], dev.labels[:0])
+        elif case == "unlabeled_dev":
+            labels = dev.labels.copy()
+            labels[5] = -1
+            splits["dev"] = EncodedDataset(dev.ids, dev.mask, labels)
+        plan = StagePlan(tiny_model_dict(info), [
+            StageSpec(name="ft", dataset="train", epochs=1, batch_size=16),
+            StageSpec(name="more", dataset="train_aug", epochs=1, batch_size=16,
+                      teacher="previous", kd=None if case == "no_labels_without_kd"
+                      else KDConfig())])
+        with pytest.raises(ValueError) as exc:
+            PL.run_arms({tmp_path / "out": plan}, splits)
+        assert str(exc.value).startswith(f"{tmp_path / 'out'}: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_results_do_not_depend_on_arm_order(self, task_dir, tmp_path):
         """Stage k of every arm draws `stage_rng(seed, k)`, wherever the arm sits."""
         path, info = task_dir
@@ -1054,8 +1100,8 @@ def test_every_preset_prunes_to_its_target():
 
 def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
     """Adam, surgery and factorization give each parameter they change a new
-    array and write into none: `_DevEvals` reuses the metric of the very
-    arrays it evaluated last, and this is why that is sound."""
+    array and write into none, so whoever holds a parameter array sees it
+    unchanged."""
     cfg = ModelConfig(H=3, L=2, d_X=12, d_I=6, r=0, vocab_size=9, max_len=6,
                       n_classes=2, head_dim=4)
     model = Model.init(cfg, 0)
@@ -1110,8 +1156,9 @@ def _training_forwards(monkeypatch) -> list:
 
 class TestFixedPoint:
     """A KD stage whose student is its teacher's unpruned copy, without
-    dropout, cannot move: it runs as teacher passes and one eval, and
-    writes the bytes that training it writes."""
+    dropout, cannot move: it runs as teacher passes and one eval before its
+    first step, forks no dev-eval child, and writes the bytes that training
+    it writes."""
 
     KD = {"pred_t1": KDConfig(), "pred_t2": KDConfig(temperature=2.0),
           "pred_hidden": KDConfig(use_hidden=True)}
@@ -1139,31 +1186,51 @@ class TestFixedPoint:
         if not dev:
             del splits["dev"]
         monkeypatch.setattr(PL, "_cpu_spare", lambda: fork)
-        evals = tmp_path / "evals"  # counted in a file: evals may run in a child
-        real_evaluate = PL.evaluate
+        calls = tmp_path / "calls"  # "e" per eval, "s" per step: evals may run in a child
+        workers = []
+        real_evaluate, real_loss, real_worker = PL.evaluate, PL._batch_loss, PL._Worker
 
         def evaluate(*args, **kwargs):
-            with open(evals, "a") as fh:
-                fh.write("x")
+            with open(calls, "a") as fh:
+                fh.write("e")
             return real_evaluate(*args, **kwargs)
 
+        def batch_loss(*args, **kwargs):
+            with open(calls, "a") as fh:
+                fh.write("s")
+            return real_loss(*args, **kwargs)
+
+        def worker(fn, name):
+            workers.append(name)
+            return real_worker(fn, name)
+
         monkeypatch.setattr(PL, "evaluate", evaluate)
+        monkeypatch.setattr(PL, "_batch_loss", batch_loss)
+        monkeypatch.setattr(PL, "_Worker", worker)
         forwards = _training_forwards(monkeypatch)
         runs = []
         for fast in (True, False):
             if not fast:
                 monkeypatch.setattr(PL, "_is_fixed_point", lambda *args: False)
-            evals.write_text("")
+            calls.write_text("")
             forwards.clear()
+            workers.clear()
             teacher, student = self.pair(info)
             with MetricsWriter(tmp_path / f"{fast}.ndjson") as metrics:
                 out = run_stage(self.stage(kd=self.KD[kd]), student, teacher, splits,
                                 metrics, np.random.default_rng(9))
+            save_checkpoint(tmp_path / f"{fast}.rst", out, seed=9, stage="same")
             rows = read_ndjson(tmp_path / f"{fast}.ndjson")
             assert len(forwards) == (0 if fast else 8)
-            assert len(evals.read_text()) == ((1 if fast else 8) if dev else 0)
+            if fast:  # one eval, before the first step, and no dev-eval child
+                assert calls.read_text() == "e" * dev + "s" * 8
+                assert "dev eval" not in workers
+            else:
+                assert sorted(calls.read_text()) == sorted("e" * 8 * dev + "s" * 8)
+                assert workers.count("dev eval") == (dev and fork)
             assert sum("eval_metric" in r for r in rows) == (8 if dev else 0)
-            runs.append(((tmp_path / f"{fast}.ndjson").read_bytes(),
+            runs.append(([(tmp_path / f"{fast}{suffix}").read_bytes()
+                          for suffix in (".ndjson", ".rst")],
                          {name: p.data.tobytes() for name, p in out.params.items()}))
         assert runs[0] == runs[1]
         assert runs[0][1] == {name: p.data.tobytes() for name, p in teacher.params.items()}

@@ -62,7 +62,7 @@ class TestWeightTaylorScores:
         # L(w) = (w*1 - 2)^2 at w = 1: dL/dw = -2, so |dL/dw * w| = 2
         w = Tensor([[1.0]], requires_grad=True)
         x = Tensor([[1.0]])
-        diff = T.sub(T.matmul(x, w), Tensor([[2.0]]))
+        diff = T.add(T.matmul(x, w), Tensor([[-2.0]]))
         T.sum_all(T.mul(diff, diff)).backward(leaves=[w])
         assert abs(np.abs(w.grad * w.data)[0, 0] - 2.0) < 1e-12
 
