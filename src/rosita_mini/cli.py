@@ -36,7 +36,10 @@ def _read_json(path, *required) -> dict:
 
 
 def _require(cfg: dict, path, *keys) -> dict:
-    """`cfg`, read from `path` (a file, or an arm of one), once it has all `keys`."""
+    """`cfg`, read from `path` (a file, or an arm of one), once it is a JSON
+    object with all `keys`."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: not a JSON object")
     if missing := [key for key in keys if key not in cfg]:
         raise ValueError(f"{path}: missing required key(s) {missing}")
     return cfg
@@ -144,8 +147,8 @@ def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
     if not isinstance(spec["arms"], list) or not spec["arms"]:
         raise ValueError(f"{path}: 'arms' must be a list of one arm or more")
     cells = []
-    for arm in spec["arms"]:
-        name, grid = _require(arm, path, "name")["name"], arm.get("grid")
+    for i, arm in enumerate(spec["arms"]):
+        name, grid = _require(arm, f"{path}: arm {i}", "name")["name"], arm.get("grid")
         if "model" in arm:
             raise ValueError(f"{path}: arm {name!r} has a model; every arm takes the spec's")
         body = {k: v for k, v in arm.items() if k not in ("name", "grid")}

@@ -309,16 +309,8 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
     parts = {"loss_cross": None, "loss_pred": None, "loss_hidden": None}
     total = None
     if stage.kd is None:
-        labeled = np.nonzero(labels >= 0)[0]
-        if labeled.size == len(labels):
-            ce = cross_entropy(trace_s.logits, labels)
-        elif labeled.size:
-            ce = cross_entropy(T.gather_rows(trace_s.logits, labeled), labels[labeled])
-        else:
-            ce = None
-        if ce is not None:
-            parts["loss_cross"] = ce.item()
-            total = ce
+        total = cross_entropy(trace_s.logits, labels)
+        parts["loss_cross"] = total.item()
     else:
         trace_t = trace_s
         if teacher is not student:
@@ -334,11 +326,6 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
             parts["loss_hidden"] = hidden.item()
             weighted = T.scale(hidden, stage.kd.hidden_weight)
             total = weighted if total is None else T.add(total, weighted)
-    if total is None:
-        raise RuntimeError(
-            f"stage {stage.name!r}: batch produced no loss (unlabeled data "
-            f"with cross-entropy only)"
-        )
     return total, parts
 
 
@@ -571,9 +558,14 @@ class _DevEvals:
 def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset]) -> EncodedDataset:
     if stage.dataset not in datasets:
         raise ValueError(f"dataset {stage.dataset!r} not loaded; loaded: {sorted(datasets)}")
-    if not len(datasets[stage.dataset]):
+    data = datasets[stage.dataset]
+    if not len(data):
         raise ValueError(f"dataset {stage.dataset!r} has no rows")
-    return datasets[stage.dataset]
+    unlabeled = int((data.labels < 0).sum())
+    if stage.kd is None and unlabeled:
+        raise ValueError(f"dataset {stage.dataset!r}: {unlabeled} of {len(data)} rows "
+                         f"are unlabeled, and a stage without kd trains on labels")
+    return data
 
 
 def _is_fixed_point(stage: StageSpec, student: Model, teacher: Model | None) -> bool:
@@ -752,7 +744,7 @@ def stage_rng(seed: int, k: int) -> np.random.Generator:
 def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[ModelConfig]:
     """Each stage's end config, walked by training's rules without training: a
     stage starts as its teacher's end config or fresh from its `model`, needs
-    rows in its dataset (labeled ones without `kd`) and a labeled `dev` split,
+    rows in its dataset (all labeled without `kd`) and a labeled `dev` split,
     fits a one-step target by `target.deltas` and an iterative one by
     `prune_events` over its T = epochs x `batches_per_epoch` steps, and ends at
     the target's set dimensions. A broken rule raises a ValueError naming the stage."""
@@ -760,9 +752,6 @@ def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[M
     for k, stage in enumerate(plan.stages):
         try:
             data = _stage_data(stage, datasets)
-            if stage.kd is None and not (data.labels >= 0).any():
-                raise ValueError(f"dataset {stage.dataset!r} has no labeled row, and a "
-                                 f"stage without kd trains on labels")
             if "dev" in datasets:
                 _check_eval_split(datasets["dev"], "dev split")
             config = (ModelConfig.from_dict(stage.model or plan.model) if stage.teacher is None

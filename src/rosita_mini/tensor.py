@@ -13,7 +13,7 @@ head merge) and `layer_norm` of a sum (residual plus layer norm). Each
 fused node runs the same numpy products, on operands of the same shapes
 and memory layouts, as the chain of elementary ops it replaces, so its
 values and gradients are bit-identical to that chain. Each loss is one
-`_node` too, where it is defined; `mul` and `sum_all` build the tests' probes.
+`_node` too, where it is defined.
 
 Gradient arrays are owned, not copied: an op hands an input the array
 it has just computed for that input alone, and the input keeps it.
@@ -188,19 +188,6 @@ def add(a, b) -> Tensor:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.tracked:
             b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _node(data, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    data = a.data * b.data
-
-    def bwd(g):
-        if a.tracked:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), owned=True)
-        if b.tracked:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _node(data, (a, b), bwd)
 
@@ -478,17 +465,3 @@ def dropout(a, rate: float, key: int, counter: int) -> Tensor:
         a.accumulate_grad(g * mask, owned=True)
 
     return _node(a.data * mask, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def sum_all(a) -> Tensor:
-    a = _ensure(a)
-    data = np.asarray(a.data.sum())
-
-    def bwd(g):
-        a.accumulate_grad(np.broadcast_to(g, a.shape).copy(), owned=True)
-
-    return _node(data, (a,), bwd)

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a central-difference gradient check,
 a vocabulary builder, model copies and sizes, the hand parameter-count
-formula, SVD reconstruction, and the unfused op chains the fused tensor
-nodes are checked against."""
+formula, SVD reconstruction, the elementwise product and full sum that
+build gradient probes, and the unfused op chains the fused tensor nodes are
+checked against."""
 
 import math
 from dataclasses import replace
@@ -97,6 +98,33 @@ def reconstruction_error(w: np.ndarray, e_u: np.ndarray, e_v: np.ndarray) -> flo
             f"reconstruction_error: W {w.shape} vs factors {e_u.shape} x {e_v.shape}"
         )
     return float(np.linalg.norm(w - e_u @ e_v))
+
+
+# Gradient probes: an elementwise product and a sum to a scalar, which no
+# model or loss builds.
+
+
+def mul(a, b) -> Tensor:
+    a, b = T._ensure(a), T._ensure(b)
+    data = a.data * b.data
+
+    def bwd(g):
+        if a.tracked:
+            a.accumulate_grad(T._unbroadcast(g * b.data, a.shape), owned=True)
+        if b.tracked:
+            b.accumulate_grad(T._unbroadcast(g * a.data, b.shape), owned=True)
+
+    return T._node(data, (a, b), bwd)
+
+
+def sum_all(a) -> Tensor:
+    a = T._ensure(a)
+    data = np.asarray(a.data.sum())
+
+    def bwd(g):
+        a.accumulate_grad(np.broadcast_to(g, a.shape).copy(), owned=True)
+
+    return T._node(data, (a,), bwd)
 
 
 # The per-op chain that the fused `linear`, `attention` and two-input

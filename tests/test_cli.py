@@ -363,6 +363,21 @@ def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("second, message", [
+    ({"preset": "scratch", "target": {"H": 1}}, "missing required key(s) ['name']"),
+    ("b", "not a JSON object"),
+], ids=["no_name", "not_an_object"])
+def test_a_bad_arm_is_named_by_its_index(workspace, tmp_path, capsys, second, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"model": TINY_MODEL, "arms": [
+        {"name": "a", "preset": "scratch", "target": {"H": 1}}, second]}))
+    rc = main(["run-arms", "--spec", str(path), "--data", str(workspace / "data"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"rosita-mini: error: {path}: arm 1: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _readme_heredoc(name: str) -> dict:
     return json.loads(README.read_text(encoding="utf-8")
                       .split(f"cat > {name} <<'EOF'\n", 1)[1].split("EOF\n", 1)[0])

@@ -11,7 +11,7 @@ from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, ForwardTrace
 from rosita_mini.pipeline import StageSpec
 from rosita_mini.tensor import Tensor, ShapeError
-from support import finite_diff_check
+from support import finite_diff_check, mul, sum_all
 
 
 def make_trace(states, logits=None):
@@ -163,7 +163,7 @@ class TestHiddenMse:
             total = None
             for l_s, l_t in enumerate(lm.g):
                 diff = T.add(s_trace.hidden[l_s], Tensor(-t_trace.hidden[l_t].data))
-                term = T.sum_all(T.scale(T.mul(diff, diff), weight))
+                term = sum_all(T.scale(mul(diff, diff), weight))
                 total = term if total is None else T.add(total, term)
             return total
 

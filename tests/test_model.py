@@ -10,8 +10,8 @@ from rosita_mini import model as M
 from rosita_mini import tensor as T
 from rosita_mini.model import Model, ModelConfig, count_params, cross_entropy
 from rosita_mini.tensor import ShapeError, Tensor
-from support import (count_params_formula, finite_diff_check, num_params, padding_bias,
-                     unfused_attention, unfused_layer_norm, unfused_linear)
+from support import (count_params_formula, finite_diff_check, mul, num_params, padding_bias,
+                     sum_all, unfused_attention, unfused_layer_norm, unfused_linear)
 
 
 def tiny_config(**over):
@@ -159,7 +159,7 @@ def test_encoder_layer_is_bitwise_the_unfused_chain(s, heads, masked):
                   for name, p in M._layer_slice(model.params, 0).items()}
         x = Tensor(x0, requires_grad=True)
         out = layer_fn(x, params)
-        T.sum_all(T.mul(out, Tensor(weight))).backward()
+        sum_all(mul(out, Tensor(weight))).backward()
         return {"out": out.data, "x": x.grad, **{n: p.grad for n, p in params.items()}}
 
     fused = run(lambda x, p: M.ffn(M.multi_head(x, p, cfg, bias), p, cfg))

@@ -1013,9 +1013,11 @@ class TestRunArms:
     @pytest.mark.parametrize("case, message", [
         ("empty_dev", "stage 0 'ft': dev split: the split has 0 rows"),
         ("unlabeled_dev", "stage 0 'ft': dev split: 1 of 32 rows are unlabeled"),
-        ("no_labels_without_kd", "stage 1 'more': dataset 'train_aug' has no labeled row, "
-                                 "and a stage without kd trains on labels"),
-    ], ids=["empty_dev", "unlabeled_dev", "no_labels_without_kd"])
+        ("no_labels_without_kd", "stage 1 'more': dataset 'train_aug': 64 of 64 rows are "
+                                 "unlabeled, and a stage without kd trains on labels"),
+        ("unlabeled_train_row", "stage 0 'ft': dataset 'train': 1 of 48 rows are "
+                                "unlabeled, and a stage without kd trains on labels"),
+    ], ids=["empty_dev", "unlabeled_dev", "no_labels_without_kd", "unlabeled_train_row"])
     def test_labels_are_checked_before_stage_0(self, task_dir, tmp_path, case, message):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
@@ -1026,6 +1028,11 @@ class TestRunArms:
             labels = dev.labels.copy()
             labels[5] = -1
             splits["dev"] = EncodedDataset(dev.ids, dev.mask, labels)
+        elif case == "unlabeled_train_row":
+            train = splits["train"]
+            labels = train.labels.copy()
+            labels[3] = -1
+            splits["train"] = EncodedDataset(train.ids, train.mask, labels)
         plan = StagePlan(tiny_model_dict(info), [
             StageSpec(name="ft", dataset="train", epochs=1, batch_size=16),
             StageSpec(name="more", dataset="train_aug", epochs=1, batch_size=16,

@@ -12,7 +12,7 @@ from rosita_mini.pipeline import StageSpec, collect_one_step_scores
 from rosita_mini.pruning import (UNIT_DIMS, UnitId, apply_surgery, record_batch_scores,
                                  select_prune_set, weight_taylor_scores)
 from rosita_mini.tensor import Tensor
-from support import clone, num_params
+from support import clone, mul, num_params, sum_all
 
 
 def small_config(**over):
@@ -63,7 +63,7 @@ class TestWeightTaylorScores:
         w = Tensor([[1.0]], requires_grad=True)
         x = Tensor([[1.0]])
         diff = T.add(T.matmul(x, w), Tensor([[-2.0]]))
-        T.sum_all(T.mul(diff, diff)).backward(leaves=[w])
+        sum_all(mul(diff, diff)).backward(leaves=[w])
         assert abs(np.abs(w.grad * w.data)[0, 0] - 2.0) < 1e-12
 
     def test_zero_weight_scores_zero(self):
@@ -83,7 +83,7 @@ class TestWeightTaylorScores:
         model.zero_grad()
         trace = model.forward(ids, mask)
         # loss that ignores the logits entirely
-        loss = T.sum_all(T.scale(trace.logits, 0.0))
+        loss = sum_all(T.scale(trace.logits, 0.0))
         loss.backward(leaves=model.parameters().values())
         scores = weight_taylor_scores(model)
         assert all(np.all(s == 0) for s in scores.values())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rosita_mini import tensor as T
 from rosita_mini.tensor import Tensor, ShapeError
-from support import (finite_diff_check, padding_bias, unfused_attention,
+from support import (finite_diff_check, mul, padding_bias, sum_all, unfused_attention,
                      unfused_layer_norm, unfused_linear)
 
 
@@ -23,7 +23,7 @@ def test_matmul_identity():
 def test_matmul_scalar_case_backward():
     a = Tensor([[2.0]], requires_grad=True)
     b = Tensor([[3.0]], requires_grad=True)
-    loss = T.sum_all(T.matmul(a, b))
+    loss = sum_all(T.matmul(a, b))
     assert loss.item() == 6.0
     loss.backward()
     assert a.grad[0, 0] == 3.0
@@ -62,7 +62,7 @@ def test_matmul_batched_gradient():
     rng = np.random.default_rng(1)
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    T.sum_all(T.matmul(a, b)).backward()
+    sum_all(T.matmul(a, b)).backward()
     # d(sum)/da = ones @ b^T per batch, d/db sums over the batch
     np.testing.assert_allclose(a.grad, np.ones((2, 3, 2)) @ b.data.T, atol=1e-12)
     np.testing.assert_allclose(b.grad, sum(a.data[i].T @ np.ones((3, 2)) for i in range(2)),
@@ -157,26 +157,26 @@ def test_relu_values():
 
 def test_relu_all_negative_zero_gradient():
     x = Tensor([-3.0, -1.0], requires_grad=True)
-    T.sum_all(T.relu(x)).backward()
+    sum_all(T.relu(x)).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
 
 def test_relu_gradient_matches_central_differences():
-    err = finite_diff_check(lambda t: T.sum_all(T.relu(t)), Tensor([0.5, -0.5]))
+    err = finite_diff_check(lambda t: sum_all(T.relu(t)), Tensor([0.5, -0.5]))
     assert err < 1e-6
 
 
 def test_backward_product():
     a = Tensor(2.0, requires_grad=True)
     b = Tensor(3.0, requires_grad=True)
-    T.mul(a, b).backward()
+    mul(a, b).backward()
     assert a.grad == 3.0 and b.grad == 2.0
 
 
 def test_backward_unreached_leaf_is_zero():
     a = Tensor(2.0, requires_grad=True)
     w = Tensor(5.0, requires_grad=True)
-    T.mul(a, a).backward(leaves=[a, w])
+    mul(a, a).backward(leaves=[a, w])
     np.testing.assert_array_equal(w.grad, 0.0)
     assert a.grad == 4.0
 
@@ -199,7 +199,7 @@ def test_backward_rejects_non_scalar():
 def test_backward_visits_shared_node_once():
     # y = x + x reuses one node; d/dx must be exactly 2, not 4
     x = Tensor(3.0, requires_grad=True)
-    h = T.mul(x, x)          # 9, dh/dx = 6
+    h = mul(x, x)          # 9, dh/dx = 6
     out = T.add(h, h)        # 18, d/dx = 12
     out.backward()
     assert out.item() == 18.0
@@ -208,18 +208,18 @@ def test_backward_visits_shared_node_once():
 
 def test_finite_diff_quadratic_exact():
     x = Tensor([1.0, 2.0])
-    err = finite_diff_check(lambda t: T.sum_all(T.mul(t, t)), x)
+    err = finite_diff_check(lambda t: sum_all(mul(t, t)), x)
     assert err < 1e-8
 
 
 def test_finite_diff_softmax_pick_first():
     def f(t):
-        return T.sum_all(T.mul(T.softmax_rows(t), Tensor([[1.0, 0.0]])))
+        return sum_all(mul(T.softmax_rows(t), Tensor([[1.0, 0.0]])))
     assert finite_diff_check(f, Tensor([[1.0, 0.0]])) < 1e-6
 
 
 def test_finite_diff_constant_function():
-    err = finite_diff_check(lambda t: T.sum_all(T.mul(t, 0.0)), Tensor([1.0, 2.0]))
+    err = finite_diff_check(lambda t: sum_all(mul(t, 0.0)), Tensor([1.0, 2.0]))
     assert err == 0.0
 
 
@@ -230,7 +230,7 @@ def test_layer_norm_gradient():
     x0 = Tensor(rng.normal(size=(3, 4)))
 
     def f_x(t):
-        return T.sum_all(T.mul(T.layer_norm(t, gamma, beta, 1e-6), Tensor(rng2)))
+        return sum_all(mul(T.layer_norm(t, gamma, beta, 1e-6), Tensor(rng2)))
 
     rng2 = rng.normal(size=(3, 4))
     assert finite_diff_check(f_x, x0) < 1e-5
@@ -242,7 +242,7 @@ def test_gather_rows_and_scatter_gradient():
     out = T.gather_rows(table, idx)
     assert out.shape == (2, 2, 3)
     np.testing.assert_array_equal(out.data[0, 1], [6.0, 7.0, 8.0])
-    T.sum_all(out).backward()
+    sum_all(out).backward()
     # row 2 gathered twice, row 3 never
     np.testing.assert_array_equal(table.grad, [[1, 1, 1], [1, 1, 1], [2, 2, 2], [0, 0, 0]])
 
@@ -270,7 +270,7 @@ def test_dropout_deterministic_and_scaled():
 def test_no_grad_suppresses_graph():
     x = Tensor(2.0, requires_grad=True)
     with T.no_grad():
-        y = T.mul(x, x)
+        y = mul(x, x)
     assert y._parents == ()
     assert not y.tracked
 
@@ -295,7 +295,7 @@ def _value_and_grads(build, arrays, weight):
     with respect to every leaf."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = build(*leaves)
-    T.sum_all(T.mul(out, Tensor(weight))).backward()
+    sum_all(mul(out, Tensor(weight))).backward()
     return [out.data] + [leaf.grad for leaf in leaves]
 
 
@@ -346,7 +346,7 @@ def test_two_input_layer_norm_is_bitwise_add_then_layer_norm(s, y_shape):
         # their grads while they wait for their own backward
         def f(x, y, g, b):
             xs, ys = T.scale(x, 1.5), T.scale(y, 0.5)
-            return T.add(norm(xs, g, b, 1e-12, ys), T.mul(xs, ys))
+            return T.add(norm(xs, g, b, 1e-12, ys), mul(xs, ys))
         return f
 
     assert_bitwise(build(T.layer_norm), build(unfused_layer_norm),
@@ -363,7 +363,7 @@ def test_attention_gradients_match_central_differences():
         def f(t, name=name):
             args = {n: Tensor(a) for n, a in inputs.items()}
             args[name] = t
-            return T.sum_all(T.mul(T.attention(args["q"], args["k"], args["v"], 2, bias),
+            return sum_all(mul(T.attention(args["q"], args["k"], args["v"], 2, bias),
                                    weight))
         assert finite_diff_check(f, Tensor(inputs[name])) < 1e-6, name
 
@@ -372,11 +372,11 @@ def test_linear_gradients_match_central_differences():
     rng = np.random.default_rng(22)
     x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
     weight = Tensor(rng.normal(size=(2, 3, 5)))
-    assert finite_diff_check(lambda t: T.sum_all(T.mul(T.linear(t, w, b), weight)),
+    assert finite_diff_check(lambda t: sum_all(mul(T.linear(t, w, b), weight)),
                              Tensor(x)) < 1e-6
-    assert finite_diff_check(lambda t: T.sum_all(T.mul(T.linear(x, t, b), weight)),
+    assert finite_diff_check(lambda t: sum_all(mul(T.linear(x, t, b), weight)),
                              Tensor(w)) < 1e-6
-    assert finite_diff_check(lambda t: T.sum_all(T.mul(T.linear(x, w, t), weight)),
+    assert finite_diff_check(lambda t: sum_all(mul(T.linear(x, w, t), weight)),
                              Tensor(b)) < 1e-6
 
 
@@ -386,10 +386,10 @@ def test_two_input_layer_norm_gradients_match_central_differences():
     gamma, beta = Tensor(1.0 + 0.2 * rng.normal(size=4)), Tensor(rng.normal(size=4))
     weight = Tensor(rng.normal(size=(2, 3, 4)))
     assert finite_diff_check(
-        lambda t: T.sum_all(T.mul(T.layer_norm(t, gamma, beta, 1e-6, y), weight)),
+        lambda t: sum_all(mul(T.layer_norm(t, gamma, beta, 1e-6, y), weight)),
         Tensor(x)) < 1e-5
     assert finite_diff_check(
-        lambda t: T.sum_all(T.mul(T.layer_norm(x, gamma, beta, 1e-6, t), weight)),
+        lambda t: sum_all(mul(T.layer_norm(x, gamma, beta, 1e-6, t), weight)),
         Tensor(y)) < 1e-5
 
 
@@ -402,7 +402,7 @@ def test_backward_consumes_the_graph():
     x = Tensor(rng.normal(size=(2, 3, 4)))
     h = T.linear(x, w, b)
     out = T.layer_norm(x, gamma, beta, 1e-12, h)
-    loss = T.sum_all(T.mul(out, out))
+    loss = sum_all(mul(out, out))
     loss.backward()
     for node in (h, out, loss):
         assert node.grad is None and node._parents == () and node._backward is None
