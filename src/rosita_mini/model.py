@@ -179,8 +179,6 @@ def multi_head(x: Tensor, layer: dict[str, Tensor], config: ModelConfig,
     Heads run through one batched projection per Q/K/V; the concat order is
     head index, feeding W_AO of shape (H*head_dim, d_X).
     """
-    if config.H < 1:
-        raise ValueError("a layer must retain at least one attention head")
     q = T.linear(x, layer["W_Q"])
     k = T.linear(x, layer["W_K"])
     v = T.linear(x, layer["W_V"])

@@ -741,21 +741,40 @@ def stage_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
 
 
+def _check_fits(config: ModelConfig, data: EncodedDataset, split: str) -> None:
+    """Reject a split with a token id, a row or a label that `config` cannot take."""
+    token, length = int(data.ids.max()), int(data.mask.sum(axis=1).max())
+    label = int(data.labels.max())
+    if token >= config.vocab_size:
+        raise ValueError(f"split {split!r}: token id {token} >= vocab_size {config.vocab_size}")
+    if length > config.max_len:
+        raise ValueError(f"split {split!r}: a row of {length} tokens > max_len {config.max_len}")
+    if label >= config.n_classes:
+        raise ValueError(f"split {split!r}: label {label} >= n_classes {config.n_classes}")
+
+
 def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[ModelConfig]:
     """Each stage's end config, walked by training's rules without training: a
     stage starts as its teacher's end config or fresh from its `model`, needs
     rows in its dataset (all labeled without `kd`) and a labeled `dev` split,
     fits a one-step target by `target.deltas` and an iterative one by
     `prune_events` over its T = epochs x `batches_per_epoch` steps, and ends at
-    the target's set dimensions. A broken rule raises a ValueError naming the stage."""
+    the target's set dimensions. A fresh stage's config must take every token
+    id, row and label of its dataset and of `dev`. A broken rule raises a
+    ValueError naming the stage."""
     ends = []
     for k, stage in enumerate(plan.stages):
         try:
             data = _stage_data(stage, datasets)
             if "dev" in datasets:
                 _check_eval_split(datasets["dev"], "dev split")
-            config = (ModelConfig.from_dict(stage.model or plan.model) if stage.teacher is None
-                      else ends[0 if stage.teacher == "original" else -1])
+            if stage.teacher is None:
+                config = ModelConfig.from_dict(stage.model or plan.model)
+                for split in dict.fromkeys([stage.dataset, "dev"]):
+                    if split in datasets:
+                        _check_fits(config, datasets[split], split)
+            else:
+                config = ends[0 if stage.teacher == "original" else -1]
             if stage.prune is not None:
                 if stage.prune.mode == "one_step":
                     stage.prune.target.deltas(config)

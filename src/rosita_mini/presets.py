@@ -1,4 +1,4 @@
-"""Plan builders for the standard pruning + distillation strategies.
+"""The standard pruning + distillation strategies, built as plans by `build_preset`.
 
 Every distillation preset starts by fine-tuning the full-size model on
 the labeled split; distillation stages then run on the augmented split
@@ -54,91 +54,62 @@ def _kd_stage(name: str, hp: dict, *, teacher: str, use_hidden: bool,
                      dropout=hp["dropout"])
 
 
-def plan_scratch(model: dict, target: dict, hp: dict | None = None) -> StagePlan:
-    """Baseline: train the base model reshaped to the target dimensions from
-    scratch, with cross-entropy only and no KD."""
-    ArchitectureTarget.from_dict(target)  # rejects an unknown or nonpositive dimension
-    dims = {k: v for k, v in target.items() if v is not None}
-    stage = replace(_finetune_stage(_hp(hp)), name="scratch", model={**model, **dims})
-    return StagePlan(model=model, stages=[stage])
-
-
-def plan_one_step_one_stage(model: dict, target: dict,
-                            hp: dict | None = None) -> StagePlan:
-    """Prune the fine-tuned model to the target in one step, then one KD
-    stage with predictions and hidden states."""
-    hp = _hp(hp)
-    prune = PruneSpec(mode="one_step", target=ArchitectureTarget.from_dict(target))
-    return StagePlan(model=model, stages=[
-        _finetune_stage(hp),
-        _kd_stage("kd_prune", hp, teacher="original", use_hidden=True, prune=prune),
-    ])
-
-
-def plan_one_step_two_stage(model: dict, target: dict,
-                            hp: dict | None = None) -> StagePlan:
-    """Same-size prediction KD first; its student teaches the pruned model."""
-    hp = _hp(hp)
-    prune = PruneSpec(mode="one_step", target=ArchitectureTarget.from_dict(target))
-    return StagePlan(model=model, stages=[
-        _finetune_stage(hp),
-        _kd_stage("kd_samesize", hp, teacher="original", use_hidden=False),
-        _kd_stage("kd_prune", hp, teacher="previous", use_hidden=True, prune=prune),
-    ])
-
-
-def plan_iterative_width_two_stage(model: dict, target: dict,
-                                   hp: dict | None = None) -> StagePlan:
-    """Same-size KD, then iterative pruning of the width dimensions
-    (heads, FFN neurons, embedding ranks) during the final KD stage."""
-    hp = _hp(hp)
-    target = ArchitectureTarget.from_dict(target)
-    prune = PruneSpec(mode="iterative", target=replace(target, L=None),
-                      prune_fraction=hp["prune_fraction"],
-                      n_events=hp["width_events"])
-    return StagePlan(model=model, stages=[
-        _finetune_stage(hp),
-        _kd_stage("kd_samesize", hp, teacher="original", use_hidden=False),
-        _kd_stage("kd_width", hp, teacher="previous", use_hidden=True, prune=prune),
-    ])
-
-
-def plan_iterative_width_depth_three_stage(model: dict, target: dict,
-                                           hp: dict | None = None) -> StagePlan:
-    """Depth is pruned iteratively in its own prediction-only stage; the
-    resulting shallow model teaches the final width-pruning stage."""
-    hp = _hp(hp)
-    target = ArchitectureTarget.from_dict(target)
-    if target.L is None:
-        raise ValueError("its depth stage needs a target L")
-    depth = PruneSpec(mode="iterative", target=ArchitectureTarget(L=target.L),
-                      prune_fraction=hp["prune_fraction"],
-                      n_events=hp["depth_events"])
-    width = PruneSpec(mode="iterative", target=replace(target, L=None),
-                      prune_fraction=hp["prune_fraction"],
-                      n_events=hp["width_events"])
-    return StagePlan(model=model, stages=[
-        _finetune_stage(hp),
-        _kd_stage("kd_samesize", hp, teacher="original", use_hidden=False),
-        _kd_stage("kd_depth", hp, teacher="previous", use_hidden=False, prune=depth),
-        _kd_stage("kd_width", hp, teacher="previous", use_hidden=True, prune=width),
-    ])
-
-
-PRESETS = {
-    "one_step_one_stage": plan_one_step_one_stage,
-    "one_step_two_stage": plan_one_step_two_stage,
-    "iterative_width_two_stage": plan_iterative_width_two_stage,
-    "iterative_width_depth_three_stage": plan_iterative_width_depth_three_stage,
-    "scratch": plan_scratch,
+# Each distillation preset's KD stages after `finetune`, as (name, use_hidden,
+# prune kind): the first is taught by the fine-tuned model ("original"), each
+# later one by the stage before it ("previous").
+_KD_STAGES = {
+    # Prune to the target in one step, then KD with predictions and hidden states.
+    "one_step_one_stage": [("kd_prune", True, "one_step")],
+    # Same-size prediction KD first; its student teaches the pruned model.
+    "one_step_two_stage": [("kd_samesize", False, None), ("kd_prune", True, "one_step")],
+    # Same-size KD, then the width dims (heads, FFN, embedding rank) pruned iteratively.
+    "iterative_width_two_stage": [("kd_samesize", False, None), ("kd_width", True, "width")],
+    # Depth pruned iteratively in its own prediction-only stage, then width.
+    "iterative_width_depth_three_stage": [("kd_samesize", False, None),
+                                          ("kd_depth", False, "depth"),
+                                          ("kd_width", True, "width")],
 }
+
+PRESETS = (*_KD_STAGES, "scratch")
+
+
+def _prune(kind: str | None, target: ArchitectureTarget, hp: dict) -> PruneSpec | None:
+    """A one-step prune to the whole target, or an iterative one to its depth
+    (L alone) or to its width (all but L)."""
+    if kind is None:
+        return None
+    if kind == "one_step":
+        return PruneSpec(mode="one_step", target=target)
+    if kind == "depth":
+        if target.L is None:
+            raise ValueError("its depth stage needs a target L")
+        target, n_events = ArchitectureTarget(L=target.L), hp["depth_events"]
+    else:
+        target, n_events = replace(target, L=None), hp["width_events"]
+    return PruneSpec(mode="iterative", target=target, prune_fraction=hp["prune_fraction"],
+                     n_events=n_events)
 
 
 def build_preset(name: str, model: dict, target: dict,
                  hp: dict | None = None) -> StagePlan:
+    """The plan of preset `name`: `finetune` and its KD stages, or `scratch`,
+    which trains the model reshaped to the target dims from scratch, with
+    cross-entropy only."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
     try:
-        return PRESETS[name](model, target, hp)
+        if name == "scratch":
+            ArchitectureTarget.from_dict(target)  # rejects an unknown or nonpositive dimension
+            dims = {k: v for k, v in target.items() if v is not None}
+            return StagePlan(model=model, stages=[replace(
+                _finetune_stage(_hp(hp)), name="scratch", model={**model, **dims})])
+        hp = _hp(hp)
+        target = ArchitectureTarget.from_dict(target)
+        rows = _KD_STAGES[name]
+        prunes = [_prune(kind, target, hp) for _, _, kind in rows]  # target errors first
+        return StagePlan(model=model, stages=[_finetune_stage(hp)] + [
+            _kd_stage(stage, hp, teacher="previous" if k else "original",
+                      use_hidden=use_hidden, prune=prune)
+            for k, ((stage, use_hidden, _), prune) in enumerate(zip(rows, prunes))])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"preset {name!r}: {exc}") from exc

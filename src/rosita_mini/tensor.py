@@ -26,7 +26,6 @@ grad refuses float32 data, so training stays float64.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -35,26 +34,28 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
 
-_state = threading.local()
+_grad_on = True  # cleared inside no_grad
 
 
 def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+    return _grad_on
 
 
 class no_grad:
     """Context manager that suppresses graph construction (teacher passes).
 
-    The flag is thread-local; each training loop owns its own graph state.
+    The flag is one module-level switch, since nothing runs threads: dev
+    evals and batch passes fork a child, which inherits the flag.
     """
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _state.grad_enabled = False
+        global _grad_on
+        self._prev, _grad_on = _grad_on, False
         return self
 
     def __exit__(self, *exc):
-        _state.grad_enabled = self._prev
+        global _grad_on
+        _grad_on = self._prev
         return False
 
 

@@ -229,8 +229,8 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     model_dict = dict(H=2, L=2, d_X=16, d_I=32, r=0, head_dim=8,
                       vocab_size=info["vocab_size"], max_len=info["max_len"],
                       n_classes=2)
-    plan = presets.plan_one_step_one_stage(
-        model_dict, dict(H=1, L=1, d_I=16, r=4),
+    plan = presets.build_preset(
+        "one_step_one_stage", model_dict, dict(H=1, L=1, d_I=16, r=4),
         hp=dict(finetune_epochs=2, kd_epochs=1, batch_size=16))
     run_plan(plan, splits, tmp_path / "runA", seed=99)
     run_plan(plan, splits, tmp_path / "runB", seed=99)

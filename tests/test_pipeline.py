@@ -252,7 +252,8 @@ class TestPlanValidation:
             self._stage(teacher="previous", model={"H": 1})
 
     def test_round_trip_through_json(self):
-        plan = presets.plan_iterative_width_depth_three_stage(
+        plan = presets.build_preset(
+            "iterative_width_depth_three_stage",
             model=dict(H=4, L=4, d_X=16, d_I=32, r=0, vocab_size=20, max_len=10,
                        n_classes=2, head_dim=4),
             target=dict(H=2, L=2, d_I=16, r=4),
@@ -810,7 +811,8 @@ class TestRunPlan:
     def test_three_stage_preset_end_to_end(self, task_dir, tmp_path):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
-        plan = presets.plan_iterative_width_depth_three_stage(
+        plan = presets.build_preset(
+            "iterative_width_depth_three_stage",
             model=tiny_model_dict(info, H=3, head_dim=4),
             target=dict(H=1, L=1, d_I=16, r=4),
             hp=dict(finetune_epochs=2, kd_epochs=2, batch_size=16,
@@ -829,8 +831,8 @@ class TestRunPlan:
     def test_fixed_seed_bit_identical_metrics(self, task_dir, tmp_path):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
-        plan = presets.plan_one_step_one_stage(
-            model=tiny_model_dict(info),
+        plan = presets.build_preset(
+            "one_step_one_stage", model=tiny_model_dict(info),
             target=dict(H=1, L=1, d_I=16, r=4),
             hp=dict(finetune_epochs=1, kd_epochs=1, batch_size=16))
         run_plan(plan, splits, tmp_path / "r1", seed=13)
@@ -847,8 +849,8 @@ class TestRunPlan:
     def test_summary_reuses_last_step_eval(self, task_dir, tmp_path, monkeypatch):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
-        plan = presets.plan_one_step_one_stage(
-            model=tiny_model_dict(info),
+        plan = presets.build_preset(
+            "one_step_one_stage", model=tiny_model_dict(info),
             target=dict(H=1, L=1, d_I=16, r=4),
             hp=dict(finetune_epochs=1, kd_epochs=1, batch_size=16))
         calls = tmp_path / "eval_calls"  # counted in a file: evals may run in a child
@@ -905,11 +907,42 @@ class TestRunPlan:
             run_plan(plan, splits, tmp_path / "out", eval_kind=eval_kind)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["vocab_size", "max_len", "n_classes"])
+    def test_a_fresh_model_that_cannot_take_its_split_fails_before_stage_0(
+            self, task_dir, tmp_path, field):
+        """A fresh stage's model must take the largest token id, the longest
+        row and the largest label of its dataset and of `dev`; one that does
+        not fails before stage 0, naming the arm, stage, split and field."""
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        token = int(splits["train"].ids.max())
+        longest = int(splits["train"].mask.sum(axis=1).max())
+        later, k, stage, message = {
+            "vocab_size": (dict(vocab_size=token), 1, "more",
+                           f"split 'train': token id {token} >= vocab_size {token}"),
+            "max_len": (dict(max_len=longest - 1), 1, "more",
+                        f"split 'train': a row of {longest} tokens > max_len {longest - 1}"),
+            "n_classes": ({}, 0, "ft", "split 'dev': label 2 >= n_classes 2"),
+        }[field]
+        if field == "n_classes":
+            labels = splits["dev"].labels.copy()
+            labels[0] = 2
+            splits["dev"] = replace(splits["dev"], labels=labels)
+        plan = StagePlan(model=tiny_model_dict(info), stages=[
+            StageSpec(name="ft", dataset="train", epochs=1, batch_size=16),
+            StageSpec(name="more", dataset="train", epochs=1, batch_size=16,
+                      model=tiny_model_dict(info, **later))])
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as exc:
+            run_plan(plan, splits, out)
+        assert str(exc.value) == f"{out}: stage {k} {stage!r}: {message}"
+        assert not out.exists()
+
     def test_different_seed_differs(self, task_dir, tmp_path):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
-        plan = presets.plan_scratch(tiny_model_dict(info), {},
-                                    hp=dict(finetune_epochs=1, batch_size=16))
+        plan = presets.build_preset("scratch", tiny_model_dict(info), {},
+                                hp=dict(finetune_epochs=1, batch_size=16))
         run_plan(plan, splits, tmp_path / "s1", seed=1)
         run_plan(plan, splits, tmp_path / "s2", seed=2)
         a = (tmp_path / "s1" / "stage0_scratch.ndjson").read_bytes()
@@ -1105,6 +1138,60 @@ def test_every_preset_prunes_to_its_target():
     assert plans["scratch"].stages[0].model == {**model, **target}
 
 
+EVERY_HP_KEY = dict(batch_size=8, lr_kind="constant", finetune_lr=2e-3, kd_lr=3e-4,
+                    finetune_epochs=3, kd_epochs=5, prune_fraction=0.5, width_events=3,
+                    depth_events=2, hidden_weight=0.25, temperature=2.0, dropout=0.1)
+
+
+@pytest.mark.parametrize("hp", [None, EVERY_HP_KEY], ids=["default_hp", "every_hp_key"])
+@pytest.mark.parametrize("name", ["one_step_one_stage", "one_step_two_stage",
+                                  "iterative_width_two_stage",
+                                  "iterative_width_depth_three_stage", "scratch"])
+def test_every_preset_builds_its_full_stage_list(name, hp):
+    """Each preset's stages, field by field: `finetune` on `train` from the
+    fine-tune hp, then KD stages on `train_aug` from the KD hp, the first
+    taught by the original model and each later one by the previous stage."""
+    assert hp is None or set(hp) == set(presets.HP_DEFAULTS)
+    h = hp or dict(batch_size=32, lr_kind="linear_decay", finetune_lr=1e-3, kd_lr=1e-3,
+                   finetune_epochs=20, kd_epochs=4, prune_fraction=0.1, width_events=6,
+                   depth_events=4, hidden_weight=1.0, temperature=1.0, dropout=0.0)
+    model = {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0}
+    target = {"H": 1, "L": 1, "d_I": 16, "r": 4}
+    full = ArchitectureTarget(**target)
+    one_step = ("one_step", full, 10, 0.1)  # PruneSpec's defaults: one step ignores them
+    width = ("iterative", replace(full, L=None), h["width_events"], h["prune_fraction"])
+    depth = ("iterative", ArchitectureTarget(L=1), h["depth_events"], h["prune_fraction"])
+    train = (h["batch_size"], h["lr_kind"], h["dropout"])
+
+    def ft(stage="finetune", stage_model=None):
+        return (stage, "train", None, None, None, stage_model,
+                h["finetune_epochs"], h["finetune_lr"], *train)
+
+    def kd(stage, teacher, use_hidden, prune=None):
+        return (stage, "train_aug", teacher, (use_hidden, h["temperature"], h["hidden_weight"]),
+                prune, None, h["kd_epochs"], h["kd_lr"], *train)
+
+    samesize = kd("kd_samesize", "original", False)
+    expected = {
+        "one_step_one_stage": [ft(), kd("kd_prune", "original", True, one_step)],
+        "one_step_two_stage": [ft(), samesize, kd("kd_prune", "previous", True, one_step)],
+        "iterative_width_two_stage": [ft(), samesize, kd("kd_width", "previous", True, width)],
+        "iterative_width_depth_three_stage": [ft(), samesize,
+                                              kd("kd_depth", "previous", False, depth),
+                                              kd("kd_width", "previous", True, width)],
+        "scratch": [ft("scratch", {**model, **target})],
+    }[name]
+    plan = presets.build_preset(name, model, target, hp)
+    assert plan.model == model
+    assert [(s.name, s.dataset, s.teacher,
+             s.kd and (s.kd.use_hidden, s.kd.temperature, s.kd.hidden_weight),
+             s.prune and (s.prune.mode, s.prune.target, s.prune.n_events,
+                          s.prune.prune_fraction),
+             s.model, s.epochs, s.base_lr, s.batch_size, s.lr_kind, s.dropout)
+            for s in plan.stages] == expected
+    assert all(s.kd is None or s.kd.use_pred for s in plan.stages)
+
+
 def test_updates_assign_new_arrays_and_leave_the_old_ones_unchanged():
     """Adam, surgery and factorization give each parameter they change a new
     array and write into none, so whoever holds a parameter array sees it
@@ -1278,7 +1365,8 @@ def test_samesize_kd_writes_its_teachers_arrays_without_dropout(task_dir, tmp_pa
                                                                 monkeypatch, dropout):
     path, info = task_dir
     _, splits = load_task_dir(path, info["max_len"])
-    plan = presets.plan_iterative_width_depth_three_stage(
+    plan = presets.build_preset(
+        "iterative_width_depth_three_stage",
         model=tiny_model_dict(info, H=3, head_dim=4),
         target=dict(H=1, L=1, d_I=16, r=4),
         hp=dict(finetune_epochs=2, kd_epochs=2, batch_size=16, width_events=2,
