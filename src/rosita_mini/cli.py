@@ -95,15 +95,14 @@ def cmd_prune_one_step(args) -> int:
     stage = StageSpec(name="prune", dataset="train", epochs=1,
                       batch_size=args.batch_size,
                       prune=PruneSpec(mode="one_step", target=target))
-    one_step_prune(model, None, stage, _stage_data(stage, splits), None)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "pruned.rst"
-    save_checkpoint(ckpt, model, seed=ck.seed, stage="pruned")
+    one_step_prune(model, None, stage, _stage_data(stage, splits, model.config), None)
+    ckpt = Path(args.out, "pruned.rst")
     result = {"checkpoint": str(ckpt), "config": model.config.to_dict(),
               "param_count": count_params(model.config)}
-    if "dev" in splits:
+    if "dev" in splits:  # scored before anything is written
         result["dev_metric"] = evaluate(model, splits["dev"], info["metric"])
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(ckpt, model, seed=ck.seed, stage="pruned")
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -235,8 +234,8 @@ def cmd_inspect(args) -> int:
     if args.data:
         vocab, splits, info = _load_data(args, model.config.max_len)
         stage = StageSpec(name="inspect", dataset="train", epochs=1, batch_size=32)
-        ledger = collect_one_step_scores(model, None, stage, _stage_data(stage, splits),
-                                         None)
+        ledger = collect_one_step_scores(model, None, stage,
+                                         _stage_data(stage, splits, model.config), None)
         importance = {}
         for layer in range(model.config.L):
             importance[f"layer{layer}"] = {

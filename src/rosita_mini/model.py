@@ -21,6 +21,13 @@ from .tensor import Tensor, ShapeError
 INIT_STD = 0.05
 
 
+def check_ints(values: dict, what: str) -> None:
+    """Reject the first of `values` that is not an int; a bool is not one."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what} {name} = {v!r} is not an int")
+
+
 @dataclass
 class ModelConfig:
     H: int
@@ -35,11 +42,12 @@ class ModelConfig:
     eps: float = 1e-12
 
     def __post_init__(self):
-        if self.head_dim == 0 and self.H >= 1:  # validate rejects H < 1
+        if self.head_dim == 0 and type(self.H) is int and self.H >= 1:  # else validate rejects H
             self.head_dim = self.d_X // self.H
         self.validate()
 
     def validate(self) -> None:
+        check_ints({k: v for k, v in vars(self).items() if k != "eps"}, "config field")
         if self.H < 1 or self.L < 1 or self.d_I < 1:
             raise ValueError(f"config needs H, L, d_I >= 1, got {self}")
         if self.head_dim < 1:
@@ -173,8 +181,8 @@ class Model:
 
 
 def multi_head(x: Tensor, layer: dict[str, Tensor], config: ModelConfig,
-               mask_bias: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention + output projection + residual + layer norm.
+               mask_bias: np.ndarray | None = None, drop=lambda t: t) -> Tensor:
+    """Multi-head attention + output projection + `drop` + residual + layer norm.
 
     Heads run through one batched projection per Q/K/V; the concat order is
     head index, feeding W_AO of shape (H*head_dim, d_X).
@@ -184,14 +192,14 @@ def multi_head(x: Tensor, layer: dict[str, Tensor], config: ModelConfig,
     v = T.linear(x, layer["W_V"])
     ctx = T.attention(q, k, v, config.H, mask_bias)
     proj = T.linear(ctx, layer["W_AO"], layer["b_AO"])
-    return T.layer_norm(x, layer["ln1_g"], layer["ln1_b"], config.eps, proj)
+    return T.layer_norm(x, layer["ln1_g"], layer["ln1_b"], config.eps, drop(proj))
 
 
-def ffn(x: Tensor, layer: dict[str, Tensor], config: ModelConfig) -> Tensor:
-    """Position-wise FFN (ReLU between two linears) + residual + layer norm."""
+def ffn(x: Tensor, layer: dict[str, Tensor], config: ModelConfig, drop=lambda t: t) -> Tensor:
+    """Position-wise FFN (ReLU between two linears) + `drop` + residual + layer norm."""
     h = T.relu(T.linear(x, layer["W_FI"], layer["b_FI"]))
     out = T.linear(h, layer["W_FO"], layer["b_FO"])
-    return T.layer_norm(x, layer["ln2_g"], layer["ln2_b"], config.eps, out)
+    return T.layer_norm(x, layer["ln2_g"], layer["ln2_b"], config.eps, drop(out))
 
 
 def embed(model: Model, token_ids: np.ndarray, positions: np.ndarray) -> Tensor:
@@ -222,7 +230,9 @@ def forward(model: Model, token_ids, mask, dropout_rate: float = 0.0,
     """Run embed -> L transformer layers -> classifier on the first token.
 
     mask is (B, S) with 1 for real tokens; masked key positions get -inf
-    attention scores. All L+1 hidden states are recorded.
+    attention scores. All L+1 hidden states are recorded. Dropout masks the
+    embedding (Philox counter 0) and, as in BERT, each sub-layer's output
+    before its residual add: layer i's attention (2i + 1) and FFN (2i + 2).
     """
     ids = np.asarray(token_ids)
     if ids.ndim != 2 or ids.shape[0] == 0:
@@ -233,20 +243,17 @@ def forward(model: Model, token_ids, mask, dropout_rate: float = 0.0,
     b, s = ids.shape
     c = model.config
 
-    x = embed(model, ids, np.arange(s))
-    if dropout_rate:
-        x = T.dropout(x, dropout_rate, dropout_key, 0)
+    def drop(counter: int):
+        return lambda t: T.dropout(t, dropout_rate, dropout_key, counter)
+
+    x = T.dropout(embed(model, ids, np.arange(s)), dropout_rate, dropout_key, 0)
     hidden = [x]
     # (B, 1, 1, S) additive bias over key positions, in x's dtype: a float32 eval stays float32
     mask_bias = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf).astype(x.data.dtype)
     for i in range(c.L):
         layer = _layer_slice(model.params, i)
-        x = multi_head(x, layer, c, mask_bias)
-        if dropout_rate:
-            x = T.dropout(x, dropout_rate, dropout_key, 2 * i + 1)
-        x = ffn(x, layer, c)
-        if dropout_rate:
-            x = T.dropout(x, dropout_rate, dropout_key, 2 * i + 2)
+        x = multi_head(x, layer, c, mask_bias, drop(2 * i + 1))
+        x = ffn(x, layer, c, drop(2 * i + 2))
         hidden.append(x)
     logits = T.linear(T.first_token(x), model.params["cls.W"], model.params["cls.b"])
     return ForwardTrace(logits=logits, hidden=hidden)

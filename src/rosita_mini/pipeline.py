@@ -273,22 +273,33 @@ def _float32(model: Model) -> Model:
                                 for name, p in model.params.items()})
 
 
-def _check_eval_split(data: EncodedDataset, what: str) -> None:
-    """Reject a split that has no rows, or an unlabeled one (label -1)."""
+def _check_split(data: EncodedDataset, where: str, labeled: bool = True,
+                 config: ModelConfig | None = None) -> EncodedDataset:
+    """`data` once it has rows, no unlabeled row (label -1) where `labeled`,
+    and, where a `config` is given, no token id, row or label it cannot
+    take. A failure names `where`."""
     if not len(data):
-        raise ValueError(f"{what}: the split has {len(data)} rows; evaluate on a "
-                         "split with rows")
-    unlabeled = int((data.labels < 0).sum())
-    if unlabeled:
-        raise ValueError(f"{what}: {unlabeled} of {len(data.labels)} rows are unlabeled "
-                         "(label -1); evaluate on a labeled split")
+        raise ValueError(f"{where}: the split has no rows")
+    if labeled and (unlabeled := int((data.labels < 0).sum())):
+        raise ValueError(f"{where}: {unlabeled} of {len(data)} rows are unlabeled "
+                         f"(label -1), and this split needs labels")
+    if config is not None:
+        token, length = int(data.ids.max()), int(data.mask.sum(axis=1).max())
+        label = int(data.labels.max())
+        if token >= config.vocab_size:
+            raise ValueError(f"{where}: token id {token} >= vocab_size {config.vocab_size}")
+        if length > config.max_len:
+            raise ValueError(f"{where}: a row of {length} tokens > max_len {config.max_len}")
+        if label >= config.n_classes:
+            raise ValueError(f"{where}: label {label} >= n_classes {config.n_classes}")
+    return data
 
 
 def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
     """The `kind` metric on `data` of a float32 copy of `model`, run under no_grad."""
     check_metric_kind(kind)
-    _check_eval_split(data, "evaluate")
+    _check_split(data, "evaluate", config=model.config)
     model = _float32(model)
 
     def predict(batch):
@@ -335,9 +346,8 @@ def collect_one_step_scores(student: Model, teacher: Model | None,
     """Dataset-averaged Taylor scores with the stage's active loss: summed
     in batch order wherever the batches were scored (`_map_batches`), then
     divided once by the batch count."""
-    if not len(data):
-        raise ValueError(f"stage {stage.name!r}: one-step scoring needs rows, and "
-                         f"dataset {stage.dataset!r} has none")
+    _check_split(data, f"stage {stage.name!r}: dataset {stage.dataset!r}", stage.kd is None,
+                 student.config)
 
     def batch_scores(batch):
         ids, mask, labels = batch
@@ -555,17 +565,13 @@ class _DevEvals:
                 self._worker.__exit__()
 
 
-def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset]) -> EncodedDataset:
+def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset],
+                config: ModelConfig | None = None) -> EncodedDataset:
+    """The stage's dataset once `_check_split` passes it; without `kd` it trains on labels."""
     if stage.dataset not in datasets:
         raise ValueError(f"dataset {stage.dataset!r} not loaded; loaded: {sorted(datasets)}")
-    data = datasets[stage.dataset]
-    if not len(data):
-        raise ValueError(f"dataset {stage.dataset!r} has no rows")
-    unlabeled = int((data.labels < 0).sum())
-    if stage.kd is None and unlabeled:
-        raise ValueError(f"dataset {stage.dataset!r}: {unlabeled} of {len(data)} rows "
-                         f"are unlabeled, and a stage without kd trains on labels")
-    return data
+    return _check_split(datasets[stage.dataset], f"dataset {stage.dataset!r}",
+                        stage.kd is None, config)
 
 
 def _is_fixed_point(stage: StageSpec, student: Model, teacher: Model | None) -> bool:
@@ -649,7 +655,7 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     A KD stage whose loss reads only logits takes its teacher's rows from
     the memo of `_TeacherRows`, so the teacher runs once per row and
     trimmed length while KD stages with its bytes follow one another."""
-    data = _stage_data(stage, datasets)
+    data = _stage_data(stage, datasets, student.config)
     if teacher is not None:
         teacher.freeze()
     fixed = _is_fixed_point(stage, student, teacher)
@@ -741,40 +747,22 @@ def stage_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
 
 
-def _check_fits(config: ModelConfig, data: EncodedDataset, split: str) -> None:
-    """Reject a split with a token id, a row or a label that `config` cannot take."""
-    token, length = int(data.ids.max()), int(data.mask.sum(axis=1).max())
-    label = int(data.labels.max())
-    if token >= config.vocab_size:
-        raise ValueError(f"split {split!r}: token id {token} >= vocab_size {config.vocab_size}")
-    if length > config.max_len:
-        raise ValueError(f"split {split!r}: a row of {length} tokens > max_len {config.max_len}")
-    if label >= config.n_classes:
-        raise ValueError(f"split {split!r}: label {label} >= n_classes {config.n_classes}")
-
-
 def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[ModelConfig]:
     """Each stage's end config, walked by training's rules without training: a
-    stage starts as its teacher's end config or fresh from its `model`, needs
-    rows in its dataset (all labeled without `kd`) and a labeled `dev` split,
-    fits a one-step target by `target.deltas` and an iterative one by
-    `prune_events` over its T = epochs x `batches_per_epoch` steps, and ends at
-    the target's set dimensions. A fresh stage's config must take every token
-    id, row and label of its dataset and of `dev`. A broken rule raises a
-    ValueError naming the stage."""
+    stage starts as its teacher's end config or fresh from its `model`, and
+    its dataset and `dev` must pass `_check_split` against that config (its
+    dataset labeled without `kd`). It fits a one-step target by
+    `target.deltas` and an iterative one by `prune_events` over its T =
+    epochs x `batches_per_epoch` steps, and ends at the target's set
+    dimensions. A broken rule raises a ValueError naming the stage."""
     ends = []
     for k, stage in enumerate(plan.stages):
         try:
-            data = _stage_data(stage, datasets)
+            config = (ModelConfig.from_dict(stage.model or plan.model) if stage.teacher is None
+                      else ends[0 if stage.teacher == "original" else -1])
+            data = _stage_data(stage, datasets, config)
             if "dev" in datasets:
-                _check_eval_split(datasets["dev"], "dev split")
-            if stage.teacher is None:
-                config = ModelConfig.from_dict(stage.model or plan.model)
-                for split in dict.fromkeys([stage.dataset, "dev"]):
-                    if split in datasets:
-                        _check_fits(config, datasets[split], split)
-            else:
-                config = ends[0 if stage.teacher == "original" else -1]
+                _check_split(datasets["dev"], "split 'dev'", config=config)
             if stage.prune is not None:
                 if stage.prune.mode == "one_step":
                     stage.prune.target.deltas(config)

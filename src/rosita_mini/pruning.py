@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, check_ints
 from .tensor import Tensor
 
 # kind -> (parameter, axis, scored) slices holding one unit; layer kinds
@@ -67,6 +67,7 @@ class ArchitectureTarget:
     r: int | None = None
 
     def __post_init__(self):
+        check_ints({dim: v for dim, v in vars(self).items() if v is not None}, "target")
         low = {dim: v for dim, v in vars(self).items() if v is not None and v < 1}
         if low:
             raise ValueError(f"target dimensions must be >= 1, got {low}")

@@ -132,6 +132,31 @@ def test_prune_one_step_subcommand(workspace, capsys):
     assert ck.config.L == 1
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("eval", []),
+    ("prune-one-step", ["--target", '{"H": 1}']),
+], ids=["eval", "prune_one_step"])
+def test_a_dev_label_the_checkpoint_cannot_predict_exits_1(workspace, tmp_path, capsys,
+                                                           command, flags):
+    """A binary checkpoint scored on a `dev.tsv` that holds label 2 is an
+    error, not a metric, and `prune-one-step` writes nothing."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in (workspace / "data").iterdir():
+        (data / f.name).write_bytes(f.read_bytes())
+    header, first, *rows = (data / "dev.tsv").read_text().splitlines()
+    (data / "dev.tsv").write_text("\n".join([header, first.rsplit("\t", 1)[0] + "\t2",
+                                             *rows]) + "\n")
+    out = ["--out", str(tmp_path / "out")] if command == "prune-one-step" else []
+    rc = main([command, "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
+               "--data", str(data), *flags, *out])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "rosita-mini: error: evaluate: label 2 >= n_classes 2\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_prune_one_step_rejects_seed(workspace, capsys):
     # one_step_prune draws no RNG; the pruned checkpoint keeps the input's seed
     with pytest.raises(SystemExit) as exc:
@@ -254,6 +279,36 @@ def test_run_plan_rejects_bad_later_stage_before_training(workspace, tmp_path, c
                "--data", str(workspace / "data"), "--out", str(out)])
     assert rc == 1
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("one_step_target_float", "plan.json: stage 'cut': target H = 1.5 is not an int"),
+    ("model_float", "out: stage 0 'ft': config field d_I = 32.0 is not an int"),
+    # no head_dim, so the config would derive it as d_X // H
+    ("model_str", "out: stage 0 'ft': config field H = '2' is not an int"),
+    ("target_bool", "target H = True is not an int"),
+], ids=["one_step_target_float", "model_float", "model_str", "target_bool"])
+def test_a_dimension_that_is_not_an_int_is_named(workspace, tmp_path, capsys, case, message):
+    """A model or target dimension must be an int, and a bool is not one;
+    the failure names the field before anything trains or is written."""
+    out = tmp_path / "out"
+    if case == "target_bool":
+        argv = ["prune-one-step", "--checkpoint",
+                str(workspace / "run" / "stage0_finetune.rst"), "--target", '{"H": true}']
+    else:
+        model = {"model_float": {**TINY_MODEL, "d_I": 32.0},
+                 "model_str": {**TINY_MODEL, "H": "2", "head_dim": 0}}.get(case, TINY_MODEL)
+        stages = [{"name": "ft", "dataset": "train", "epochs": 1}]
+        if case == "one_step_target_float":
+            stages.append({"name": "cut", "dataset": "train", "epochs": 1,
+                           **_one_step({"H": 1.5})})
+        (tmp_path / "plan.json").write_text(json.dumps({"model": model, "stages": stages}))
+        argv = ["run-plan", "--plan", str(tmp_path / "plan.json")]
+    rc = main([*argv, "--data", str(workspace / "data"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rosita-mini: error: ") and err.endswith(f"{message}\n")
     assert not out.exists()
 
 

@@ -323,6 +323,47 @@ class TestForward:
             np.testing.assert_allclose(ha.data, hb.data[:, :3, :], atol=1e-10)
 
 
+def philox_mask(shape, rate, key, counter) -> np.ndarray:
+    """The inverted-dropout mask of Philox (key, counter), computed here."""
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return (gen.random(shape) >= rate) / (1.0 - rate)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+def test_dropout_masks_each_sublayer_output_before_its_residual_add(rate):
+    """A forward at dropout `rate` is, bit for bit, the chain that masks the
+    embedding with counter 0 and, as BERT does, layer i's attention
+    projection with counter 2i + 1 and its FFN output with 2i + 2, each
+    before the residual add: LN(x + dropout(sublayer(x)))."""
+    cfg = tiny_config(L=2)
+    model = Model.init(cfg, 40)
+    ids = np.random.default_rng(41).integers(0, 11, size=(3, 5))
+    mask = full_mask(ids)
+    mask[0, 3:] = 0
+    key = 7
+    trace = model.forward(ids, mask, rate, key)
+
+    def dropped(t, counter):
+        return Tensor(t.data * philox_mask(t.shape, rate, key, counter))
+
+    x = dropped(M.embed(model, ids, np.arange(5)), 0)
+    hidden = [x]
+    bias = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf)
+    for i in range(cfg.L):
+        p = M._layer_slice(model.params, i)
+        q, k, v = (T.linear(x, p[name]) for name in ("W_Q", "W_K", "W_V"))
+        proj = T.linear(T.attention(q, k, v, cfg.H, bias), p["W_AO"], p["b_AO"])
+        x = T.layer_norm(x, p["ln1_g"], p["ln1_b"], cfg.eps, dropped(proj, 2 * i + 1))
+        out = T.linear(T.relu(T.linear(x, p["W_FI"], p["b_FI"])), p["W_FO"], p["b_FO"])
+        x = T.layer_norm(x, p["ln2_g"], p["ln2_b"], cfg.eps, dropped(out, 2 * i + 2))
+        hidden.append(x)
+    logits = T.linear(T.first_token(x), model.params["cls.W"], model.params["cls.b"])
+    assert len(trace.hidden) == len(hidden)
+    for got, want in zip([trace.logits, *trace.hidden], [logits, *hidden]):
+        assert got.data.tobytes() == want.data.tobytes()
+    assert trace.logits.data.tobytes() != model.forward(ids, mask).logits.data.tobytes()
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         loss = cross_entropy(Tensor([[0.0, 0.0]]), [0])
@@ -383,7 +424,9 @@ class TestCountParams:
 
 
 class TestModelGradients:
-    def test_cross_entropy_grads_match_finite_differences(self):
+    def check_cross_entropy_grads(self, dropout_rate: float) -> None:
+        """Backprop against central differences; a dropout forward keeps its
+        masks, fixed by the key, for every probe."""
         cfg = tiny_config(H=2, L=2, d_X=8, d_I=6, r=4, vocab_size=9, max_len=6,
                           head_dim=4)
         model = Model.init(cfg, 30)
@@ -392,9 +435,10 @@ class TestModelGradients:
         mask = full_mask(ids)
         labels = np.array([0, 1])
 
-        trace = model.forward(ids, mask)
-        loss = cross_entropy(trace.logits, labels)
-        loss.backward(leaves=model.parameters().values())
+        def loss():
+            return cross_entropy(model.forward(ids, mask, dropout_rate, 5).logits, labels)
+
+        loss().backward(leaves=model.parameters().values())
 
         for name in ("layer0.W_Q", "layer1.W_FO", "emb.E_U", "cls.W", "layer0.ln1_g"):
             p = model.params[name]
@@ -405,10 +449,16 @@ class TestModelGradients:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + 1e-4
-                    up = cross_entropy(model.forward(ids, mask).logits, labels).item()
+                    up = loss().item()
                     flat[i] = orig - 1e-4
-                    down = cross_entropy(model.forward(ids, mask).logits, labels).item()
+                    down = loss().item()
                     flat[i] = orig
                     num[i] = (up - down) / 2e-4
             rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
             assert rel.max() < 1e-4, f"{name}: max rel err {rel.max():.2e}"
+
+    def test_cross_entropy_grads_match_finite_differences(self):
+        self.check_cross_entropy_grads(0.0)
+
+    def test_cross_entropy_grads_match_finite_differences_at_dropout(self):
+        self.check_cross_entropy_grads(0.1)

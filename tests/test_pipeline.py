@@ -378,7 +378,7 @@ def test_evaluate_rejects_an_empty_split(task_dir):
     dev = splits["dev"]
     empty = EncodedDataset(dev.ids[:0], dev.mask[:0], dev.labels[:0])
     model = Model.init(ModelConfig(**tiny_model_dict(info)), 0)
-    with pytest.raises(ValueError, match="the split has 0 rows"):
+    with pytest.raises(ValueError, match="^evaluate: the split has no rows$"):
         PL.evaluate(model, empty)
 
 
@@ -514,7 +514,7 @@ class TestRunStage:
         stage = StageSpec(name="ft", dataset="train", epochs=1)
         model = Model.init(ModelConfig(**tiny_model_dict(info)), 3)
         with MetricsWriter(tmp_path / "m.ndjson") as metrics:
-            with pytest.raises(ValueError, match="'train' has no rows"):
+            with pytest.raises(ValueError, match="^dataset 'train': the split has no rows$"):
                 run_stage(stage, model, None, {"train": empty}, metrics,
                           np.random.default_rng(3))
 
@@ -737,9 +737,10 @@ class TestBatchHelper:
         student = Model.init(ModelConfig(**tiny_model_dict(info)), 5)
         stage = StageSpec(name="prune", dataset="train", epochs=1,
                           prune=PruneSpec(mode="one_step", target=ArchitectureTarget(H=1)))
-        with pytest.raises(ValueError, match="stage 'prune'.*dataset 'train' has none"):
+        message = "^stage 'prune': dataset 'train': the split has no rows$"
+        with pytest.raises(ValueError, match=message):
             PL.collect_one_step_scores(student, None, stage, empty, None)
-        with pytest.raises(ValueError, match="dataset 'train' has none"):
+        with pytest.raises(ValueError, match=message):
             PL.one_step_prune(student, None, stage, empty, None)
 
     def test_helper_error_comes_out_of_evaluate(self, task_dir, monkeypatch):
@@ -919,9 +920,9 @@ class TestRunPlan:
         longest = int(splits["train"].mask.sum(axis=1).max())
         later, k, stage, message = {
             "vocab_size": (dict(vocab_size=token), 1, "more",
-                           f"split 'train': token id {token} >= vocab_size {token}"),
+                           f"dataset 'train': token id {token} >= vocab_size {token}"),
             "max_len": (dict(max_len=longest - 1), 1, "more",
-                        f"split 'train': a row of {longest} tokens > max_len {longest - 1}"),
+                        f"dataset 'train': a row of {longest} tokens > max_len {longest - 1}"),
             "n_classes": ({}, 0, "ft", "split 'dev': label 2 >= n_classes 2"),
         }[field]
         if field == "n_classes":
@@ -1044,13 +1045,18 @@ class TestRunArms:
             assert (tmp_path / "plan" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     @pytest.mark.parametrize("case, message", [
-        ("empty_dev", "stage 0 'ft': dev split: the split has 0 rows"),
-        ("unlabeled_dev", "stage 0 'ft': dev split: 1 of 32 rows are unlabeled"),
+        ("empty_dev", "stage 0 'ft': split 'dev': the split has no rows"),
+        ("unlabeled_dev", "stage 0 'ft': split 'dev': 1 of 32 rows are unlabeled "
+                          "(label -1), and this split needs labels"),
         ("no_labels_without_kd", "stage 1 'more': dataset 'train_aug': 64 of 64 rows are "
-                                 "unlabeled, and a stage without kd trains on labels"),
+                                 "unlabeled (label -1), and this split needs labels"),
         ("unlabeled_train_row", "stage 0 'ft': dataset 'train': 1 of 48 rows are "
-                                "unlabeled, and a stage without kd trains on labels"),
-    ], ids=["empty_dev", "unlabeled_dev", "no_labels_without_kd", "unlabeled_train_row"])
+                                "unlabeled (label -1), and this split needs labels"),
+        # a copy of its teacher is checked against the teacher's end config
+        ("label_2_in_a_copy_stage", "stage 1 'more': dataset 'train_aug': label 2 >= "
+                                    "n_classes 2"),
+    ], ids=["empty_dev", "unlabeled_dev", "no_labels_without_kd", "unlabeled_train_row",
+            "label_2_in_a_copy_stage"])
     def test_labels_are_checked_before_stage_0(self, task_dir, tmp_path, case, message):
         path, info = task_dir
         _, splits = load_task_dir(path, info["max_len"])
@@ -1066,11 +1072,16 @@ class TestRunArms:
             labels = train.labels.copy()
             labels[3] = -1
             splits["train"] = EncodedDataset(train.ids, train.mask, labels)
+        elif case == "label_2_in_a_copy_stage":
+            train = splits["train"]
+            labels = train.labels.copy()
+            labels[0] = 2
+            splits["train_aug"] = EncodedDataset(train.ids, train.mask, labels)
         plan = StagePlan(tiny_model_dict(info), [
             StageSpec(name="ft", dataset="train", epochs=1, batch_size=16),
             StageSpec(name="more", dataset="train_aug", epochs=1, batch_size=16,
-                      teacher="previous", kd=None if case == "no_labels_without_kd"
-                      else KDConfig())])
+                      teacher="previous", kd=None if case in (
+                          "no_labels_without_kd", "label_2_in_a_copy_stage") else KDConfig())])
         with pytest.raises(ValueError) as exc:
             PL.run_arms({tmp_path / "out": plan}, splits)
         assert str(exc.value).startswith(f"{tmp_path / 'out'}: {message}")
