@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import N_FILLER_WORDS, generate_marker_task, load_task_dir
 from .metrics import METRIC_KINDS, check_metric_kind
 from .model import count_params
-from .pipeline import (PruneSpec, StagePlan, StageSpec, _stage_data,
+from .pipeline import (PruneSpec, StagePlan, StageSpec, _check_split, _stage_data,
                        collect_one_step_scores, evaluate, one_step_prune, run_arms,
                        run_plan)
 from .presets import build_preset
@@ -95,6 +95,8 @@ def cmd_prune_one_step(args) -> int:
     stage = StageSpec(name="prune", dataset="train", epochs=1,
                       batch_size=args.batch_size,
                       prune=PruneSpec(mode="one_step", target=target))
+    if "dev" in splits:  # pruning keeps vocab_size, max_len and n_classes
+        _check_split(splits["dev"], "split 'dev'", model.config)
     one_step_prune(model, None, stage, _stage_data(stage, splits, model.config), None)
     ckpt = Path(args.out, "pruned.rst")
     result = {"checkpoint": str(ckpt), "config": model.config.to_dict(),

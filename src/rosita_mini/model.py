@@ -42,12 +42,12 @@ class ModelConfig:
     eps: float = 1e-12
 
     def __post_init__(self):
-        if self.head_dim == 0 and type(self.H) is int and self.H >= 1:  # else validate rejects H
+        check_ints({k: v for k, v in vars(self).items() if k != "eps"}, "config field")
+        if self.head_dim == 0 and self.H >= 1:  # validate rejects H < 1
             self.head_dim = self.d_X // self.H
         self.validate()
 
     def validate(self) -> None:
-        check_ints({k: v for k, v in vars(self).items() if k != "eps"}, "config field")
         if self.H < 1 or self.L < 1 or self.d_I < 1:
             raise ValueError(f"config needs H, L, d_I >= 1, got {self}")
         if self.head_dim < 1:

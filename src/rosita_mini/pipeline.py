@@ -273,25 +273,23 @@ def _float32(model: Model) -> Model:
                                 for name, p in model.params.items()})
 
 
-def _check_split(data: EncodedDataset, where: str, labeled: bool = True,
-                 config: ModelConfig | None = None) -> EncodedDataset:
-    """`data` once it has rows, no unlabeled row (label -1) where `labeled`,
-    and, where a `config` is given, no token id, row or label it cannot
-    take. A failure names `where`."""
+def _check_split(data: EncodedDataset, where: str, config: ModelConfig,
+                 labeled: bool = True) -> EncodedDataset:
+    """`data` once it has rows, no token id or row `config` cannot take and,
+    where `labeled`, no unlabeled row (label -1) and no label `config`
+    cannot predict. A failure names `where`."""
     if not len(data):
         raise ValueError(f"{where}: the split has no rows")
     if labeled and (unlabeled := int((data.labels < 0).sum())):
         raise ValueError(f"{where}: {unlabeled} of {len(data)} rows are unlabeled "
                          f"(label -1), and this split needs labels")
-    if config is not None:
-        token, length = int(data.ids.max()), int(data.mask.sum(axis=1).max())
-        label = int(data.labels.max())
-        if token >= config.vocab_size:
-            raise ValueError(f"{where}: token id {token} >= vocab_size {config.vocab_size}")
-        if length > config.max_len:
-            raise ValueError(f"{where}: a row of {length} tokens > max_len {config.max_len}")
-        if label >= config.n_classes:
-            raise ValueError(f"{where}: label {label} >= n_classes {config.n_classes}")
+    token, length = int(data.ids.max()), int(data.mask.sum(axis=1).max())
+    if token >= config.vocab_size:
+        raise ValueError(f"{where}: token id {token} >= vocab_size {config.vocab_size}")
+    if length > config.max_len:
+        raise ValueError(f"{where}: a row of {length} tokens > max_len {config.max_len}")
+    if labeled and (label := int(data.labels.max())) >= config.n_classes:
+        raise ValueError(f"{where}: label {label} >= n_classes {config.n_classes}")
     return data
 
 
@@ -299,7 +297,7 @@ def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
     """The `kind` metric on `data` of a float32 copy of `model`, run under no_grad."""
     check_metric_kind(kind)
-    _check_split(data, "evaluate", config=model.config)
+    _check_split(data, "evaluate", model.config)
     model = _float32(model)
 
     def predict(batch):
@@ -346,8 +344,8 @@ def collect_one_step_scores(student: Model, teacher: Model | None,
     """Dataset-averaged Taylor scores with the stage's active loss: summed
     in batch order wherever the batches were scored (`_map_batches`), then
     divided once by the batch count."""
-    _check_split(data, f"stage {stage.name!r}: dataset {stage.dataset!r}", stage.kd is None,
-                 student.config)
+    _check_split(data, f"stage {stage.name!r}: dataset {stage.dataset!r}", student.config,
+                 stage.kd is None)
 
     def batch_scores(batch):
         ids, mask, labels = batch
@@ -566,12 +564,12 @@ class _DevEvals:
 
 
 def _stage_data(stage: StageSpec, datasets: dict[str, EncodedDataset],
-                config: ModelConfig | None = None) -> EncodedDataset:
+                config: ModelConfig) -> EncodedDataset:
     """The stage's dataset once `_check_split` passes it; without `kd` it trains on labels."""
     if stage.dataset not in datasets:
         raise ValueError(f"dataset {stage.dataset!r} not loaded; loaded: {sorted(datasets)}")
-    return _check_split(datasets[stage.dataset], f"dataset {stage.dataset!r}",
-                        stage.kd is None, config)
+    return _check_split(datasets[stage.dataset], f"dataset {stage.dataset!r}", config,
+                        stage.kd is None)
 
 
 def _is_fixed_point(stage: StageSpec, student: Model, teacher: Model | None) -> bool:
@@ -762,7 +760,7 @@ def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[M
                       else ends[0 if stage.teacher == "original" else -1])
             data = _stage_data(stage, datasets, config)
             if "dev" in datasets:
-                _check_split(datasets["dev"], "split 'dev'", config=config)
+                _check_split(datasets["dev"], "split 'dev'", config)
             if stage.prune is not None:
                 if stage.prune.mode == "one_step":
                     stage.prune.target.deltas(config)

@@ -137,9 +137,14 @@ def test_prune_one_step_subcommand(workspace, capsys):
     ("prune-one-step", ["--target", '{"H": 1}']),
 ], ids=["eval", "prune_one_step"])
 def test_a_dev_label_the_checkpoint_cannot_predict_exits_1(workspace, tmp_path, capsys,
-                                                           command, flags):
+                                                           monkeypatch, command, flags):
     """A binary checkpoint scored on a `dev.tsv` that holds label 2 is an
-    error, not a metric, and `prune-one-step` writes nothing."""
+    error, not a metric, and `prune-one-step` fails before it prunes and
+    writes nothing."""
+    def no_prune(*args):
+        raise AssertionError("pruned before dev was checked")
+
+    monkeypatch.setattr(cli, "one_step_prune", no_prune)
     data = tmp_path / "data"
     data.mkdir()
     for f in (workspace / "data").iterdir():
@@ -152,7 +157,8 @@ def test_a_dev_label_the_checkpoint_cannot_predict_exits_1(workspace, tmp_path, 
                "--data", str(data), *flags, *out])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err == "rosita-mini: error: evaluate: label 2 >= n_classes 2\n"
+    where = "evaluate" if command == "eval" else "split 'dev'"
+    assert captured.err == f"rosita-mini: error: {where}: label 2 >= n_classes 2\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

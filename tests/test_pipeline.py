@@ -1087,6 +1087,21 @@ class TestRunArms:
         assert str(exc.value).startswith(f"{tmp_path / 'out'}: {message}")
         assert not (tmp_path / "out").exists()
 
+    def test_a_kd_stage_does_not_check_labels_it_never_reads(self, task_dir, tmp_path):
+        """A label 2 in a KD stage's dataset is no error: KD never reads labels."""
+        path, info = task_dir
+        _, splits = load_task_dir(path, info["max_len"])
+        train = splits["train"]
+        labels = train.labels.copy()
+        labels[0] = 2
+        splits["train_aug"] = EncodedDataset(train.ids, train.mask, labels)
+        plan = StagePlan(tiny_model_dict(info), [
+            StageSpec(name="ft", dataset="train", epochs=1, batch_size=16),
+            StageSpec(name="kd", dataset="train_aug", epochs=1, batch_size=16,
+                      teacher="previous", kd=KDConfig())])
+        run_plan(plan, splits, tmp_path / "out", seed=0)
+        assert (tmp_path / "out" / "stage1_kd.rst").exists()
+
     def test_results_do_not_depend_on_arm_order(self, task_dir, tmp_path):
         """Stage k of every arm draws `stage_rng(seed, k)`, wherever the arm sits."""
         path, info = task_dir
