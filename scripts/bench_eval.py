@@ -1,5 +1,6 @@
 """Time `pipeline.evaluate`, which runs a float32 copy of the model, against
-the float64 no-grad forward it replaced, and write the results as JSON.
+the float64 forward it replaced, which builds no graph either, and write the
+results as JSON.
 
     PYTHONPATH=src python3 scripts/bench_eval.py --out BENCH_21.json
 
@@ -74,11 +75,18 @@ def build_model(shape: dict, splits: dict, info: dict, seed: int) -> Model:
     return model
 
 
+def frozen(model: Model) -> Model:
+    """A view of `model` that shares its float64 arrays and requires no grad,
+    so its forwards build no graph."""
+    return Model(model.config, {n: T.Tensor(p.data) for n, p in model.params.items()})
+
+
 def float64_evaluate(model: Model, data, batch_size: int = 64) -> float:
     """`evaluate` without its float32 copy: the float64 model's own forward."""
+    model = frozen(model)
+
     def predict(batch):
-        with T.no_grad():
-            return np.argmax(model.forward(batch[0], batch[1]).logits.data, axis=1)
+        return np.argmax(model.forward(batch[0], batch[1]).logits.data, axis=1)
 
     preds = list(PL._map_batches(predict, list(iter_batches(data, batch_size))))
     return eval_metric(np.concatenate(preds), data.labels, "accuracy")
@@ -86,12 +94,9 @@ def float64_evaluate(model: Model, data, batch_size: int = 64) -> float:
 
 def logit_gap(model: Model, data, batch_size: int = 64) -> dict:
     """Logits of the float32 copy against those of the float64 model."""
-    copy = Model(model.config, {name: T.Tensor(p.data.astype(np.float32))
-                                for name, p in model.params.items()})
     batches = list(iter_batches(data, batch_size))
-    with T.no_grad():
-        f32, f64 = (np.concatenate([m.forward(ids, mask).logits.data
-                                    for ids, mask, _ in batches]) for m in (copy, model))
+    f32, f64 = (np.concatenate([m.forward(ids, mask).logits.data for ids, mask, _ in batches])
+                for m in (PL._float32(model), frozen(model)))
     top2 = np.sort(f64, axis=1)[:, -2:]
     return {"max_abs_logit_gap": float(np.abs(f32 - f64).max()),
             "flips": int((f32.argmax(axis=1) != f64.argmax(axis=1)).sum()),

@@ -7,13 +7,12 @@ distillation, driven by a config-file pipeline and CLI.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, ShapeError, no_grad
+from .tensor import Tensor, ShapeError
 from .model import Model, ModelConfig, ForwardTrace, count_params
 
 __all__ = [
     "Tensor",
     "ShapeError",
-    "no_grad",
     "Model",
     "ModelConfig",
     "ForwardTrace",

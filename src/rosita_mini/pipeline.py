@@ -46,7 +46,7 @@ from .distillation import (KDConfig, LayerMap, build_layer_map, hidden_mse,
                            soft_cross_entropy)
 from .factorization import factorize_model_embedding
 from .metrics import MetricsWriter, check_metric_kind, eval_metric
-from .model import ForwardTrace, Model, ModelConfig, count_params, cross_entropy
+from .model import ForwardTrace, Model, ModelConfig, check_ints, count_params, cross_entropy
 from .optim import Adam
 from .pruning import (UNIT_DIMS, ArchitectureTarget, apply_surgery, record_batch_scores,
                       record_scores, select_prune_set, weight_taylor_scores)
@@ -163,6 +163,7 @@ class PruneSpec:
             raise ValueError(f"unknown prune mode {self.mode!r}")
         if not 0.0 < self.prune_fraction <= 1.0:
             raise ValueError(f"prune_fraction {self.prune_fraction} outside (0, 1]")
+        check_ints({"n_events": self.n_events}, "prune")
         if self.n_events < 1:
             raise ValueError(f"n_events {self.n_events} < 1: need a pruning event")
 
@@ -206,8 +207,10 @@ class StageSpec:
             raise ValueError(f"stage {self.name!r}: base_lr {self.base_lr} < 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"stage {self.name!r}: dropout {self.dropout} outside [0, 1)")
+        check_ints({"epochs": self.epochs, "batch_size": self.batch_size},
+                   f"stage {self.name!r}:")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise ValueError(f"stage {self.name!r}: epochs and batch_size must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageSpec":
@@ -268,7 +271,7 @@ class StagePlan:
 
 
 def _float32(model: Model) -> Model:
-    """A float32 copy of `model` for no-grad forwards; float32 arrays are shared."""
+    """A float32 copy of `model`, whose forwards build no graph; float32 arrays are shared."""
     return Model(model.config, {name: T.Tensor(p.data.astype(np.float32, copy=False))
                                 for name, p in model.params.items()})
 
@@ -295,14 +298,13 @@ def _check_split(data: EncodedDataset, where: str, config: ModelConfig,
 
 def evaluate(model: Model, data: EncodedDataset, kind: str = "accuracy",
              batch_size: int = 64) -> float:
-    """The `kind` metric on `data` of a float32 copy of `model`, run under no_grad."""
+    """The `kind` metric on `data` of a float32 copy of `model`, which builds no graph."""
     check_metric_kind(kind)
     _check_split(data, "evaluate", model.config)
     model = _float32(model)
 
     def predict(batch):
-        with T.no_grad():
-            return np.argmax(model.forward(batch[0], batch[1]).logits.data, axis=1)
+        return np.argmax(model.forward(batch[0], batch[1]).logits.data, axis=1)
 
     preds = list(_map_batches(predict, list(iter_batches(data, batch_size))))
     return eval_metric(np.concatenate(preds), data.labels, kind)
@@ -323,8 +325,7 @@ def _batch_loss(student: Model, teacher: Model | None, stage: StageSpec,
     else:
         trace_t = trace_s
         if teacher is not student:
-            with T.no_grad():
-                trace_t = teacher.forward(ids, mask)
+            trace_t = teacher.forward(ids, mask)
         if stage.kd.use_pred:
             pred = soft_cross_entropy(trace_t.logits, trace_s.logits,
                                       stage.kd.temperature)
@@ -620,12 +621,11 @@ class _TeacherRows:
         """The teacher's trace; on a batch the memo holds, logits only.
         A teacher runs without dropout, so the rate is 0 and the key unused."""
         keys = [i.tobytes() + m.tobytes() for i, m in zip(ids, mask)]
-        with T.no_grad():
-            if all(k in self.rows for k in keys):
-                params = self.teacher.params
-                return ForwardTrace(T.linear(np.stack([self.rows[k] for k in keys]),
-                                             params["cls.W"], params["cls.b"]), hidden=[])
-            trace = self.teacher.forward(ids, mask)
+        if all(k in self.rows for k in keys):
+            params = self.teacher.params
+            return ForwardTrace(T.linear(np.stack([self.rows[k] for k in keys]),
+                                         params["cls.W"], params["cls.b"]), hidden=[])
+        trace = self.teacher.forward(ids, mask)
         for k, row in zip(keys, trace.hidden[-1].data[:, 0, :]):
             self.rows[k] = row.copy()
         return trace
@@ -643,11 +643,12 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     overlapping the next training steps; the records are the ones an
     inline eval writes (see `_DevEvals`).
 
-    A KD stage whose student starts as its teacher's unpruned copy, without
-    dropout, cannot move (`_is_fixed_point`). Each of its steps takes only
-    the teacher's logits, under no_grad, for the step's losses; it skips
-    the student's forward, the backward and the Adam step. Its student is
-    evaluated once, before the first step and with no dev-eval child, for
+    The teacher is frozen before its first forward, so no teacher forward
+    records a graph. A KD stage whose student starts as its teacher's
+    unpruned copy, without dropout, cannot move (`_is_fixed_point`). Each of
+    its steps takes only the teacher's logits for the step's losses; it
+    skips the student's forward, the backward and the Adam step. Its student
+    is evaluated once, before the first step and with no dev-eval child, for
     every eval record. Its records and student are those training writes.
 
     A KD stage whose loss reads only logits takes its teacher's rows from
@@ -695,14 +696,9 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     with _DevEvals(metrics, None if fixed else dev, eval_kind) as evals:
         for _ in range(stage.epochs):
             for ids, mask, labels in iter_batches(data, stage.batch_size, rng):
-                if fixed:
-                    with T.no_grad():
-                        loss, parts = _batch_loss(teacher, teacher, stage, layer_map,
-                                                  ids, mask, labels)
-                else:
-                    student.zero_grad()
-                    loss, parts = _batch_loss(student, teacher, stage, layer_map,
-                                              ids, mask, labels, dropout_key + step)
+                student.zero_grad()
+                loss, parts = _batch_loss(teacher if fixed else student, teacher, stage,
+                                          layer_map, ids, mask, labels, dropout_key + step)
                 if not np.isfinite(loss.item()):
                     raise FloatingPointError(
                         f"stage {stage.name!r}: training loss is {loss.item()} at "

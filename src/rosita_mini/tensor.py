@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just enough autodiff for an encoder forward pass and its losses: each op
-returns a new Tensor holding the value plus a closure that routes the
-upstream gradient to the op's inputs. `backward()` replays the closures
-in reverse topological order and consumes the graph as it goes. Data
+returns a new Tensor holding the value, and, when some input is tracked
+(requires grad, or has parents of its own), its inputs and a closure that
+routes the upstream gradient to them. That is the one rule for graph
+recording: a forward of a frozen model, or of `pipeline.evaluate`'s
+float32 copy, builds no graph. `backward()` replays the closures in
+reverse topological order and consumes the graph as it goes. Data
 lives in row-major numpy arrays and is treated as immutable once a
 tensor is built.
 
@@ -18,9 +21,9 @@ values and gradients are bit-identical to that chain. Each loss is one
 Gradient arrays are owned, not copied: an op hands an input the array
 it has just computed for that input alone, and the input keeps it.
 
-float32 data stays float32 and all else becomes float64: only the no-grad
-copy that `pipeline.evaluate` runs is float32, and a tensor that requires
-grad refuses float32 data, so training stays float64.
+float32 data stays float32 and all else becomes float64: only the
+untracked copy that `pipeline.evaluate` runs is float32, and a tensor
+that requires grad refuses float32 data, so training stays float64.
 """
 
 from __future__ import annotations
@@ -32,31 +35,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
-
-
-_grad_on = True  # cleared inside no_grad
-
-
-def _grad_enabled() -> bool:
-    return _grad_on
-
-
-class no_grad:
-    """Context manager that suppresses graph construction (teacher passes).
-
-    The flag is one module-level switch, since nothing runs threads: dev
-    evals and batch passes fork a child, which inherits the flag.
-    """
-
-    def __enter__(self):
-        global _grad_on
-        self._prev, _grad_on = _grad_on, False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_on
-        _grad_on = self._prev
-        return False
 
 
 def _as_float(data) -> np.ndarray:
@@ -160,7 +138,7 @@ def _ensure(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
     out = Tensor(data)
-    if any(p.tracked for p in parents) and _grad_enabled():
+    if any(p.tracked for p in parents):
         out._parents = parents
         out._backward = bwd
     return out

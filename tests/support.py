@@ -13,7 +13,7 @@ from rosita_mini import tensor as T
 from rosita_mini.data import RESERVED, Vocab, split_text
 from rosita_mini.factorization import SVDResult
 from rosita_mini.model import Model, ModelConfig
-from rosita_mini.tensor import ShapeError, Tensor, no_grad
+from rosita_mini.tensor import ShapeError, Tensor
 
 
 def finite_diff_check(f, x: Tensor, h: float = 1e-4) -> float:
@@ -31,15 +31,14 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-4) -> float:
     numeric = np.zeros_like(probe.data)
     flat = probe.data.reshape(-1)
     num_flat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f(probe).item()
-            flat[i] = orig - h
-            down = f(probe).item()
-            flat[i] = orig
-            num_flat[i] = (up - down) / (2.0 * h)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = f(probe).item()
+        flat[i] = orig - h
+        down = f(probe).item()
+        flat[i] = orig
+        num_flat[i] = (up - down) / (2.0 * h)
 
     err = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
     return float(err.max()) if err.size else 0.0

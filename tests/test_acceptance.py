@@ -11,7 +11,6 @@ import numpy as np
 
 from rosita_mini import factorization as F
 from rosita_mini import presets
-from rosita_mini import tensor as T
 from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
 from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import build_layer_map, hidden_mse, soft_cross_entropy
@@ -33,15 +32,14 @@ def report(num, label):
 def _numeric_gradient(loss_fn, param, h=1e-4):
     numeric = np.zeros_like(param.data)
     flat, out = param.data.reshape(-1), numeric.reshape(-1)
-    with T.no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            out[i] = (up - down) / (2 * h)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn()
+        flat[i] = orig - h
+        down = loss_fn()
+        flat[i] = orig
+        out[i] = (up - down) / (2 * h)
     return numeric
 
 
@@ -71,8 +69,7 @@ def test_criterion_01_gradient_correctness():
     mask = np.ones_like(ids, dtype=float)
     labels = np.array([0, 1])
     layer_map = build_layer_map(4, 2)
-    with T.no_grad():
-        trace_t = teacher.forward(ids, mask)
+    trace_t = teacher.forward(ids, mask)
 
     losses = {
         "L_cross": lambda: cross_entropy(student.forward(ids, mask).logits, labels),
@@ -136,9 +133,8 @@ def test_criterion_02_mask_equivalence():
         apply_surgery(model, prune_set)
         ids = rng.integers(0, 21, size=(3, 6))
         m = np.ones_like(ids, dtype=float)
-        with T.no_grad():
-            diff = np.abs(model.forward(ids, m).logits.data
-                          - masked.forward(ids, m).logits.data).max()
+        diff = np.abs(model.forward(ids, m).logits.data
+                      - masked.forward(ids, m).logits.data).max()
         worst = max(worst, float(diff))
         assert diff <= 1e-10, f"trial {trial}: diff {diff:.2e}"
     report(2, f"20 random prune sets match the zero-mask oracle "
@@ -251,12 +247,10 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     rng = np.random.default_rng(0)
     ids = rng.integers(0, info["vocab_size"], size=(4, 6))
     mask = np.ones_like(ids, dtype=float)
-    with T.no_grad():
-        before = model.forward(ids, mask).logits.data
+    before = model.forward(ids, mask).logits.data
     save_checkpoint(tmp_path / "again.rst", model)
     re_model = load_checkpoint(tmp_path / "again.rst").to_model()
-    with T.no_grad():
-        after = re_model.forward(ids, mask).logits.data
+    after = re_model.forward(ids, mask).logits.data
     assert np.abs(before - after).max() <= 1e-6
     report(10, "fixed seed gives bit-identical metrics streams; save->load->save "
                "is byte-identical; post-load forward matches within 1e-6")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rosita_mini import checkpoint as C
-from rosita_mini import tensor as T
 from rosita_mini.checkpoint import (CheckpointError, load_checkpoint,
                                     save_checkpoint)
 from rosita_mini.model import Model, ModelConfig
@@ -31,12 +30,10 @@ def test_forward_matches_after_reload(tmp_path):
     rng = np.random.default_rng(5)
     ids = rng.integers(0, 9, size=(3, 5))
     mask = np.ones_like(ids, dtype=float)
-    with T.no_grad():
-        before = model.forward(ids, mask).logits.data
+    before = model.forward(ids, mask).logits.data
     save_checkpoint(tmp_path / "m.rst", model)
     reloaded = load_checkpoint(tmp_path / "m.rst").to_model()
-    with T.no_grad():
-        after = reloaded.forward(ids, mask).logits.data
+    after = reloaded.forward(ids, mask).logits.data
     assert np.abs(before - after).max() <= 1e-6  # f32 storage tolerance
 
 

@@ -270,8 +270,21 @@ def _one_step(target, teacher="original"):
      "out: stage 2 'later2': target d_I = 16 must lie in [1, current 8]"),
     ([{"prune": {"mode": "one_step"}}], "plan.json: stage 'later1': prune: missing keys "
                                         "['target']"),
+    # a count must be an int, and a bool is not one
+    ([{"teacher": "previous", "epochs": 1.5}],
+     "plan.json: stage 'later1': epochs = 1.5 is not an int"),
+    ([{"teacher": "previous", "epochs": True}],
+     "plan.json: stage 'later1': epochs = True is not an int"),
+    ([{"teacher": "previous", "batch_size": 16.5}],
+     "plan.json: stage 'later1': batch_size = 16.5 is not an int"),
+    ([{"teacher": "previous", "prune": {"mode": "iterative", "target": {"H": 1},
+                                        "n_events": 2.5}}],
+     "plan.json: stage 'later1': prune n_events = 2.5 is not an int"),
+    ([{"batch_size": 0}], "plan.json: stage 'later1': epochs and batch_size must be >= 1"),
 ], ids=["lr_kind", "prune_fraction", "dataset", "dropout", "target", "indivisible_events",
-        "short_window", "above_original", "above_previous", "prune_without_target"])
+        "short_window", "above_original", "above_previous", "prune_without_target",
+        "epochs_float", "epochs_bool", "batch_size_float", "n_events_float",
+        "batch_size_zero"])
 def test_run_plan_rejects_bad_later_stage_before_training(workspace, tmp_path, capsys, later,
                                                           field):
     plan = {"version": 1,

@@ -135,8 +135,7 @@ class TestHiddenMse:
         teacher.freeze()
         ids = np.array([[1, 2, 3]])
         mask = np.ones_like(ids, float)
-        with T.no_grad():
-            t_trace = teacher.forward(ids, mask)
+        t_trace = teacher.forward(ids, mask)
         s_trace = student.forward(ids, mask)
         lm = D.build_layer_map(2, 2)
         loss = D.hidden_mse(t_trace, s_trace, lm, mask)
@@ -155,8 +154,7 @@ class TestHiddenMse:
         ids = np.array([[1, 2, 3, 4], [5, 6, 0, 0]])
         mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
         lm = D.build_layer_map(4, 2)
-        with T.no_grad():
-            t_trace = teacher.forward(ids, mask)
+        t_trace = teacher.forward(ids, mask)
         weight = mask[:, :, None] / (mask.sum() * 8)
 
         def chain(t_trace, s_trace, lm, mask):
@@ -241,8 +239,7 @@ class TestKDTotalLoss:
                           teacher="original", kd=kd)
         lm = D.build_layer_map(2, 2)
         total, parts = PL._batch_loss(student, teacher, stage, lm, ids, mask, labels)
-        with T.no_grad():
-            t, s = teacher.forward(ids, mask), student.forward(ids, mask)
+        t, s = teacher.forward(ids, mask), student.forward(ids, mask)
         return total, parts, t, s, lm, mask
 
     def test_pred_only(self):

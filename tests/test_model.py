@@ -445,15 +445,14 @@ class TestModelGradients:
             analytic = p.grad.copy()
             numeric = np.zeros_like(p.data)
             flat, num = p.data.reshape(-1), numeric.reshape(-1)
-            with T.no_grad():
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + 1e-4
-                    up = loss().item()
-                    flat[i] = orig - 1e-4
-                    down = loss().item()
-                    flat[i] = orig
-                    num[i] = (up - down) / 2e-4
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + 1e-4
+                up = loss().item()
+                flat[i] = orig - 1e-4
+                down = loss().item()
+                flat[i] = orig
+                num[i] = (up - down) / 2e-4
             rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
             assert rel.max() < 1e-4, f"{name}: max rel err {rel.max():.2e}"
 

@@ -331,7 +331,7 @@ def test_step_graph_is_freed_before_the_next_forward(task_dir, tmp_path, monkeyp
     live_at: list[int] = []  # the forwards that found some still reachable
 
     def watched(self, *args, **kwargs):
-        if not T._grad_enabled():
+        if not any(p.requires_grad for p in self.params.values()):
             return forward(self, *args, **kwargs)
         if any(ref() is not None for ref in earlier):
             live_at.append(len(earlier))
@@ -414,9 +414,8 @@ class TestFloat32Eval:
         batches = list(iter_batches(dev, 12))
         if case == "two_lengths":
             assert all({int(n) for n in b[1].sum(axis=1)} == {5, 8} for b in batches)
-        with T.no_grad():
-            oracle = np.concatenate([model.forward(ids, mask).logits.data
-                                     for ids, mask, _ in batches])
+        oracle = np.concatenate([model.forward(ids, mask).logits.data
+                                 for ids, mask, _ in batches])
         traces = []
         real_forward = Model.forward
 
@@ -1266,7 +1265,7 @@ def _training_forwards(monkeypatch) -> list:
     calls = []
 
     def counted(self, *args, **kwargs):
-        if T._grad_enabled() and any(p.requires_grad for p in self.params.values()):
+        if any(p.requires_grad for p in self.params.values()):
             calls.append(1)
         return forward(self, *args, **kwargs)
 
@@ -1450,18 +1449,17 @@ def test_a_frozen_models_rows_do_not_depend_on_their_batch():
     lengths = rng.integers(5, s + 1, size=n)  # padded rows; every batch runs at s
     mask = (np.arange(s)[None, :] < lengths[:, None]).astype(np.float64)
     ids = np.where(mask > 0, ids, 0)
-    with T.no_grad():
-        ref = model.forward(ids, mask).hidden
-        for size in (32, 17, 1):
-            order = rng.permutation(n)
-            for start in range(0, n, size):
-                sel = order[start:start + size]
-                trace = model.forward(ids[sel], mask[sel])
-                for layer, (h, h_ref) in enumerate(zip(trace.hidden, ref)):
-                    assert h.data.tobytes() == h_ref.data[sel].tobytes(), (size, layer)
-                rows = np.stack([ref[-1].data[i, 0] for i in sel])
-                logits = T.linear(rows, model.params["cls.W"], model.params["cls.b"])
-                assert logits.data.tobytes() == trace.logits.data.tobytes(), size
+    ref = model.forward(ids, mask).hidden
+    for size in (32, 17, 1):
+        order = rng.permutation(n)
+        for start in range(0, n, size):
+            sel = order[start:start + size]
+            trace = model.forward(ids[sel], mask[sel])
+            for layer, (h, h_ref) in enumerate(zip(trace.hidden, ref)):
+                assert h.data.tobytes() == h_ref.data[sel].tobytes(), (size, layer)
+            rows = np.stack([ref[-1].data[i, 0] for i in sel])
+            logits = T.linear(rows, model.params["cls.W"], model.params["cls.b"])
+            assert logits.data.tobytes() == trace.logits.data.tobytes(), size
 
 
 def _teacher_forwards(monkeypatch) -> list:
@@ -1490,6 +1488,45 @@ def _forget_rows(monkeypatch) -> None:
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(PL._TeacherRows, "forward", missing)
+
+
+@pytest.mark.parametrize("kd", [KDConfig(use_hidden=True), KDConfig()],
+                         ids=["hidden_loss", "logit_memo"])
+def test_a_kd_stage_never_records_a_teacher_graph(task_dir, tmp_path, monkeypatch, kd):
+    """run_stage freezes its teacher before any forward, so no forward of a
+    frozen model, direct or through the row memo, returns a tracked tensor."""
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    monkeypatch.setattr(PL, "_cpu_spare", lambda: False)  # dev evals run in this process
+    monkeypatch.setattr(PL, "_memo", (None, {}))
+    model_forward, rows_forward = Model.forward, PL._TeacherRows.forward
+    frozen, student, hits = [], [], []  # per forward: whether any output is tracked
+
+    def forward(self, *args, **kwargs):
+        trace = model_forward(self, *args, **kwargs)
+        tracked = any(t.tracked for t in (trace.logits, *trace.hidden))
+        (student if any(p.requires_grad for p in self.params.values()) else frozen).append(
+            tracked)
+        return trace
+
+    def memo_forward(self, *args, **kwargs):
+        trace = rows_forward(self, *args, **kwargs)
+        if not trace.hidden:  # every row hit: the teacher did not run
+            hits.append(trace.logits.tracked)
+        return trace
+
+    monkeypatch.setattr(Model, "forward", forward)
+    monkeypatch.setattr(PL._TeacherRows, "forward", memo_forward)
+    teacher = Model.init(ModelConfig(**tiny_model_dict(info)), 5)
+    # 64 rows / 16 per batch x 2 epochs = 8 steps; dropout keeps the student moving
+    stage = StageSpec(name="kd", dataset="train_aug", epochs=2, batch_size=16,
+                      teacher="original", kd=kd, dropout=0.1)
+    with MetricsWriter(tmp_path / "kd.ndjson") as metrics:
+        run_stage(stage, clone(teacher), teacher, splits, metrics, np.random.default_rng(9))
+    assert len(student) == 8 and all(student)
+    assert len(frozen) >= 4 and not any(frozen)  # teacher passes and float32 dev evals
+    assert not any(hits)
+    assert len(hits) == (0 if kd.use_hidden else 4)  # the second epoch's batches
 
 
 class TestTeacherMemo:

@@ -285,13 +285,12 @@ class TestHeadImportance:
             record_batch_scores(ledger, model)
             scores = P.unit_importance(ledger, model, "attention_head", 0)
 
-            with T.no_grad():
-                base = cross_entropy(model.forward(ids, mask).logits, labels).item()
-                deltas = []
-                for h in range(cfg.H):
-                    masked = zero_masked_clone(model, [UnitId("attention_head", h, 0)])
-                    loss = cross_entropy(masked.forward(ids, mask).logits, labels).item()
-                    deltas.append(loss - base)
+            base = cross_entropy(model.forward(ids, mask).logits, labels).item()
+            deltas = []
+            for h in range(cfg.H):
+                masked = zero_masked_clone(model, [UnitId("attention_head", h, 0)])
+                loss = cross_entropy(masked.forward(ids, mask).logits, labels).item()
+                deltas.append(loss - base)
             rhos.append(spearman(scores, np.array(deltas)))
         assert np.mean(rhos) >= 0.8, f"mean Spearman {np.mean(rhos):.3f}, rhos={rhos}"
 
@@ -421,11 +420,9 @@ class TestApplySurgery:
         masked = zero_masked_clone(model, [unit])  # zero weights in place
         rng = np.random.default_rng(37)
         ids, mask, _ = random_batch(cfg, rng)
-        with T.no_grad():
-            before = masked.forward(ids, mask).logits.data
+        before = masked.forward(ids, mask).logits.data
         apply_surgery(masked, [unit])
-        with T.no_grad():
-            after = masked.forward(ids, mask).logits.data
+        after = masked.forward(ids, mask).logits.data
         assert np.abs(before - after).max() <= 1e-12
 
     def test_mask_equivalence_property(self):
@@ -450,9 +447,8 @@ class TestApplySurgery:
             ids, mask, _ = random_batch(cfg, rng)
             masked = zero_masked_clone(model, prune_set)
             report = apply_surgery(model, prune_set)
-            with T.no_grad():
-                pruned_logits = model.forward(ids, mask).logits.data
-                masked_logits = masked.forward(ids, mask).logits.data
+            pruned_logits = model.forward(ids, mask).logits.data
+            masked_logits = masked.forward(ids, mask).logits.data
             assert np.abs(pruned_logits - masked_logits).max() <= 1e-10, \
                 f"trial {trial}: surgery diverged from zero-mask oracle"
             assert count_params(report.config) == num_params(model)
@@ -515,11 +511,9 @@ class TestDropLayers:
         model = Model.init(cfg, 45)
         rng = np.random.default_rng(46)
         ids, mask, _ = random_batch(cfg, rng)
-        with T.no_grad():
-            full = model.forward(ids, mask)
+        full = model.forward(ids, mask)
         remove_last_layers(model, 2)
-        with T.no_grad():
-            short = model.forward(ids, mask)
+        short = model.forward(ids, mask)
         assert len(short.hidden) == 3
         for a, b in zip(short.hidden, full.hidden[:3]):
             np.testing.assert_array_equal(a.data, b.data)

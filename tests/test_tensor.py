@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rosita_mini import pipeline as PL
 from rosita_mini import tensor as T
+from rosita_mini.model import Model, ModelConfig
 from rosita_mini.tensor import Tensor, ShapeError
 from support import (finite_diff_check, mul, padding_bias, sum_all, unfused_attention,
                      unfused_layer_norm, unfused_linear)
@@ -267,12 +269,26 @@ def test_dropout_deterministic_and_scaled():
     assert 0.4 < (a.data > 0).mean() < 0.6
 
 
-def test_no_grad_suppresses_graph():
-    x = Tensor(2.0, requires_grad=True)
-    with T.no_grad():
-        y = mul(x, x)
-    assert y._parents == ()
-    assert not y.tracked
+def test_an_op_records_a_graph_only_when_an_input_is_tracked():
+    x, c = Tensor(2.0, requires_grad=True), Tensor(3.0)
+    assert mul(c, c)._parents == () and not mul(c, c).tracked
+    y = mul(x, c)
+    assert y._parents == (x, c) and y.tracked
+    assert mul(y, c).tracked  # y has parents of its own
+    config = ModelConfig(H=2, L=2, d_X=8, d_I=16, r=0, vocab_size=9, max_len=5, n_classes=2,
+                         head_dim=4)
+    ids = np.array([[1, 2, 3, 4], [5, 6, 0, 0]])
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+
+    def outputs(model):
+        trace = model.forward(ids, mask)
+        return [trace.logits, *trace.hidden]
+
+    trainable, frozen = Model.init(config, 0), Model.init(config, 0)
+    frozen.freeze()
+    assert all(t.tracked for t in outputs(trainable))
+    for model in (frozen, PL._float32(trainable)):
+        assert all(t._parents == () and not t.tracked for t in outputs(model))
 
 
 def test_determinism_bit_identical():
