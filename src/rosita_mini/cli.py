@@ -20,7 +20,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import N_FILLER_WORDS, generate_marker_task, load_task_dir
 from .metrics import METRIC_KINDS, check_metric_kind
-from .model import count_params
+from .model import ModelConfig, check_keys, count_params
 from .pipeline import (PruneSpec, StagePlan, StageSpec, _check_split, _stage_data,
                        collect_one_step_scores, evaluate, one_step_prune, run_arms,
                        run_plan)
@@ -28,28 +28,20 @@ from .presets import build_preset
 from .pruning import ArchitectureTarget, unit_importance
 
 
-def _read_json(path, *required) -> dict:
+def _read_json(path):
     try:
-        return _require(json.loads(Path(path).read_text(encoding="utf-8")), path, *required)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _require(cfg: dict, path, *keys) -> dict:
-    """`cfg`, read from `path` (a file, or an arm of one), once it is a JSON
-    object with all `keys`."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    if missing := [key for key in keys if key not in cfg]:
-        raise ValueError(f"{path}: missing required key(s) {missing}")
-    return cfg
-
-
 def _load_data(args, max_len: int | None = None):
+    """The data dir's vocab, splits and `task.json`, which holds only keys `make-data` writes."""
     info = {}
     task_json = Path(args.data) / "task.json"
     if task_json.exists():
-        info = _read_json(task_json)
+        info = check_keys(_read_json(task_json), task_json,
+                          ("dir", "max_len", "metric", "n_classes", "vocab_size"))
     if max_len is None:
         max_len = info.get("max_len")
     if max_len is None:
@@ -60,15 +52,13 @@ def _load_data(args, max_len: int | None = None):
     return vocab, splits, info
 
 
-def _with_data_defaults(model: dict, vocab, info: dict) -> dict:
-    """Fill vocab_size / max_len / n_classes from the data dir when omitted."""
-    merged = dict(model)
-    merged.setdefault("vocab_size", len(vocab))
-    if "max_len" in info:
-        merged.setdefault("max_len", info["max_len"])
-    if "n_classes" in info:
-        merged.setdefault("n_classes", info["n_classes"])
-    return merged
+def _with_data_defaults(model, where: str, vocab, info: dict) -> dict:
+    """`model`, named `where`, with vocab_size / max_len / n_classes filled
+    from the data dir when omitted, once it holds a ModelConfig's keys."""
+    if isinstance(model, dict):
+        model = {"vocab_size": len(vocab),
+                 **{k: info[k] for k in ("max_len", "n_classes") if k in info}, **model}
+    return check_keys(model, where, ModelConfig)
 
 
 def cmd_make_data(args) -> int:
@@ -86,12 +76,14 @@ def cmd_prune_one_step(args) -> int:
     model = ck.to_model()
     vocab, splits, info = _load_data(args, model.config.max_len)
     try:
-        target = ArchitectureTarget.from_dict(_read_json(args.target)
-                                              if Path(args.target).exists()
-                                              else json.loads(args.target))
+        raw = _read_json(args.target) if Path(args.target).exists() else json.loads(args.target)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--target {args.target!r} is neither a file of JSON nor a "
                          f"JSON literal ({exc})") from None
+    try:
+        target = ArchitectureTarget.from_dict(raw)
+    except ValueError as exc:
+        raise ValueError(f"--target {args.target!r}: {exc}") from exc
     stage = StageSpec(name="prune", dataset="train", epochs=1,
                       batch_size=args.batch_size,
                       prune=PruneSpec(mode="one_step", target=target))
@@ -114,21 +106,21 @@ def _plan_from_dict(raw: dict, path, vocab, info, arm: str | None = None) -> Sta
     its target and hp, or an explicit stage list, with its model configs'
     data defaults filled. A bad key or value names the file, arm and stage."""
     where = path if arm is None else f"{path}: arm {arm!r}"
-    _require(raw, where, "model", "target" if "preset" in raw else "stages")
     try:
-        if "preset" not in raw:
-            plan = StagePlan.from_dict(raw)
-        elif unknown := sorted(set(raw) - {"preset", "model", "target", "hp"}):
-            raise ValueError(f"plan: unknown keys {unknown}; a preset plan takes "
-                             f"'preset', 'model', 'target' and 'hp'")
+        if isinstance(raw, dict) and "preset" in raw:
+            raw = check_keys(raw, "plan", ("preset", "model", "target", "hp"),
+                             ("preset", "model", "target"))
+            model = _with_data_defaults(raw["model"], "model", vocab, info)
+            plan = build_preset(raw["preset"], model, raw["target"], raw.get("hp"))
         else:
-            plan = build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
+            plan = StagePlan.from_dict(raw)
+            plan.model = _with_data_defaults(plan.model, "model", vocab, info)
+        for stage in plan.stages:
+            if stage.model is not None:
+                stage.model = _with_data_defaults(stage.model, f"stage {stage.name!r}: model",
+                                                  vocab, info)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    plan.model = _with_data_defaults(plan.model, vocab, info)
-    for stage in plan.stages:
-        if stage.model is not None:
-            stage.model = _with_data_defaults(stage.model, vocab, info)
     return plan
 
 
@@ -144,12 +136,14 @@ def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
     """The spec's arms as `(name, grid fields, plan)`, all on the spec's model.
     A `grid` arm is one cell `{name}_f{fraction:g}_{lr_kind}` per pair of
     values, whose iterative last stage takes them."""
-    spec = _read_json(path, "model", "arms")
+    spec = check_keys(_read_json(path), path, ("model", "arms"), ("model", "arms"))
     if not isinstance(spec["arms"], list) or not spec["arms"]:
         raise ValueError(f"{path}: 'arms' must be a list of one arm or more")
     cells = []
     for i, arm in enumerate(spec["arms"]):
-        name, grid = _require(arm, f"{path}: arm {i}", "name")["name"], arm.get("grid")
+        # an arm's other keys are its plan's, which its plan checks
+        name = check_keys(arm, f"{path}: arm {i}", arm, ("name",))["name"]
+        grid = arm.get("grid")
         if "model" in arm:
             raise ValueError(f"{path}: arm {name!r} has a model; every arm takes the spec's")
         body = {k: v for k, v in arm.items() if k not in ("name", "grid")}
@@ -158,8 +152,9 @@ def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
             cells.append((name, {}, plan))
             continue
         *shared, last = plan.stages
-        if not isinstance(grid, dict) or sorted(grid) != ["lr_kind", "prune_fraction"] \
-                or not all(isinstance(v, list) and v for v in grid.values()) \
+        grid = check_keys(grid, f"{path}: arm {name!r}: grid", ("prune_fraction", "lr_kind"),
+                          ("prune_fraction", "lr_kind"))
+        if not all(isinstance(v, list) and v for v in grid.values()) \
                 or last.prune is None or last.prune.mode != "iterative":
             raise ValueError(f"{path}: arm {name!r}: a grid takes the lists 'prune_fraction' "
                              f"and 'lr_kind', for an iterative last stage, each with a value "

@@ -39,6 +39,9 @@ class KDConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
+        for name in ("use_pred", "use_hidden"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"kd {name} = {getattr(self, name)!r} is not a bool")
         if not (self.use_pred or self.use_hidden):
             raise ValueError("at least one distillation loss must be active")
         if self.temperature <= 0:

@@ -9,7 +9,7 @@ so distillation can read them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -26,6 +26,22 @@ def check_ints(values: dict, what: str) -> None:
     for name, v in values.items():
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"{what} {name} = {v!r} is not an int")
+
+
+def check_keys(d, where: str, known, required=()) -> dict:
+    """A copy of `d` once it is a dict with every `required` key and no key outside
+    `known`: a dataclass stands for its fields, and requires those without a
+    default. Each error names `where`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    if is_dataclass(known):
+        required = [f.name for f in fields(known) if f.default is MISSING]
+        known = [f.name for f in fields(known)]
+    if unknown := sorted(set(d) - set(known)):
+        raise ValueError(f"{where}: unknown keys {unknown}; known: {list(known)}")
+    if missing := [key for key in required if key not in d]:
+        raise ValueError(f"{where}: missing keys {missing}")
+    return dict(d)
 
 
 @dataclass
@@ -76,7 +92,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return cls(**check_keys(d, "model", cls))
 
 
 @dataclass

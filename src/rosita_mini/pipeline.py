@@ -34,7 +34,7 @@ import gc
 import os
 import pickle
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,8 @@ from .distillation import (KDConfig, LayerMap, build_layer_map, hidden_mse,
                            soft_cross_entropy)
 from .factorization import factorize_model_embedding
 from .metrics import MetricsWriter, check_metric_kind, eval_metric
-from .model import ForwardTrace, Model, ModelConfig, check_ints, count_params, cross_entropy
+from .model import (ForwardTrace, Model, ModelConfig, check_ints, check_keys, count_params,
+                    cross_entropy)
 from .optim import Adam
 from .pruning import (UNIT_DIMS, ArchitectureTarget, apply_surgery, record_batch_scores,
                       record_scores, select_prune_set, weight_taylor_scores)
@@ -140,17 +141,6 @@ def prune_events(config: ModelConfig, prune: PruneSpec,
 # stage plans
 
 
-def _plan_fields(cls, d: dict, where: str) -> dict:
-    """A copy of `d`, the plan file's dict for a `cls`, once it is known to
-    hold each field `cls` requires and no key `cls` lacks."""
-    names = [f.name for f in fields(cls)]
-    if unknown := sorted(set(d) - set(names)):
-        raise ValueError(f"{where}: unknown keys {unknown}; known: {names}")
-    if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]:
-        raise ValueError(f"{where}: missing keys {missing}")
-    return dict(d)
-
-
 @dataclass
 class PruneSpec:
     mode: str  # "one_step" | "iterative"
@@ -169,7 +159,7 @@ class PruneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PruneSpec":
-        d = _plan_fields(cls, d, "prune")
+        d = check_keys(d, "prune", cls)
         d["target"] = ArchitectureTarget.from_dict(d["target"])
         return cls(**d)
 
@@ -214,11 +204,11 @@ class StageSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageSpec":
-        where = f"stage {dict(d).get('name')!r}"
-        d = _plan_fields(cls, d, where)
+        where = f"stage {d.get('name') if isinstance(d, dict) else d!r}"
+        d = check_keys(d, where, cls)
         try:
             if d.get("kd") is not None:
-                d["kd"] = KDConfig(**_plan_fields(KDConfig, d["kd"], "kd"))
+                d["kd"] = KDConfig(**check_keys(d["kd"], "kd", KDConfig))
             if d.get("prune") is not None:
                 d["prune"] = PruneSpec.from_dict(d["prune"])
         except (TypeError, ValueError) as exc:
@@ -261,7 +251,9 @@ class StagePlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StagePlan":
-        d = _plan_fields(cls, d, "plan")
+        d = check_keys(d, "plan", cls)
+        if not isinstance(d["stages"], list):
+            raise ValueError(f"plan: stages {d['stages']!r} is not a list")
         d["stages"] = [StageSpec.from_dict(s) for s in d["stages"]]
         return cls(**d)
 
@@ -748,12 +740,13 @@ def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[M
     dataset labeled without `kd`). It fits a one-step target by
     `target.deltas` and an iterative one by `prune_events` over its T =
     epochs x `batches_per_epoch` steps, and ends at the target's set
-    dimensions. A broken rule raises a ValueError naming the stage."""
+    dimensions, where a hidden loss must map its teacher's layers onto them
+    (`build_layer_map`). A broken rule raises a ValueError naming the stage."""
     ends = []
     for k, stage in enumerate(plan.stages):
         try:
-            config = (ModelConfig.from_dict(stage.model or plan.model) if stage.teacher is None
-                      else ends[0 if stage.teacher == "original" else -1])
+            teacher = stage.teacher and ends[0 if stage.teacher == "original" else -1]
+            config = teacher or ModelConfig.from_dict(stage.model or plan.model)
             data = _stage_data(stage, datasets, config)
             if "dev" in datasets:
                 _check_split(datasets["dev"], "split 'dev'", config)
@@ -765,6 +758,8 @@ def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[M
                                  stage.epochs * batches_per_epoch(len(data), stage.batch_size))
                 target = asdict(stage.prune.target)
                 config = replace(config, **{dim: v for dim, v in target.items() if v is not None})
+            if stage.kd is not None and stage.kd.use_hidden:
+                build_layer_map(teacher.L, config.L)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"stage {k} {stage.name!r}: {exc}") from exc
         ends.append(config)

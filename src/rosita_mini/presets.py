@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .distillation import KDConfig
+from .model import check_keys
 from .pipeline import PruneSpec, StagePlan, StageSpec
 from .pruning import ArchitectureTarget
 
@@ -28,14 +29,6 @@ HP_DEFAULTS = {
     "temperature": 1.0,
     "dropout": 0.0,
 }
-
-
-def _hp(overrides: dict | None) -> dict:
-    overrides = overrides or {}
-    unknown = sorted(set(overrides) - set(HP_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown hp keys {unknown}; known: {sorted(HP_DEFAULTS)}")
-    return {**HP_DEFAULTS, **overrides}
 
 
 def _finetune_stage(hp: dict) -> StageSpec:
@@ -98,12 +91,12 @@ def build_preset(name: str, model: dict, target: dict,
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
     try:
+        hp = {**HP_DEFAULTS, **check_keys({} if hp is None else hp, "hp", HP_DEFAULTS)}
         if name == "scratch":
             ArchitectureTarget.from_dict(target)  # rejects an unknown or nonpositive dimension
             dims = {k: v for k, v in target.items() if v is not None}
             return StagePlan(model=model, stages=[replace(
-                _finetune_stage(_hp(hp)), name="scratch", model={**model, **dims})])
-        hp = _hp(hp)
+                _finetune_stage(hp), name="scratch", model={**model, **dims})])
         target = ArchitectureTarget.from_dict(target)
         rows = _KD_STAGES[name]
         prunes = [_prune(kind, target, hp) for _, _, kind in rows]  # target errors first

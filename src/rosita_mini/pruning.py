@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Model, ModelConfig, check_ints
+from .model import Model, ModelConfig, check_ints, check_keys
 from .tensor import Tensor
 
 # kind -> (parameter, axis, scored) slices holding one unit; layer kinds
@@ -95,10 +95,7 @@ class ArchitectureTarget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchitectureTarget":
-        extra = set(d) - {"H", "L", "d_I", "r"}
-        if extra:
-            raise ValueError(f"unknown target dimensions {sorted(extra)}")
-        return cls(**d)
+        return cls(**check_keys(d, "target", cls))
 
 
 def _param_name(name: str, layer: int | None) -> str:

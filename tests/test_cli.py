@@ -7,6 +7,7 @@ import inspect
 import json
 import re
 import shlex
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -281,10 +282,17 @@ def _one_step(target, teacher="original"):
                                         "n_events": 2.5}}],
      "plan.json: stage 'later1': prune n_events = 2.5 is not an int"),
     ([{"batch_size": 0}], "plan.json: stage 'later1': epochs and batch_size must be >= 1"),
+    # a loss switch must be a bool, and JSON 0 and 1 are not
+    ([{"teacher": "original", "kd": {"use_pred": True, "use_hidden": "false"}}],
+     "plan.json: stage 'later1': kd use_hidden = 'false' is not a bool"),
+    ([{"teacher": "original", "kd": {"use_pred": 1}}],
+     "plan.json: stage 'later1': kd use_pred = 1 is not a bool"),
+    ([{"teacher": "original", "kd": {"use_pred": True, "use_hidden": 0}}],
+     "plan.json: stage 'later1': kd use_hidden = 0 is not a bool"),
 ], ids=["lr_kind", "prune_fraction", "dataset", "dropout", "target", "indivisible_events",
         "short_window", "above_original", "above_previous", "prune_without_target",
         "epochs_float", "epochs_bool", "batch_size_float", "n_events_float",
-        "batch_size_zero"])
+        "batch_size_zero", "use_hidden_str", "use_pred_one", "use_hidden_zero"])
 def test_run_plan_rejects_bad_later_stage_before_training(workspace, tmp_path, capsys, later,
                                                           field):
     plan = {"version": 1,
@@ -328,6 +336,21 @@ def test_a_dimension_that_is_not_an_int_is_named(workspace, tmp_path, capsys, ca
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("rosita-mini: error: ") and err.endswith(f"{message}\n")
+    assert not out.exists()
+
+
+def test_run_plan_checks_a_hidden_loss_layer_map_before_training(workspace, tmp_path, capsys):
+    """The drop rule maps 5 teacher layers onto 4, not 3: the walk of the plan
+    fails at the hidden-loss stage, before stage 0 trains."""
+    (tmp_path / "plan.json").write_text(json.dumps(
+        {"preset": "one_step_one_stage", "model": {"H": 2, "L": 5, "d_X": 16, "d_I": 32, "r": 0},
+         "target": {"L": 3}, "hp": {"finetune_epochs": 1, "kd_epochs": 1}}))
+    out = tmp_path / "out"
+    rc = main(["run-plan", "--plan", str(tmp_path / "plan.json"),
+               "--data", str(workspace / "data"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"rosita-mini: error: {out}: stage 1 'kd_prune': drop "
+                                       f"rule keeps 4 of 5 teacher layers, student has 3\n")
     assert not out.exists()
 
 
@@ -417,12 +440,13 @@ def test_an_unknown_plan_key_names_file_arm_and_stage(workspace, tmp_path, capsy
 
 
 @pytest.mark.parametrize("command, flag, config, missing", [
-    ("run-plan", "--plan", {"stages": _finetune_plan(epochs=1)["stages"]}, "['model']"),
-    ("run-arms", "--spec", {"model": {"H": 2}}, "['arms']"),
-    ("run-plan", "--plan", {"preset": "scratch"}, "['model', 'target']"),
-    ("run-plan", "--plan", {"model": {"H": 2}}, "['stages']"),
+    ("run-plan", "--plan", {"stages": _finetune_plan(epochs=1)["stages"]},
+     "plan: missing keys ['model']"),
+    ("run-arms", "--spec", {"model": {"H": 2}}, "missing keys ['arms']"),
+    ("run-plan", "--plan", {"preset": "scratch"}, "plan: missing keys ['model', 'target']"),
+    ("run-plan", "--plan", {"model": {"H": 2}}, "plan: missing keys ['stages']"),
     ("run-arms", "--spec", {"model": {"H": 2}, "arms": [{"name": "a", "preset": "scratch"}]},
-     "['target']"),
+     "plan: missing keys ['target']"),
 ], ids=["finetune", "spec", "preset_plan", "explicit_plan", "spec_arm"])
 def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, command,
                                                flag, config, missing):
@@ -432,13 +456,12 @@ def test_missing_config_key_names_file_and_key(workspace, tmp_path, capsys, comm
                "--out", str(tmp_path / "out")])
     assert rc == 1
     where = f"{path}: arm 'a'" if "arms" in config else path  # an arm's keys name the arm
-    assert capsys.readouterr().err == \
-        f"rosita-mini: error: {where}: missing required key(s) {missing}\n"
+    assert capsys.readouterr().err == f"rosita-mini: error: {where}: {missing}\n"
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("second, message", [
-    ({"preset": "scratch", "target": {"H": 1}}, "missing required key(s) ['name']"),
+    ({"preset": "scratch", "target": {"H": 1}}, "missing keys ['name']"),
     ("b", "not a JSON object"),
 ], ids=["no_name", "not_an_object"])
 def test_a_bad_arm_is_named_by_its_index(workspace, tmp_path, capsys, second, message):
@@ -450,6 +473,69 @@ def test_a_bad_arm_is_named_by_its_index(workspace, tmp_path, capsys, second, me
     assert rc == 1
     assert capsys.readouterr().err == f"rosita-mini: error: {path}: arm 1: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+EXPLICIT_PLAN = {"model": TINY_MODEL, "stages": [FT_STAGE]}
+PRESET_PLAN = {"preset": "scratch", "model": TINY_MODEL, "target": {"H": 1}}
+
+
+@pytest.mark.parametrize("file, config, message", [
+    ("plan.json", {**EXPLICIT_PLAN, "model": 5}, "plan.json: model: not a JSON object"),
+    ("plan.json", {**EXPLICIT_PLAN, "model": {**TINY_MODEL, "foo": 1}},
+     "plan.json: model: unknown keys ['foo']"),
+    ("plan.json", {**EXPLICIT_PLAN, "model": {k: v for k, v in TINY_MODEL.items() if k != "r"}},
+     "plan.json: model: missing keys ['r']"),
+    ("plan.json", {**EXPLICIT_PLAN, "stages": [
+        FT_STAGE, {**FT_STAGE, "name": "small", "model": {**TINY_MODEL, "foo": 1}}]},
+     "plan.json: stage 'small': model: unknown keys ['foo']"),
+    ("plan.json", {**EXPLICIT_PLAN, "stages": "x"}, "plan.json: plan: stages 'x' is not a list"),
+    ("plan.json", {**EXPLICIT_PLAN, "stages": [5]}, "plan.json: stage 5: not a JSON object"),
+    ("plan.json", {**EXPLICIT_PLAN, "stages": [
+        FT_STAGE, {**FT_STAGE, "name": "kd", "teacher": "original", "kd": "abc"}]},
+     "plan.json: stage 'kd': kd: not a JSON object"),
+    ("plan.json", {**PRESET_PLAN, "hp": [1]},
+     "plan.json: preset 'scratch': hp: not a JSON object"),
+    ("plan.json", {**PRESET_PLAN, "target": [1]},
+     "plan.json: preset 'scratch': target: not a JSON object"),
+    ("--target", [1], "--target '[1]': target: not a JSON object"),
+    ("plan.json", {**EXPLICIT_PLAN, "stages": [
+        {**FT_STAGE, "prune": {"mode": "one_step", "target": 3}}]},
+     "plan.json: stage 'ft': target: not a JSON object"),
+    ("task.json", {"metrc": "mcc"}, "data/task.json: unknown keys ['metrc']"),
+    ("spec.json", {"model": TINY_MODEL, "seeds": [1, 2], "arms": [
+        {"name": "a", "preset": "scratch", "target": {"H": 1}}]},
+     "spec.json: unknown keys ['seeds']"),
+], ids=["model_int", "model_unknown_key", "model_without_r", "stage_model_unknown_key",
+        "stages_str", "stage_int", "kd_str", "hp_list", "target_list", "target_literal_list",
+        "prune_target_int", "task_json_typo", "spec_seeds"])
+def test_a_malformed_object_names_its_file_stage_and_key(workspace, tmp_path, capsys, file,
+                                                         config, message):
+    """Every JSON object of a plan, spec, target or task file is checked before
+    anything is written; the one error line names the file, any arm or stage,
+    and the key or the object that is not a JSON object."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(PRESET_PLAN))
+    argv = ["run-plan", "--plan", str(plan)]
+    if file == "--target":
+        argv = ["prune-one-step", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
+                "--target", json.dumps(config)]
+    elif file == "task.json":
+        info = json.loads((data / "task.json").read_text())
+        (data / "task.json").write_text(json.dumps({**info, **config}))
+    elif file == "spec.json":
+        (tmp_path / "spec.json").write_text(json.dumps(config))
+        argv = ["run-arms", "--spec", str(tmp_path / "spec.json")]
+    else:
+        plan.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main([*argv, "--data", str(data), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    prefix = "" if file == "--target" else f"{tmp_path}/"
+    assert err.startswith(f"rosita-mini: error: {prefix}{message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _readme_heredoc(name: str) -> dict:

@@ -1131,13 +1131,15 @@ def test_sweep_frequency_lists_the_schedules_it_knows(task_dir):
         replace(plan.stages[-1], lr_kind="cosine")
 
 
+UNKNOWN_D_I = "target: unknown keys ['d_i']; known: ['H', 'L', 'd_I', 'r']"
+
+
 @pytest.mark.parametrize("name, target, message", [
-    ("iterative_width_two_stage", {"H": 1, "d_i": 4}, "unknown target dimensions ['d_i']"),
-    ("iterative_width_depth_three_stage", {"L": 1, "d_i": 4},
-     "unknown target dimensions ['d_i']"),
+    ("iterative_width_two_stage", {"H": 1, "d_i": 4}, UNKNOWN_D_I),
+    ("iterative_width_depth_three_stage", {"L": 1, "d_i": 4}, UNKNOWN_D_I),
     ("iterative_width_depth_three_stage", {"H": 1}, "its depth stage needs a target L"),
     ("scratch", {"d_I": 0}, "target dimensions must be >= 1, got {'d_I': 0}"),
-    ("scratch", {"d_i": 4}, "unknown target dimensions ['d_i']"),
+    ("scratch", {"d_i": 4}, UNKNOWN_D_I),
 ], ids=["width_unknown_dim", "depth_unknown_dim", "depth_without_L", "scratch_zero",
         "scratch_unknown_dim"])
 def test_every_preset_reads_its_target_through_from_dict(name, target, message):
