@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .model import ForwardTrace
+from .model import ForwardTrace, check_ints
 from .tensor import ShapeError, Tensor
 
 
@@ -39,11 +39,11 @@ class KDConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        for name in ("use_pred", "use_hidden"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"kd {name} = {getattr(self, name)!r} is not a bool")
+        check_ints({"use_pred": self.use_pred, "use_hidden": self.use_hidden}, "kd", bool)
         if not (self.use_pred or self.use_hidden):
             raise ValueError("at least one distillation loss must be active")
+        check_ints({"hidden_weight": self.hidden_weight, "temperature": self.temperature},
+                   "kd", float)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.hidden_weight < 0:

@@ -21,11 +21,14 @@ from .tensor import Tensor, ShapeError
 INIT_STD = 0.05
 
 
-def check_ints(values: dict, what: str) -> None:
-    """Reject the first of `values` that is not an int; a bool is not one."""
+def check_ints(values: dict, what: str, kind: type = int) -> None:
+    """Reject the first of `values` that is not a `kind`: an int, a bool, or a
+    float, which takes an int too. A bool is neither of the others."""
+    accepted, noun = {int: (int, "an int"), float: ((int, float), "a number"),
+                      bool: (bool, "a bool")}[kind]
     for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{what} {name} = {v!r} is not an int")
+        if isinstance(v, bool) != (kind is bool) or not isinstance(v, accepted):
+            raise ValueError(f"{what} {name} = {v!r} is not {noun}")
 
 
 def check_keys(d, where: str, known, required=()) -> dict:
@@ -59,6 +62,7 @@ class ModelConfig:
 
     def __post_init__(self):
         check_ints({k: v for k, v in vars(self).items() if k != "eps"}, "config field")
+        check_ints({"eps": self.eps}, "config field", float)
         if self.head_dim == 0 and self.H >= 1:  # validate rejects H < 1
             self.head_dim = self.d_X // self.H
         self.validate()

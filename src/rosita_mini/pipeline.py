@@ -151,6 +151,7 @@ class PruneSpec:
     def __post_init__(self):
         if self.mode not in ("one_step", "iterative"):
             raise ValueError(f"unknown prune mode {self.mode!r}")
+        check_ints({"prune_fraction": self.prune_fraction}, "prune", float)
         if not 0.0 < self.prune_fraction <= 1.0:
             raise ValueError(f"prune_fraction {self.prune_fraction} outside (0, 1]")
         check_ints({"n_events": self.n_events}, "prune")
@@ -167,8 +168,8 @@ class PruneSpec:
 @dataclass
 class StageSpec:
     """One stage. A stage with a teacher starts from a copy of it; one
-    without starts fresh from `model` (default: the plan's model). A stage
-    trains with cross-entropy exactly when it has no `kd`."""
+    without starts fresh from the plan's model with its `model` put in
+    (`_fresh_config`). It trains with cross-entropy exactly when it has no `kd`."""
 
     name: str
     dataset: str
@@ -193,14 +194,15 @@ class StageSpec:
         if self.lr_kind not in LR_KINDS:
             raise ValueError(f"stage {self.name!r}: unknown lr_kind {self.lr_kind!r}; "
                              f"choices: {list(LR_KINDS)}")
+        where = f"stage {self.name!r}:"
+        check_ints({"base_lr": self.base_lr, "dropout": self.dropout}, where, float)
         if self.base_lr < 0:
-            raise ValueError(f"stage {self.name!r}: base_lr {self.base_lr} < 0")
+            raise ValueError(f"{where} base_lr {self.base_lr} < 0")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"stage {self.name!r}: dropout {self.dropout} outside [0, 1)")
-        check_ints({"epochs": self.epochs, "batch_size": self.batch_size},
-                   f"stage {self.name!r}:")
+            raise ValueError(f"{where} dropout {self.dropout} outside [0, 1)")
+        check_ints({"epochs": self.epochs, "batch_size": self.batch_size}, where)
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError(f"stage {self.name!r}: epochs and batch_size must be >= 1")
+            raise ValueError(f"{where} epochs and batch_size must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageSpec":
@@ -728,6 +730,13 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
     return student
 
 
+def _fresh_config(plan: StagePlan, stage: StageSpec) -> ModelConfig:
+    """A stage's config without a teacher: the plan's model, with its `model` put in by
+    `replace` as a prune puts in its target, so one without head_dim keeps the plan's."""
+    base = ModelConfig.from_dict(plan.model)
+    return replace(base, **check_keys(stage.model, "model", ModelConfig)) if stage.model else base
+
+
 def stage_rng(seed: int, k: int) -> np.random.Generator:
     """Stage k's rng under `seed`: SeedSequence(seed).spawn(n)[k], the same for any n > k."""
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
@@ -746,7 +755,7 @@ def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[M
     for k, stage in enumerate(plan.stages):
         try:
             teacher = stage.teacher and ends[0 if stage.teacher == "original" else -1]
-            config = teacher or ModelConfig.from_dict(stage.model or plan.model)
+            config = teacher or _fresh_config(plan, stage)
             data = _stage_data(stage, datasets, config)
             if "dev" in datasets:
                 _check_split(datasets["dev"], "split 'dev'", config)
@@ -779,8 +788,8 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
     The metric kind and every arm's configs and labels (`plan_configs`, its
     failure naming the arm) are checked before any stage trains.
     Stage k draws `stage_rng(seed, k)`; its teacher is reloaded from the
-    arm's written checkpoints, and one without starts fresh from its `model`
-    (default: the plan's). A stage whose prefix (plan model and stages
+    arm's written checkpoints, and one without starts fresh from
+    `_fresh_config`. A stage whose prefix (plan model and stages
     0..k) an earlier arm trained is linked in, not trained again, so each
     directory holds what a lone `run_plan` of its arm writes. A stage's
     summary holds its name, checkpoint, the student's config and size, and
@@ -813,7 +822,7 @@ def run_arms(arms: dict[Path, StagePlan], datasets: dict[str, EncodedDataset],
             rng = stage_rng(seed, k)
             if stage.teacher is None:
                 teacher = None
-                student = Model.init(ModelConfig.from_dict(stage.model or plan.model), rng)
+                student = Model.init(_fresh_config(plan, stage), rng)
             else:
                 ck = load_checkpoint(
                     summaries[0 if stage.teacher == "original" else -1]["checkpoint"])

@@ -20,8 +20,9 @@ scored.
 
 A removal count is a dict keyed by the config field it shrinks: the
 `UNIT_DIMS` values and "L", as `ArchitectureTarget.deltas` returns them.
-`select_prune_set` turns counts into units; `apply_surgery` is the one
-place that bounds them, and rejects a set that leaves no unit of a kind.
+`select_prune_set` turns counts into units. The config rule and
+`Model.assert_shapes` bound them: `apply_surgery` cannot build a model
+that has no unit of a kind.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ UNIT_SLICES = {
 }
 # kind -> the config field that counts its units
 UNIT_DIMS = {"ffn_neuron": "d_I", "attention_head": "H", "embedding_rank": "r"}
-VALID_KINDS = (*UNIT_SLICES, "layer")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,10 @@ class UnitId:
     layer_index: int | None = None  # absent for embedding_rank and layer
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
+        if self.kind not in (*UNIT_SLICES, "layer"):
             raise ValueError(f"unknown unit kind {self.kind!r}")
+        if self.unit_index < 0:
+            raise ValueError(f"unit index {self.unit_index} < 0")
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,8 @@ def select_prune_set(ledger: dict[str, np.ndarray] | None, model: Model,
     layers.
 
     Head and neuron counts apply to every kept layer (per-layer uniform
-    pruning); dropped layers keep a prefix. Counts are not bounded here:
-    `apply_surgery` rejects a set that would leave no unit of a kind.
+    pruning); dropped layers keep a prefix. Counts are not bounded here but
+    by the config rule and `Model.assert_shapes`, in `apply_surgery`.
     """
     unknown = set(amounts) - {*UNIT_DIMS.values(), "L"}
     if unknown:
@@ -214,10 +216,6 @@ def select_prune_set(ledger: dict[str, np.ndarray] | None, model: Model,
     return units
 
 
-def _emptied(kind: str, count: int, n: int) -> str:
-    return f"removing {count} of {n} {kind} units leaves none, and surgery cannot empty a kind"
-
-
 @dataclass
 class SurgeryReport:
     """Index bookkeeping so optimizer state can be sliced in lockstep."""
@@ -230,77 +228,36 @@ class SurgeryReport:
 def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
     """Remove the listed units, shrinking matrices and the config exactly.
 
-    Validates the whole set before touching anything: a failure leaves the
-    model unmodified. This is where removal counts are bounded: a set that
-    leaves no unit of a kind, layers included, is rejected. Removal counts
-    for heads/neurons must be uniform across surviving layers so the config
-    stays rectangular.
+    The pruned model is built from the kept slices, and that build is the one
+    check: `ModelConfig` rejects a count below 1, and `Model.assert_shapes`
+    any set whose arrays match no config. `model` takes the result only then,
+    so a failure leaves it unmodified. A dropped layer's units go with it.
     """
     c = model.config
-    groups: dict[str, dict[int | None, list[int]]] = {kind: {} for kind in VALID_KINDS}
+    dropped = [u.unit_index for u in prune_set if u.kind == "layer"]
+    groups: dict[tuple[str, int | None], list[int]] = {}
     for u in prune_set:
-        groups[u.kind].setdefault(u.layer_index, []).append(u.unit_index)
-    layer_units = sorted({i for idxs in groups.pop("layer").values() for i in idxs})
-
-    # ---- validate
-    if len(layer_units) >= c.L:
-        raise ValueError(_emptied("layer", len(layer_units), c.L))
-    if layer_units:
-        expect = list(range(c.L - len(layer_units), c.L))
-        if layer_units != expect:
-            raise ValueError(
-                f"layer pruning keeps the first layers: expected to drop "
-                f"{expect}, got {layer_units}"
-            )
-    dims = {"L": c.L - len(layer_units)}
-    for kind, by_layer in groups.items():
-        if not by_layer:
-            continue
-        if kind == "embedding_rank" and not c.factorized:
-            raise RuntimeError("rank surgery on an unfactorized embedding")
-        n = getattr(c, UNIT_DIMS[kind])
-        for layer, idxs in by_layer.items():
-            if len(set(idxs)) != len(idxs):
-                raise ValueError(f"duplicate {kind} indices in layer {layer}")
-            if any(i < 0 or i >= n for i in idxs):
-                raise ValueError(f"{kind} index out of range in layer {layer}")
-        if set(by_layer) != set(_homes(kind, dims["L"])):
-            raise ValueError(
-                f"{kind} removals must cover every surviving layer uniformly, "
-                f"got layers {list(by_layer)}"
-            )
-        counts = {len(v) for v in by_layer.values()}
-        if len(counts) > 1:
-            raise ValueError(f"{kind} removal counts differ across layers: {counts}")
-        (count,) = counts
-        if count >= n:
-            raise ValueError(_emptied(kind, count, n))
-        dims[UNIT_DIMS[kind]] = n - count
-    new_config = replace(c, **dims)
-
-    # ---- compute new arrays, then commit
-    new_data: dict[str, np.ndarray] = {}
-    kept_report: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for kind, by_layer in groups.items():
-        n = getattr(c, UNIT_DIMS[kind])
-        for layer, idxs in by_layer.items():
-            keep = np.ones(n, dtype=bool)
-            keep[idxs] = False
-            for name, axis, _scored in UNIT_SLICES[kind]:
-                name = _param_name(name, layer)
-                data = model.params[name].data
-                kept_idx = np.flatnonzero(np.repeat(keep, data.shape[axis] // n))
-                new_data[name] = np.take(data, kept_idx, axis=axis)
-                kept_report.setdefault(name, []).append((axis, kept_idx))
-
-    removed = [name for name in model.params
-               if name.startswith(tuple(f"layer{i}." for i in layer_units))]
-
-    for name, data in new_data.items():
-        old = model.params[name]
-        model.params[name] = Tensor(data, requires_grad=old.requires_grad)
-    for name in removed:
-        del model.params[name]
-    model.config = new_config
-    model.assert_shapes()
-    return SurgeryReport(kept=kept_report, removed=removed, config=new_config)
+        if u.kind != "layer" and u.layer_index not in dropped:
+            groups.setdefault((u.kind, u.layer_index), []).append(u.unit_index)
+    prefixes = tuple(f"layer{i}." for i in dropped)
+    params = {name: p for name, p in model.params.items() if not name.startswith(prefixes)}
+    dims = {"L": c.L - len(dropped)}
+    kept: dict[str, list[tuple[int, np.ndarray]]] = {}
+    for (kind, layer), idxs in groups.items():
+        dim = UNIT_DIMS[kind]
+        n = getattr(c, dim)
+        keep = np.ones(n, dtype=bool)
+        keep[idxs] = False
+        # the fewest kept: a layer keeping more, or naming a unit twice, mismatches
+        dims[dim] = min(dims.get(dim, n), n - len(idxs))
+        for name, axis, _scored in UNIT_SLICES[kind]:
+            name = _param_name(name, layer)
+            old = model.params[name]
+            kept_idx = np.flatnonzero(np.repeat(keep, old.shape[axis] // n))
+            params[name] = Tensor(np.take(old.data, kept_idx, axis=axis),
+                                  requires_grad=old.requires_grad)
+            kept.setdefault(name, []).append((axis, kept_idx))
+    pruned = Model(replace(c, **dims), params)
+    removed = [name for name in model.params if name not in params]
+    model.config, model.params = pruned.config, pruned.params
+    return SurgeryReport(kept=kept, removed=removed, config=pruned.config)

@@ -289,10 +289,27 @@ def _one_step(target, teacher="original"):
      "plan.json: stage 'later1': kd use_pred = 1 is not a bool"),
     ([{"teacher": "original", "kd": {"use_pred": True, "use_hidden": 0}}],
      "plan.json: stage 'later1': kd use_hidden = 0 is not a bool"),
+    # a real-valued field takes an int or a float, and neither a bool nor a string
+    ([{"teacher": "previous", "base_lr": True}],
+     "plan.json: stage 'later1': base_lr = True is not a number"),
+    ([{"teacher": "previous", "base_lr": "0.01"}],
+     "plan.json: stage 'later1': base_lr = '0.01' is not a number"),
+    ([{"dropout": "0.1"}], "plan.json: stage 'later1': dropout = '0.1' is not a number"),
+    ([{"teacher": "previous", "prune": {"mode": "iterative", "target": {"H": 1},
+                                        "prune_fraction": "1", "n_events": 1}}],
+     "plan.json: stage 'later1': prune prune_fraction = '1' is not a number"),
+    ([{"teacher": "original", "kd": {"use_hidden": True, "hidden_weight": False}}],
+     "plan.json: stage 'later1': kd hidden_weight = False is not a number"),
+    ([{"teacher": "original", "kd": {"temperature": "2"}}],
+     "plan.json: stage 'later1': kd temperature = '2' is not a number"),
+    ([{"model": {"H": 2, "L": 2, "d_X": 16, "d_I": 32, "r": 0, "eps": "1e-12"}}],
+     "out: stage 1 'later1': config field eps = '1e-12' is not a number"),
 ], ids=["lr_kind", "prune_fraction", "dataset", "dropout", "target", "indivisible_events",
         "short_window", "above_original", "above_previous", "prune_without_target",
         "epochs_float", "epochs_bool", "batch_size_float", "n_events_float",
-        "batch_size_zero", "use_hidden_str", "use_pred_one", "use_hidden_zero"])
+        "batch_size_zero", "use_hidden_str", "use_pred_one", "use_hidden_zero",
+        "base_lr_bool", "base_lr_str", "dropout_str", "prune_fraction_str",
+        "hidden_weight_bool", "temperature_str", "eps_str"])
 def test_run_plan_rejects_bad_later_stage_before_training(workspace, tmp_path, capsys, later,
                                                           field):
     plan = {"version": 1,

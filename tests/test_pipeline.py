@@ -1120,7 +1120,7 @@ class TestRunArms:
             assert dir_bytes(tmp_path / "ab" / arm) == dir_bytes(tmp_path / "ba" / arm), arm
 
 
-def test_sweep_frequency_lists_the_schedules_it_knows(task_dir):
+def test_a_grid_cell_rejects_an_lr_kind_it_does_not_know(task_dir):
     """A frequency-grid cell is the iterative preset's last stage with the
     cell's lr_kind; a kind it does not know fails there, naming those it knows."""
     _, info = task_dir
@@ -1163,6 +1163,20 @@ def test_every_preset_prunes_to_its_target():
         "iterative_width_depth_three_stage": [ArchitectureTarget(L=1), width],
         "scratch": []}
     assert plans["scratch"].stages[0].model == {**model, **target}
+
+
+def test_scratch_ends_at_the_config_of_a_pruned_arm(task_dir):
+    """A model without head_dim derives it from the base H; pruning keeps it,
+    and so does scratch, so both arms end at one config of one size."""
+    path, info = task_dir
+    _, splits = load_task_dir(path, info["max_len"])
+    model = tiny_model_dict(info, H=4)
+    del model["head_dim"]
+    ends = {name: PL.plan_configs(presets.build_preset(name, model, {"H": 2, "d_I": 16, "r": 4}),
+                                  splits)[-1]
+            for name in ("scratch", "one_step_one_stage")}
+    assert ends["scratch"] == ends["one_step_one_stage"]
+    assert (ends["scratch"].H, ends["scratch"].head_dim) == (2, 4)
 
 
 EVERY_HP_KEY = dict(batch_size=8, lr_kind="constant", finetune_lr=2e-3, kd_lr=3e-4,

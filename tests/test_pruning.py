@@ -360,7 +360,7 @@ class TestSelectPruneSet:
         model = Model.init(small_config(H=2), 33)
         ledger = random_ledger(model)
         units = select_prune_set(ledger, model, {"H": 2})
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="config needs H, L, d_I >= 1"):
             apply_surgery(model, units)
 
     def test_deterministic(self):
@@ -389,7 +389,10 @@ class TestSelectPruneSet:
 
 
 class TestRemovalBound:
-    """apply_surgery is the one place that bounds a removal count."""
+    """The config rule and `assert_shapes` bound a removal count: H, L or d_I
+    left at 0 is no config, and r left at 0 is an unfactorized config that
+    the cut factors do not fit. Selecting more layers than the model has
+    names a negative layer."""
 
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("dim", [*UNIT_DIMS.values(), "L"])
@@ -397,10 +400,11 @@ class TestRemovalBound:
         model = Model.init(small_config(), 36)
         before_config = model.config
         before = {k: v.data.tobytes() for k, v in model.params.items()}
-        units = select_prune_set(random_ledger(model), model,
-                                 {dim: getattr(model.config, dim) + extra})
-        with pytest.raises(ValueError, match="leaves none"):
-            apply_surgery(model, units)
+        message = {"r": "parameter store inconsistent with config"}.get(
+            dim, "unit index -1 < 0" if dim == "L" and extra else "config needs H, L, d_I >= 1")
+        with pytest.raises(ValueError, match=message):
+            apply_surgery(model, select_prune_set(random_ledger(model), model,
+                                                  {dim: getattr(model.config, dim) + extra}))
         assert model.config == before_config
         assert {k: v.data.tobytes() for k, v in model.params.items()} == before
 
@@ -469,7 +473,7 @@ class TestApplySurgery:
     def test_nonuniform_head_removal_rejected(self):
         model = Model.init(small_config(L=2), 41)
         before = {k: v.data.copy() for k, v in model.params.items()}
-        with pytest.raises(ValueError, match="uniform"):
+        with pytest.raises(ValueError, match="parameter store inconsistent with config"):
             apply_surgery(model, [UnitId("attention_head", 0, 0)])
         # no partial mutation
         for k, v in model.params.items():
@@ -478,7 +482,7 @@ class TestApplySurgery:
 
     def test_rank_surgery_on_unfactorized_rejected(self):
         model = Model.init(small_config(r=0), 42)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(IndexError):
             apply_surgery(model, [UnitId("embedding_rank", 0)])
 
     def test_adam_report_lists_kept_indices(self):
@@ -490,6 +494,49 @@ class TestApplySurgery:
         np.testing.assert_array_equal(kept, np.r_[0:4, 8:12])
         axes_ao = dict(report.kept["layer0.W_AO"])
         np.testing.assert_array_equal(axes_ao[0], np.r_[0:4, 8:12])
+
+    @pytest.mark.parametrize("config, units, error", [
+        # layer 1 cuts one head, so only the size of layer 0 shows its duplicate
+        ({}, lambda: [UnitId("attention_head", 0, 0), UnitId("attention_head", 0, 0),
+                      UnitId("attention_head", 1, 1)], ValueError),
+        ({}, lambda: [UnitId("ffn_neuron", 8, layer) for layer in (0, 1)], IndexError),
+        ({}, lambda: [UnitId("attention_head", -1, layer) for layer in (0, 1)], ValueError),
+        ({}, lambda: [UnitId("attention_head", 0, layer) for layer in (0, 1, 2)], KeyError),
+        ({"L": 3}, lambda: [UnitId("layer", 0)], ValueError),
+        ({}, lambda: [UnitId("attention_head", 0, 0)], ValueError),
+        ({}, lambda: [UnitId("attention_head", h, layer) for h in range(3) for layer in (0, 1)],
+         ValueError),
+        ({}, lambda: [UnitId("ffn_neuron", j, layer) for j in range(8) for layer in (0, 1)],
+         ValueError),
+        ({}, lambda: [UnitId("embedding_rank", i) for i in range(5)], ValueError),
+        ({}, lambda: [UnitId("layer", 0), UnitId("layer", 1)], ValueError),
+        ({"r": 0}, lambda: [UnitId("embedding_rank", 0)], IndexError),
+    ], ids=["duplicate_index", "index_at_n", "negative_index", "unknown_layer",
+            "dropped_layer_not_last", "heads_in_one_layer_only", "heads_emptied",
+            "neurons_emptied", "ranks_emptied", "layers_emptied", "ranks_unfactorized"])
+    def test_a_malformed_set_raises_and_changes_nothing(self, config, units, error):
+        """A set whose arrays fit no config fails to build the pruned model,
+        before the model takes anything of it."""
+        model = Model.init(small_config(**config), 49)
+        before_config = model.config
+        before = {k: v.data.tobytes() for k, v in model.params.items()}
+        with pytest.raises(error):
+            apply_surgery(model, units())
+        assert model.config == before_config
+        assert {k: v.data.tobytes() for k, v in model.params.items()} == before
+
+    def test_heads_cut_in_a_dropped_layer_go_with_it(self):
+        """A set may cut units in a layer it also drops: the model it leaves
+        is the one the kept layers describe."""
+        model, oracle = Model.init(small_config(), 50), Model.init(small_config(), 50)
+        report = apply_surgery(model, [UnitId("attention_head", 0, 0),
+                                       UnitId("attention_head", 1, 1),
+                                       UnitId("attention_head", 2, 1), UnitId("layer", 1)])
+        apply_surgery(oracle, [UnitId("attention_head", 0, 0), UnitId("layer", 1)])
+        assert (model.config.H, model.config.L) == (2, 1) and report.config == oracle.config
+        assert {k: v.data.tobytes() for k, v in model.params.items()} == \
+            {k: v.data.tobytes() for k, v in oracle.params.items()}
+        assert set(report.kept) == {f"layer0.{name}" for name in ("W_Q", "W_K", "W_V", "W_AO")}
 
 
 def remove_last_layers(model, k):
@@ -529,8 +576,8 @@ class TestDropLayers:
 
     def test_out_of_range(self):
         model = Model.init(small_config(L=2), 48)
-        with pytest.raises(ValueError, match="leaves none"):
+        with pytest.raises(ValueError, match="config needs H, L, d_I >= 1"):
             remove_last_layers(model, 2)
-        with pytest.raises(ValueError, match="keeps the first layers"):
+        with pytest.raises(ValueError, match="parameter store inconsistent with config"):
             apply_surgery(model, [UnitId("layer", 0)])
         assert model.config.L == 2
