@@ -39,10 +39,23 @@ class Adam:
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
         for name, p in params.items():
-            g = grads[name]
-            m = self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
-            v = self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            # m = BETA1 m + (1 - BETA1) g and v = BETA2 v + (1 - BETA2) g g in
+            # place, then p - lr (m / bc1) / (sqrt(v / bc2) + EPS) as a new array
+            g, m, v = grads[name], self.m[name], self.v[name]
+            scratch = (1 - BETA1) * g
+            m *= BETA1
+            m += scratch
+            np.multiply(1 - BETA2, g, out=scratch)
+            scratch *= g
+            v *= BETA2
+            v += scratch
+            np.divide(v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += EPS
+            new = m / bc1
+            new *= lr
+            new /= scratch
+            p.data = np.subtract(p.data, new, out=new)
 
     def apply_surgery(self, report: SurgeryReport) -> None:
         """Slice moments with the same kept-index sets as the parameters."""

@@ -31,8 +31,8 @@ HP_DEFAULTS = {
 }
 
 
-def _finetune_stage(hp: dict) -> StageSpec:
-    return StageSpec(name="finetune", dataset="train", epochs=hp["finetune_epochs"],
+def _finetune_stage(name: str, hp: dict) -> StageSpec:
+    return StageSpec(name=name, dataset="train", epochs=hp["finetune_epochs"],
                      batch_size=hp["batch_size"], lr_kind=hp["lr_kind"],
                      base_lr=hp["finetune_lr"], dropout=hp["dropout"])
 
@@ -96,11 +96,11 @@ def build_preset(name: str, model: dict, target: dict,
             ArchitectureTarget.from_dict(target)  # rejects an unknown or nonpositive dimension
             dims = {k: v for k, v in target.items() if v is not None}
             return StagePlan(model=model, stages=[replace(
-                _finetune_stage(hp), name="scratch", model={**model, **dims})])
+                _finetune_stage("scratch", hp), model={**model, **dims})])
         target = ArchitectureTarget.from_dict(target)
         rows = _KD_STAGES[name]
         prunes = [_prune(kind, target, hp) for _, _, kind in rows]  # target errors first
-        return StagePlan(model=model, stages=[_finetune_stage(hp)] + [
+        return StagePlan(model=model, stages=[_finetune_stage("finetune", hp)] + [
             _kd_stage(stage, hp, teacher="previous" if k else "original",
                       use_hidden=use_hidden, prune=prune)
             for k, ((stage, use_hidden, _), prune) in enumerate(zip(rows, prunes))])

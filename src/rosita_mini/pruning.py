@@ -50,13 +50,20 @@ UNIT_DIMS = {"ffn_neuron": "d_I", "attention_head": "H", "embedding_rank": "r"}
 class UnitId:
     kind: str
     unit_index: int
-    layer_index: int | None = None  # absent for embedding_rank and layer
+    layer_index: int | None = None  # None exactly for embedding_rank and layer
 
     def __post_init__(self):
         if self.kind not in (*UNIT_SLICES, "layer"):
             raise ValueError(f"unknown unit kind {self.kind!r}")
         if self.unit_index < 0:
             raise ValueError(f"unit index {self.unit_index} < 0")
+        if self.kind in ("embedding_rank", "layer"):
+            if self.layer_index is not None:
+                raise ValueError(f"{self.kind} units take no layer index, "
+                                 f"got {self.layer_index}")
+        elif self.layer_index is None or self.layer_index < 0:
+            raise ValueError(f"{self.kind} units need a layer index >= 0, "
+                             f"got {self.layer_index}")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,18 @@ The encoder's sub-layers are single nodes: `linear` (matmul plus bias),
 head merge) and `layer_norm` of a sum (residual plus layer norm). Each
 fused node runs the same numpy products, on operands of the same shapes
 and memory layouts, as the chain of elementary ops it replaces, so its
-values and gradients are bit-identical to that chain. Each loss is one
+values and gradients are bit-identical to that chain. That holds for the
+one-product rule too: `linear` and `matmul` both take the input and the
+weight gradient of a batched input against a 2-D weight as one product
+over all the batch rows, where the forward is one product per sequence.
+The input gradient then differs from per-sequence products only in the
+last bits, by at most 1e-13 of its largest entry. Each loss is one
 `_node` too, where it is defined.
 
 Gradient arrays are owned, not copied: an op hands an input the array
-it has just computed for that input alone, and the input keeps it.
+it has just computed for that input alone, and the input keeps it. An op
+writes in place only into arrays it has just allocated or into its own
+incoming gradient, never into an input's data.
 
 float32 data stays float32 and all else becomes float64: only the
 untracked copy that `pipeline.evaluate` runs is float32, and a tensor
@@ -191,21 +198,25 @@ def matmul(a, b) -> Tensor:
     """Matrix product, batched over leading dimensions like np.matmul.
 
     Gradients: da = g @ b^T, db = a^T @ g, summed over broadcast batch dims.
+    A batched a against a 2-D b gets each as one product over all the batch
+    rows, as `linear` does.
     """
     a, b = _ensure(a), _ensure(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     data = a.data @ b.data
+    shared = b.data.ndim == 2 and a.data.ndim > 2  # a weight shared by every batch row
 
     def bwd(g):
+        k, n = b.shape[-2:]
         if a.tracked:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
+            if shared:
+                ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
+            else:
+                ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
+            a.accumulate_grad(ga, owned=True)
         if b.tracked:
-            if b.data.ndim == 2 and a.data.ndim > 2:
-                # batched input against a shared weight: collapse the batch
-                # dims up front instead of materializing per-batch gradients
-                k, n = b.shape
+            if shared:
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
@@ -218,7 +229,8 @@ def linear(x, w, b=None) -> Tensor:
     """x @ w, plus the bias b if given: (..., k) x (k, n) -> (..., n).
 
     One node with the products of `matmul` and then `add`: the batched
-    (..., k) @ (k, n) forward, and the same transposed views in backward.
+    (..., k) @ (k, n) forward, and in backward one product over all the
+    batch rows for each of the input and weight gradients.
     """
     x, w = _ensure(x), _ensure(w)
     if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
@@ -231,12 +243,12 @@ def linear(x, w, b=None) -> Tensor:
         data += b.data
 
     def bwd(g):
+        k, n = w.shape
         if b is not None and b.tracked:
             b.accumulate_grad(_unbroadcast(g, b.shape), owned=True)
         if x.tracked:
-            x.accumulate_grad(g @ w.data.T, owned=True)
-        if w.tracked:  # one product over all the batch rows
-            k, n = w.shape
+            x.accumulate_grad((g.reshape(-1, n) @ w.data.T).reshape(x.shape), owned=True)
+        if w.tracked:
             w.accumulate_grad(x.data.reshape(-1, k).T @ g.reshape(-1, n), owned=True)
 
     return _node(data, (x, w) if b is None else (x, w, b), bwd)
@@ -272,7 +284,7 @@ def attention(q, k, v, n_heads: int, mask_bias=None) -> Tensor:
     scores *= scale
     if mask_bias is not None:
         scores += mask_bias
-    p = _softmax(scores, "attention")
+    p = _softmax(scores, "attention", out=scores)
     data = np.ascontiguousarray((p @ vh).swapaxes(1, 2)).reshape(bsz, s, width)
 
     def merge(gh):  # (B, H, S, hd) -> (B, S, H*hd), a view where possible
@@ -284,7 +296,10 @@ def attention(q, k, v, n_heads: int, mask_bias=None) -> Tensor:
         if v.tracked:
             v.accumulate_grad(merge(p.swapaxes(-1, -2) @ gctx), owned=True)
         dot = (gp * p).sum(axis=-1, keepdims=True)
-        gs = (gp - dot) * p * scale
+        gs = gp
+        gs -= dot
+        gs *= p
+        gs *= scale
         if q.tracked:
             q.accumulate_grad(merge(gs @ kt.swapaxes(-1, -2)), owned=True)
         if k.tracked:
@@ -341,14 +356,15 @@ def relu(a) -> Tensor:
     data = np.maximum(0.0, a.data)
 
     def bwd(g):
-        # subgradient at 0 is 0
-        a.accumulate_grad(g * (a.data > 0), owned=True)
+        g *= a.data > 0  # subgradient at 0 is 0
+        a.accumulate_grad(g, owned=True)
 
     return _node(data, (a,), bwd)
 
 
-def _softmax(x: np.ndarray, op: str) -> np.ndarray:
-    """Row-stabilized softmax over the last axis.
+def _softmax(x: np.ndarray, op: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-stabilized softmax over the last axis, into `out` if given (which
+    may be x itself).
 
     NaN input raises; -inf entries are allowed and get weight 0 (additive
     attention masking), as long as each row keeps at least one finite entry.
@@ -365,8 +381,10 @@ def _softmax(x: np.ndarray, op: str) -> np.ndarray:
     m = m[..., None]
     if not np.isfinite(m).all():
         raise ValueError(f"{op}: a row has no finite entry")
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(x, m, out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows(a) -> Tensor:
@@ -400,11 +418,14 @@ def layer_norm(x, gamma, beta, eps: float, y=None) -> Tensor:
             f"got {gamma.shape} and {beta.shape}"
         )
     mu = total.mean(axis=-1, keepdims=True)
-    centered = total - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # without y, total is x's own data, which this node must not write
+    xhat = total - mu if y is None else np.subtract(total, mu, out=total)
+    square = xhat * xhat
+    var = square.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = gamma.data * xhat + beta.data
+    xhat *= inv_std
+    data = np.multiply(gamma.data, xhat, out=square)
+    data += beta.data
 
     def bwd(g):
         if gamma.tracked:
@@ -413,11 +434,13 @@ def layer_norm(x, gamma, beta, eps: float, y=None) -> Tensor:
             beta.accumulate_grad(g.reshape(-1, d).sum(axis=0), owned=True)
         if x.tracked or (y is not None and y.tracked):
             dxhat = g * gamma.data
-            gx = inv_std / d * (
-                d * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-            )
+            row_sum = dxhat.sum(axis=-1, keepdims=True)
+            xhat_dot = (dxhat * xhat).sum(axis=-1, keepdims=True)
+            gx = dxhat  # inv_std / d * (d * dxhat - row_sum - xhat * xhat_dot)
+            gx *= d
+            gx -= row_sum
+            gx -= xhat * xhat_dot
+            gx *= inv_std / d
             if x.tracked:  # with y, x gets a copy: y may own gx
                 x.accumulate_grad(_unbroadcast(gx, x.shape), owned=y is None)
             if y is not None and y.tracked:

@@ -1148,6 +1148,13 @@ def test_every_preset_reads_its_target_through_from_dict(name, target, message):
     assert str(exc.value) == f"preset {name!r}: {message}"
 
 
+def test_a_scratch_preset_names_its_own_stage():
+    with pytest.raises(ValueError) as exc:
+        presets.build_preset("scratch", {"H": 2, "L": 2, "d_X": 16, "d_I": 32}, {},
+                             hp={"finetune_lr": "x"})
+    assert str(exc.value) == "preset 'scratch': stage 'scratch': base_lr = 'x' is not a number"
+
+
 def test_every_preset_prunes_to_its_target():
     """Each pruning stage takes the target (its width part where depth has a
     stage of its own, or in the width-only preset); scratch trains at it."""

@@ -525,6 +525,20 @@ class TestApplySurgery:
         assert model.config == before_config
         assert {k: v.data.tobytes() for k, v in model.params.items()} == before
 
+    @pytest.mark.parametrize("kind, layer_index, message", [
+        ("embedding_rank", 1, "embedding_rank units take no layer index, got 1"),
+        ("layer", 0, "layer units take no layer index, got 0"),
+        ("attention_head", None, "attention_head units need a layer index >= 0, got None"),
+        ("ffn_neuron", -1, "ffn_neuron units need a layer index >= 0, got -1"),
+    ])
+    def test_a_unit_takes_a_layer_index_exactly_when_its_kind_lives_in_a_layer(
+            self, kind, layer_index, message):
+        """A rank unit with a layer index would be dropped silently with a
+        layer the set also drops; it is refused when it is built."""
+        with pytest.raises(ValueError) as exc:
+            UnitId(kind, 0, layer_index)
+        assert str(exc.value) == message
+
     def test_heads_cut_in_a_dropped_layer_go_with_it(self):
         """A set may cut units in a layer it also drops: the model it leaves
         is the one the kept layers describe."""

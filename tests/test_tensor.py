@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rosita_mini import pipeline as PL
 from rosita_mini import tensor as T
-from rosita_mini.model import Model, ModelConfig
+from rosita_mini.model import Model, ModelConfig, cross_entropy
+from rosita_mini.optim import Adam
 from rosita_mini.tensor import Tensor, ShapeError
 from support import (finite_diff_check, mul, padding_bias, sum_all, unfused_attention,
                      unfused_layer_norm, unfused_linear)
@@ -407,6 +408,91 @@ def test_two_input_layer_norm_gradients_match_central_differences():
     assert finite_diff_check(
         lambda t: sum_all(mul(T.layer_norm(x, gamma, beta, 1e-6, t), weight)),
         Tensor(y)) < 1e-5
+
+
+@pytest.mark.parametrize("rows, k, n", [((32, 6), 64, 256), ((32, 14), 256, 64),
+                                         ((3, 5), 32, 24), ((5,), 32, 24)])
+def test_input_gradient_is_one_product_within_its_tolerance(rows, k, n):
+    """The input gradient of a batched input against a 2-D weight is one
+    product over all the batch rows. It may differ from the per-sequence
+    products only in the last bits: by at most 1e-13 of the largest entry.
+    The weight and bias gradients are the products they always were."""
+    rng = np.random.default_rng(k + n + len(rows))
+    x, w, b = rng.normal(size=rows + (k,)), rng.normal(size=(k, n)), rng.normal(size=n)
+    g = rng.normal(size=rows + (n,))
+    per_sequence = np.stack([g[i] @ w.T for i in range(rows[0])])
+    want_w = x.reshape(-1, k).T @ g.reshape(-1, n)
+    want_b = g
+    while want_b.ndim > 1:
+        want_b = want_b.sum(axis=0)
+    one_product = (g.reshape(-1, n) @ w.T).reshape(x.shape)
+    for build, arrays in ((T.linear, [x, w, b]), (T.matmul, [x, w])):
+        _, gx, gw, *gb = _value_and_grads(build, arrays, g)
+        assert gx.tobytes() == one_product.tobytes()
+        assert np.abs(gx - per_sequence).max() <= 1e-13 * np.abs(per_sequence).max()
+        assert gw.tobytes() == want_w.tobytes()
+        assert all(grad.tobytes() == want_b.tobytes() for grad in gb)
+
+
+_MASK = padding_bias(np.random.default_rng(30), 2, 5)
+_IDX, _LABELS = np.array([[0, 3, 3], [6, 0, 1]]), np.array([0, 2, 1, 2])
+_ACT = [(2, 5, 8)]
+# name -> (leaf shapes, the op over those leaves, the constant arrays it reads)
+OWNERSHIP_CASES = {
+    "linear": ([(2, 5, 8), (8, 6), (6,)], T.linear, []),
+    "attention": (_ACT * 3, lambda q, k, v: T.attention(q, k, v, 2), []),
+    "attention_masked": (_ACT * 3, lambda q, k, v: T.attention(q, k, v, 2, _MASK), [_MASK]),
+    "layer_norm": (_ACT + [(8,), (8,)], lambda x, g, b: T.layer_norm(x, g, b, 1e-12), []),
+    "layer_norm_of_a_sum": (_ACT * 2 + [(8,), (8,)],
+                            lambda x, y, g, b: T.layer_norm(x, g, b, 1e-12, y), []),
+    "relu": (_ACT, T.relu, []),
+    "softmax_rows": (_ACT, T.softmax_rows, []),
+    "gather_rows": ([(7, 8)], lambda t: T.gather_rows(t, _IDX), [_IDX]),
+    "dropout": (_ACT, lambda a: T.dropout(a, 0.5, 3, 4), []),
+    "cross_entropy": ([(4, 3)], lambda z: cross_entropy(z, _LABELS), [_LABELS]),
+}
+
+
+def _assert_owned(arrays, others):
+    """No two of `arrays` share memory, nor any of them with `others`."""
+    for i, a in enumerate(arrays):
+        for other in arrays[i + 1:] + others:
+            assert not np.shares_memory(a, other)
+
+
+@pytest.mark.parametrize("name", OWNERSHIP_CASES)
+def test_an_op_writes_only_into_arrays_it_owns(name):
+    """Forward and backward leave every input's bytes as they were, and each
+    leaf gets a gradient array of its own."""
+    rng = np.random.default_rng(31)
+    shapes, op, constants = OWNERSHIP_CASES[name]
+    inputs = [rng.normal(size=shape) for shape in shapes]
+    before = [a.tobytes() for a in inputs + constants]
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*leaves)
+    weight = rng.normal(size=out.shape)
+    (out if out.data.size == 1 else sum_all(mul(out, Tensor(weight)))).backward()
+    assert [a.tobytes() for a in inputs + constants] == before
+    _assert_owned([leaf.grad for leaf in leaves], inputs + constants + [weight])
+
+
+def test_adam_step_writes_only_into_its_moments():
+    """Each step leaves the old parameter arrays and the gradients as they
+    were and gives each parameter a new array; the moments are the
+    optimizer's own."""
+    rng = np.random.default_rng(32)
+    params = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+              "b": Tensor(rng.normal(size=3), requires_grad=True)}
+    opt = Adam(params)
+    for _ in range(2):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        old = [a for p in params.values() for a in (p.data, p.grad)]
+        before = [a.tobytes() for a in old]
+        opt.step(params, 1e-2)
+        assert [a.tobytes() for a in old] == before
+        _assert_owned([p.data for p in params.values()] + list(opt.m.values())
+                      + list(opt.v.values()), old)
 
 
 def test_backward_consumes_the_graph():
