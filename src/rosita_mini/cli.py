@@ -14,13 +14,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import N_FILLER_WORDS, generate_marker_task, load_task_dir
 from .metrics import METRIC_KINDS, check_metric_kind
-from .model import ModelConfig, check_keys, count_params
+from .model import ModelConfig, check_ints, check_keys, count_params
 from .pipeline import (PruneSpec, StagePlan, StageSpec, _check_split, _stage_data,
                        collect_one_step_scores, evaluate, one_step_prune, run_arms,
                        run_plan)
@@ -35,30 +35,28 @@ def _read_json(path):
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _load_data(args, max_len: int | None = None):
-    """The data dir's vocab, splits and `task.json`, which holds only keys `make-data` writes."""
+def _load_data(args, model, where: str = "model"):
+    """The data dir's splits and `task.json` (only keys `make-data` writes), and
+    the command's one base `model`, named `where`: a plan's or spec's
+    `model`, or a checkpoint's config. The data dir fills the vocab_size,
+    max_len and n_classes that `model` omits, from `vocab.txt` and
+    `task.json`; the splits are encoded at task.json's max_len, else at the
+    model's."""
     info = {}
     task_json = Path(args.data) / "task.json"
     if task_json.exists():
         info = check_keys(_read_json(task_json), task_json,
                           ("dir", "max_len", "metric", "n_classes", "vocab_size"))
-    if max_len is None:
-        max_len = info.get("max_len")
-    if max_len is None:
-        raise ValueError("no max_len available: pass a model config or keep task.json")
-    vocab, splits = load_task_dir(args.data, max_len)
     info.setdefault("metric", "accuracy")
     check_metric_kind(info["metric"])
-    return vocab, splits, info
-
-
-def _with_data_defaults(model, where: str, vocab, info: dict) -> dict:
-    """`model`, named `where`, with vocab_size / max_len / n_classes filled
-    from the data dir when omitted, once it holds a ModelConfig's keys."""
-    if isinstance(model, dict):
-        model = {"vocab_size": len(vocab),
-                 **{k: info[k] for k in ("max_len", "n_classes") if k in info}, **model}
-    return check_keys(model, where, ModelConfig)
+    model = check_keys(model, where, [f.name for f in fields(ModelConfig)])
+    model = {k: info[k] for k in ("max_len", "n_classes") if k in info} | model
+    if missing := [k for k in ("max_len", "n_classes") if k not in model]:
+        raise ValueError(f"{where}: missing keys {missing}; {task_json} does not hold them")
+    max_len = info.get("max_len", model["max_len"])
+    check_ints({"max_len": max_len}, task_json if "max_len" in info else where)
+    vocab, splits = load_task_dir(args.data, max_len)
+    return splits, info, check_keys({"vocab_size": len(vocab), **model}, where, ModelConfig)
 
 
 def cmd_make_data(args) -> int:
@@ -74,7 +72,7 @@ def cmd_make_data(args) -> int:
 def cmd_prune_one_step(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     model = ck.to_model()
-    vocab, splits, info = _load_data(args, model.config.max_len)
+    splits, info, _ = _load_data(args, model.config.to_dict())
     try:
         raw = _read_json(args.target) if Path(args.target).exists() else json.loads(args.target)
     except json.JSONDecodeError as exc:
@@ -101,39 +99,31 @@ def cmd_prune_one_step(args) -> int:
     return 0
 
 
-def _plan_from_dict(raw: dict, path, vocab, info, arm: str | None = None) -> StagePlan:
+def _plan_from_dict(raw: dict, path, arm: str | None = None) -> StagePlan:
     """The plan of `raw`, read from `path` (as `arm` of a spec): a preset with
-    its target and hp, or an explicit stage list, with its model configs'
-    data defaults filled. A bad key or value names the file, arm and stage."""
+    its target and hp, or an explicit stage list. A bad key or value names
+    the file, arm and stage."""
     where = path if arm is None else f"{path}: arm {arm!r}"
     try:
         if isinstance(raw, dict) and "preset" in raw:
             raw = check_keys(raw, "plan", ("preset", "model", "target", "hp"),
                              ("preset", "model", "target"))
-            model = _with_data_defaults(raw["model"], "model", vocab, info)
-            plan = build_preset(raw["preset"], model, raw["target"], raw.get("hp"))
-        else:
-            plan = StagePlan.from_dict(raw)
-            plan.model = _with_data_defaults(plan.model, "model", vocab, info)
-        for stage in plan.stages:
-            if stage.model is not None:
-                stage.model = _with_data_defaults(stage.model, f"stage {stage.name!r}: model",
-                                                  vocab, info)
+            return build_preset(raw["preset"], raw["model"], raw["target"], raw.get("hp"))
+        return StagePlan.from_dict(raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    return plan
 
 
 def cmd_run_plan(args) -> int:
-    vocab, splits, info = _load_data(args)
-    plan = _plan_from_dict(_read_json(args.plan), args.plan, vocab, info)
+    plan = _plan_from_dict(_read_json(args.plan), args.plan)
+    splits, info, plan.model = _load_data(args, plan.model, f"{args.plan}: model")
     summaries = run_plan(plan, splits, args.out, seed=args.seed, eval_kind=info["metric"])
     print(json.dumps(summaries, sort_keys=True, indent=2))
     return 0
 
 
-def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
-    """The spec's arms as `(name, grid fields, plan)`, all on the spec's model.
+def _arms_from_spec(path) -> tuple[dict, list[tuple[str, dict, StagePlan]]]:
+    """The spec's model, and its arms as `(name, grid fields, plan)`, all on that model.
     A `grid` arm is one cell `{name}_f{fraction:g}_{lr_kind}` per pair of
     values, whose iterative last stage takes them."""
     spec = check_keys(_read_json(path), path, ("model", "arms"), ("model", "arms"))
@@ -147,7 +137,7 @@ def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
         if "model" in arm:
             raise ValueError(f"{path}: arm {name!r} has a model; every arm takes the spec's")
         body = {k: v for k, v in arm.items() if k not in ("name", "grid")}
-        plan = _plan_from_dict({**body, "model": spec["model"]}, path, vocab, info, name)
+        plan = _plan_from_dict({**body, "model": spec["model"]}, path, name)
         if grid is None:
             cells.append((name, {}, plan))
             continue
@@ -169,7 +159,7 @@ def _arms_from_spec(path, vocab, info) -> list[tuple[str, dict, StagePlan]]:
                                   StagePlan(plan.model, shared + [stage])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: arm {name!r}: {exc}") from exc
-    return cells
+    return spec["model"], cells
 
 
 def cmd_run_arms(args) -> int:
@@ -177,11 +167,13 @@ def cmd_run_arms(args) -> int:
     per seed, and write one summary row per arm and seed: its name, any grid
     fields, the seed and its last stage's summary. A repeated arm or seed is
     rejected before anything trains."""
-    vocab, splits, info = _load_data(args)
-    arms = _arms_from_spec(args.spec, vocab, info)
+    model, arms = _arms_from_spec(args.spec)
     for what, items in (("arm", [name for name, _, _ in arms]), ("seed", args.seeds)):
         if repeated := [x for i, x in enumerate(items) if x in items[:i]]:
             raise ValueError(f"{what} {repeated[0]!r} appears twice")
+    splits, info, model = _load_data(args, model, f"{args.spec}: model")
+    for _, _, plan in arms:
+        plan.model = model
     rows = []
     for seed in args.seeds:
         results = run_arms({Path(args.out, f"{name}_seed{seed}"): plan
@@ -212,7 +204,7 @@ def _write_summary(out_dir: Path, rows: list[dict]) -> None:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint).to_model()
-    vocab, splits, info = _load_data(args, model.config.max_len)
+    splits, info, _ = _load_data(args, model.config.to_dict())
     if args.split not in splits:
         raise ValueError(f"split {args.split!r} not in {sorted(splits)}")
     kind = args.metric or info["metric"]
@@ -229,7 +221,7 @@ def cmd_inspect(args) -> int:
            "param_count": count_params(model.config),
            "stage": ck.stage, "seed": ck.seed}
     if args.data:
-        vocab, splits, info = _load_data(args, model.config.max_len)
+        splits, info, _ = _load_data(args, model.config.to_dict())
         stage = StageSpec(name="inspect", dataset="train", epochs=1, batch_size=32)
         ledger = collect_one_step_scores(model, None, stage,
                                          _stage_data(stage, splits, model.config), None)

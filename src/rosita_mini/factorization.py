@@ -8,11 +8,12 @@ embedding factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import ShapeError
+from .model import Model, param_shapes
+from .tensor import ShapeError, Tensor
 
 
 @dataclass
@@ -66,26 +67,16 @@ def truncate(result: SVDResult, r: int) -> tuple[np.ndarray, np.ndarray]:
     return e_u, e_v
 
 
-def factorize_model_embedding(model, rank: int) -> None:
+def factorize_model_embedding(model: Model, rank: int) -> None:
     """Swap a model's dense token embedding for rank-truncated SVD factors."""
-    from dataclasses import replace
-
-    from .model import param_shapes
-    from .tensor import Tensor
-
     if model.config.factorized:
         raise RuntimeError("embedding is already factorized")
     if not 1 <= rank <= model.config.full_rank:
         raise ValueError(f"factorization rank {rank} outside [1, {model.config.full_rank}]")
     dense = model.params["emb.W"]
-    result = svd(dense.data)
-    e_u, e_v = truncate(result, rank)
-
-    new_config = replace(model.config, r=rank)
-    params = dict(model.params)
-    del params["emb.W"]
-    params["emb.E_U"] = Tensor(e_u, requires_grad=dense.requires_grad)
-    params["emb.E_V"] = Tensor(e_v, requires_grad=dense.requires_grad)
-    model.config = new_config
-    model.params = {name: params[name] for name in param_shapes(new_config)}
-    model.assert_shapes()
+    e_u, e_v = truncate(svd(dense.data), rank)
+    config = replace(model.config, r=rank)
+    params = {**model.params, "emb.E_U": Tensor(e_u, requires_grad=dense.requires_grad),
+              "emb.E_V": Tensor(e_v, requires_grad=dense.requires_grad)}
+    factorized = Model(config, {name: params[name] for name in param_shapes(config)})
+    model.config, model.params = factorized.config, factorized.params

@@ -34,7 +34,7 @@ import gc
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +168,9 @@ class PruneSpec:
 @dataclass
 class StageSpec:
     """One stage. A stage with a teacher starts from a copy of it; one
-    without starts fresh from the plan's model with its `model` put in
-    (`_fresh_config`). It trains with cross-entropy exactly when it has no `kd`."""
+    without starts fresh from the plan's model with its `model`, any subset
+    of `ModelConfig`'s fields, put in (`_fresh_config`). It trains with
+    cross-entropy exactly when it has no `kd`."""
 
     name: str
     dataset: str
@@ -180,7 +181,7 @@ class StageSpec:
     base_lr: float = 1e-3
     kd: KDConfig | None = None
     prune: PruneSpec | None = None
-    model: dict | None = None         # fresh-init config override
+    model: dict | None = None         # fresh-init config override, partial
     dropout: float = 0.0
 
     def __post_init__(self):
@@ -191,6 +192,13 @@ class StageSpec:
         if self.model is not None and self.teacher is not None:
             raise ValueError(f"stage {self.name!r} starts from a copy of its teacher, "
                              f"so it cannot take a model config")
+        if self.model is not None:
+            check_keys(self.model, f"stage {self.name!r}: model",
+                       [f.name for f in fields(ModelConfig)])
+        if self.kd and self.kd.use_hidden and self.prune and self.prune.mode == "iterative" \
+                and self.prune.target.L is not None:
+            raise ValueError(f"stage {self.name!r}: hidden loss cannot run while depth "
+                             f"is being pruned")
         if self.lr_kind not in LR_KINDS:
             raise ValueError(f"stage {self.name!r}: unknown lr_kind {self.lr_kind!r}; "
                              f"choices: {list(LR_KINDS)}")
@@ -236,19 +244,11 @@ class StagePlan:
             raise ValueError("plan has no stages")
         if self.stages[0].teacher is not None:
             raise ValueError("the first stage has no earlier stage to teach it")
-        for i, stage in enumerate(self.stages):
-            final = i == len(self.stages) - 1
-            if stage.kd and stage.kd.use_hidden and not final:
+        for stage in self.stages[:-1]:
+            if stage.kd and stage.kd.use_hidden:
                 raise ValueError(
                     f"stage {stage.name!r}: hidden distillation is reserved for "
                     f"the final stage"
-                )
-            if stage.kd and stage.kd.use_hidden and stage.prune \
-                    and stage.prune.mode == "iterative" \
-                    and stage.prune.target.L is not None:
-                raise ValueError(
-                    f"stage {stage.name!r}: hidden loss cannot run while depth "
-                    f"is being pruned"
                 )
 
     @classmethod
@@ -657,16 +657,13 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
         if not stage.kd.use_hidden:
             teacher = memo
 
-    def fresh_layer_map():
-        if stage.kd is not None and stage.kd.use_hidden:
-            return build_layer_map(teacher.config.L, student.config.L)
-        return None
-
-    layer_map = fresh_layer_map()
-
+    # no iterative event changes L in a hidden-loss stage (`StageSpec`)
+    hidden = stage.kd is not None and stage.kd.use_hidden
+    layer_map = build_layer_map(teacher.config.L, student.config.L) if hidden else None
     if stage.prune is not None and stage.prune.mode == "one_step":
         one_step_prune(student, teacher, stage, data, layer_map)
-        layer_map = fresh_layer_map()
+        if hidden:
+            layer_map = build_layer_map(teacher.config.L, student.config.L)
 
     total_steps = stage.epochs * batches_per_epoch(len(data), stage.batch_size)
     event_steps, amounts = [], None
@@ -711,7 +708,6 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
                     report = apply_surgery(student, units)
                     optimizer.apply_surgery(report)
                     ledger = None if ledger is None or step == event_steps[-1] else {}
-                    layer_map = fresh_layer_map()
 
                 record = {
                     "stage": stage.name, "step": step,
@@ -731,10 +727,9 @@ def run_stage(stage: StageSpec, student: Model, teacher: Model | None,
 
 
 def _fresh_config(plan: StagePlan, stage: StageSpec) -> ModelConfig:
-    """A stage's config without a teacher: the plan's model, with its `model` put in by
-    `replace` as a prune puts in its target, so one without head_dim keeps the plan's."""
-    base = ModelConfig.from_dict(plan.model)
-    return replace(base, **check_keys(stage.model, "model", ModelConfig)) if stage.model else base
+    """A stage's config without a teacher: the plan's model, with its partial `model` put
+    in by `replace` as a prune puts in its target, so one without head_dim keeps the plan's."""
+    return replace(ModelConfig.from_dict(plan.model), **(stage.model or {}))
 
 
 def stage_rng(seed: int, k: int) -> np.random.Generator:
@@ -744,7 +739,7 @@ def stage_rng(seed: int, k: int) -> np.random.Generator:
 
 def plan_configs(plan: StagePlan, datasets: dict[str, EncodedDataset]) -> list[ModelConfig]:
     """Each stage's end config, walked by training's rules without training: a
-    stage starts as its teacher's end config or fresh from its `model`, and
+    stage starts as its teacher's end config or fresh (`_fresh_config`), and
     its dataset and `dev` must pass `_check_split` against that config (its
     dataset labeled without `kd`). It fits a one-step target by
     `target.deltas` and an iterative one by `prune_events` over its T =

@@ -94,9 +94,9 @@ def build_preset(name: str, model: dict, target: dict,
         hp = {**HP_DEFAULTS, **check_keys({} if hp is None else hp, "hp", HP_DEFAULTS)}
         if name == "scratch":
             ArchitectureTarget.from_dict(target)  # rejects an unknown or nonpositive dimension
-            dims = {k: v for k, v in target.items() if v is not None}
             return StagePlan(model=model, stages=[replace(
-                _finetune_stage("scratch", hp), model={**model, **dims})])
+                _finetune_stage("scratch", hp),
+                model={k: v for k, v in target.items() if v is not None})])
         target = ArchitectureTarget.from_dict(target)
         rows = _KD_STAGES[name]
         prunes = [_prune(kind, target, hp) for _, _, kind in rows]  # target errors first

@@ -229,7 +229,6 @@ class SurgeryReport:
 
     kept: dict[str, list[tuple[int, np.ndarray]]]  # name -> [(axis, kept idx)]
     removed: list[str]                             # dropped parameter names
-    config: ModelConfig                            # config after surgery
 
 
 def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
@@ -267,4 +266,4 @@ def apply_surgery(model: Model, prune_set: list[UnitId]) -> SurgeryReport:
     pruned = Model(replace(c, **dims), params)
     removed = [name for name in model.params if name not in params]
     model.config, model.params = pruned.config, pruned.params
-    return SurgeryReport(kept=kept, removed=removed, config=pruned.config)
+    return SurgeryReport(kept=kept, removed=removed)

@@ -16,13 +16,13 @@ import pytest
 
 from rosita_mini import cli
 from rosita_mini import pipeline as PL
-from rosita_mini.checkpoint import load_checkpoint
+from rosita_mini.checkpoint import load_checkpoint, save_checkpoint
 from rosita_mini.cli import _plan_from_dict, build_parser, main
 from rosita_mini.data import generate_marker_task, load_task_dir
 from rosita_mini.distillation import KDConfig
 from rosita_mini.factorization import factorize_model_embedding
 from rosita_mini.metrics import read_ndjson
-from rosita_mini.model import ModelConfig
+from rosita_mini.model import Model, ModelConfig
 from rosita_mini.pipeline import StagePlan
 from rosita_mini.presets import PRESETS, build_preset
 
@@ -219,6 +219,74 @@ def test_run_plan_explicit_stages_fill_model_defaults(workspace, capsys):
                "--out", str(workspace / "explicit_out")])
     assert rc == 0, capsys.readouterr().err
     assert load_checkpoint(workspace / "explicit_out" / "stage1_small.rst").config.L == 1
+
+
+@pytest.mark.parametrize("stage_model", [{"d_I": 8}, {**TINY_MODEL, "d_I": 8}],
+                         ids=["partial", "all_but_data_fields"])
+def test_a_stage_model_keeps_the_plans_own_data_fields(workspace, tmp_path, capsys,
+                                                       stage_model):
+    """The data dir fills only what the plan's model omits: a fresh stage's
+    `model`, any subset of the config's fields, is put into the plan's, so
+    its vocab_size and max_len stay the plan's, not task.json's."""
+    info = json.loads((workspace / "data" / "task.json").read_text())
+    model = {**TINY_MODEL, "vocab_size": info["vocab_size"] + 24, "max_len": info["max_len"] + 12}
+    plan = {"model": model, "stages": [
+        {"name": "ft", "dataset": "train", "epochs": 1, "batch_size": 16},
+        {"name": "narrow", "dataset": "train", "epochs": 1, "batch_size": 16,
+         "model": stage_model}]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    rc = main(["run-plan", "--plan", str(tmp_path / "plan.json"),
+               "--data", str(workspace / "data"), "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    config = load_checkpoint(tmp_path / "out" / "stage1_narrow.rst").config
+    assert config == ModelConfig(**{**model, "d_I": 8, "n_classes": info["n_classes"]})
+
+
+@pytest.mark.parametrize("command", ["run-plan", "run-arms"])
+def test_a_data_dir_without_task_json_takes_the_models_max_len(workspace, tmp_path, capsys,
+                                                               command):
+    """task.json is optional: a model that states max_len and n_classes runs
+    without it, and writes what it writes with it."""
+    info = json.loads((workspace / "data" / "task.json").read_text())
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    (data / "task.json").unlink()
+    model = {**TINY_MODEL, "max_len": info["max_len"], "n_classes": info["n_classes"]}
+    stages = [{"name": "ft", "dataset": "train", "epochs": 1, "batch_size": 16}]
+    if command == "run-plan":
+        (tmp_path / "plan.json").write_text(json.dumps({"model": model, "stages": stages}))
+        argv, run = ["run-plan", "--plan", str(tmp_path / "plan.json")], ""
+    else:
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"model": model, "arms": [{"name": "a", "stages": stages}]}))
+        argv, run = ["run-arms", "--spec", str(tmp_path / "plan.json")], "a_seed0"
+    written = []
+    for k, where in enumerate((data, workspace / "data")):
+        out = tmp_path / f"out{k}"
+        assert main([*argv, "--data", str(where), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        written.append(Path(out, run, "stage0_ft.rst").read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command", ["eval", "prune-one-step"])
+def test_a_checkpoint_shorter_than_the_rows_is_rejected(workspace, tmp_path, capsys, command):
+    """Splits are encoded at task.json's max_len, so a checkpoint whose
+    max_len is below the longest row is refused rather than fed cut rows."""
+    info = json.loads((workspace / "data" / "task.json").read_text())
+    _, splits = load_task_dir(workspace / "data", info["max_len"])
+    longest = int(splits["dev"].mask.sum(axis=1).max())
+    short = ModelConfig(**{**TINY_MODEL, "vocab_size": info["vocab_size"],
+                           "max_len": longest - 2, "n_classes": info["n_classes"]})
+    save_checkpoint(tmp_path / "short.rst", Model.init(short, 0), seed=0, stage="short")
+    argv = {"eval": [], "prune-one-step": ["--target", '{"H": 1}', "--out", str(tmp_path / "out")]}
+    rc = main([command, "--checkpoint", str(tmp_path / "short.rst"),
+               "--data", str(workspace / "data"), *argv[command]])
+    assert rc == 1
+    where = {"eval": "evaluate", "prune-one-step": "split 'dev'"}[command]
+    assert capsys.readouterr().err == (f"rosita-mini: error: {where}: a row of {longest} "
+                                       f"tokens > max_len {longest - 2}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field", ["beta1", "beta2", "adam_eps", "eval_every",
@@ -617,11 +685,13 @@ def test_readme_plan_examples_load(workspace):
     info = json.loads((workspace / "data" / "task.json").read_text())
     vocab, _ = load_task_dir(workspace / "data", info["max_len"])
     for block in blocks:
-        plan = _plan_from_dict(json.loads(block), "README.md", vocab, info)
+        plan = _plan_from_dict(json.loads(block), "README.md")
+        _, _, plan.model = cli._load_data(argparse.Namespace(data=workspace / "data"),
+                                          plan.model)
         assert ModelConfig.from_dict(plan.model).vocab_size == len(vocab)
         for stage in plan.stages:
-            if stage.model is not None:
-                ModelConfig.from_dict(stage.model)
+            if stage.teacher is None:
+                PL._fresh_config(plan, stage)
 
 
 def test_readme_documents_every_plan_field():
@@ -812,9 +882,7 @@ def test_a_bad_seed_list_is_a_usage_error_that_names_the_flag(capsys):
 def test_a_preset_arms_hp_reaches_every_stage_of_its_cells(workspace, tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps({"model": TINY_MODEL, "arms": [
         _grid_arm([0.5, 1.0], ["constant"], dropout=0.25)]}))
-    info = json.loads((workspace / "data" / "task.json").read_text())
-    vocab, _ = load_task_dir(workspace / "data", info["max_len"])
-    cells = cli._arms_from_spec(tmp_path / "spec.json", vocab, info)
+    _, cells = cli._arms_from_spec(tmp_path / "spec.json")
     assert [[(s.name, s.dropout) for s in plan.stages] for _, _, plan in cells] == 2 * [
         [("finetune", 0.25), ("kd_samesize", 0.25), ("kd_width", 0.25)]]
     assert [(plan.stages[-1].prune.prune_fraction, plan.stages[-1].lr_kind)
@@ -831,11 +899,11 @@ def test_the_walked_configs_are_the_trained_ones(workspace, tmp_path, capsys):
                  "target": target})
     assert _run_arms(workspace, tmp_path, arms) == 0
     capsys.readouterr()
-    info = json.loads((workspace / "data" / "task.json").read_text())
-    vocab, splits = load_task_dir(workspace / "data", info["max_len"])
-    cells = cli._arms_from_spec(tmp_path / "spec.json", vocab, info)
+    model, cells = cli._arms_from_spec(tmp_path / "spec.json")
+    splits, _, model = cli._load_data(argparse.Namespace(data=workspace / "data"), model)
     assert len(cells) == 6
     for name, _, plan in cells:
+        plan.model = model
         trained = [load_checkpoint(tmp_path / "out" / f"{name}_seed0" / f"stage{k}_{s.name}.rst")
                    .config for k, s in enumerate(plan.stages)]
         assert PL.plan_configs(plan, splits) == trained, name
@@ -892,7 +960,8 @@ def test_a_file_that_is_not_json_is_named(workspace, tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["no_max_len", "task_json", "eval_split", "lr_schedule"])
+@pytest.mark.parametrize("case", ["no_max_len", "task_json", "task_max_len", "eval_split",
+                                  "lr_schedule"])
 def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, case):
     data = workspace / "data"
     if case == "no_max_len":  # a data dir without task.json, and a plan with no max_len
@@ -904,7 +973,8 @@ def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, ca
             {"model": TINY_MODEL, "stages": [{"name": "ft", "dataset": "train",
                                               "epochs": 1}]}))
         argv = ["run-plan", "--plan", str(tmp_path / "plan.json")]
-        message = "no max_len available: pass a model config or keep task.json"
+        message = (f"{tmp_path / 'plan.json'}: model: missing keys ['max_len', 'n_classes']; "
+                   f"{data / 'task.json'} does not hold them")
     elif case == "task_json":  # a truncated task.json
         data = tmp_path / "data"
         data.mkdir()
@@ -914,6 +984,13 @@ def test_runtime_failures_carry_the_error_prefix(workspace, tmp_path, capsys, ca
         argv = ["run-plan", "--plan", str(workspace / "ft.json")]
         message = (f"{data / 'task.json'}: not valid JSON "
                    "(Expecting value: line 2 column 1 (char 12))")
+    elif case == "task_max_len":  # a task.json max_len that cannot shape the splits
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        info = json.loads((data / "task.json").read_text())
+        (data / "task.json").write_text(json.dumps({**info, "max_len": str(info["max_len"])}))
+        argv = ["run-plan", "--plan", str(workspace / "ft.json")]
+        message = f"{data / 'task.json'} max_len = '{info['max_len']}' is not an int"
     elif case == "eval_split":
         argv = ["eval", "--checkpoint", str(workspace / "run" / "stage0_finetune.rst"),
                 "--split", "test"]

@@ -230,13 +230,9 @@ class TestPlanValidation:
     def test_hidden_with_depth_pruning_rejected(self):
         prune = PruneSpec(mode="iterative", target=ArchitectureTarget(L=2),
                           n_events=2)
-        stages = [
-            self._stage(name="finetune"),
-            self._stage(name="bad", teacher="previous",
-                        kd=KDConfig(use_pred=True, use_hidden=True), prune=prune),
-        ]
         with pytest.raises(ValueError, match="depth"):
-            StagePlan(model={}, stages=stages)
+            self._stage(name="bad", teacher="previous",
+                        kd=KDConfig(use_pred=True, use_hidden=True), prune=prune)
 
     def test_first_stage_with_teacher_rejected(self):
         with pytest.raises(ValueError, match="first stage"):
@@ -1169,7 +1165,7 @@ def test_every_preset_prunes_to_its_target():
         "iterative_width_two_stage": [width],
         "iterative_width_depth_three_stage": [ArchitectureTarget(L=1), width],
         "scratch": []}
-    assert plans["scratch"].stages[0].model == {**model, **target}
+    assert plans["scratch"].stages[0].model == target
 
 
 def test_scratch_ends_at_the_config_of_a_pruned_arm(task_dir):
@@ -1227,7 +1223,7 @@ def test_every_preset_builds_its_full_stage_list(name, hp):
         "iterative_width_depth_three_stage": [ft(), samesize,
                                               kd("kd_depth", "previous", False, depth),
                                               kd("kd_width", "previous", True, width)],
-        "scratch": [ft("scratch", {**model, **target})],
+        "scratch": [ft("scratch", target)],
     }[name]
     plan = presets.build_preset(name, model, target, hp)
     assert plan.model == model

@@ -379,11 +379,9 @@ class TestSelectPruneSet:
         cfg = small_config(L=2)
         model = Model.init(cfg, 35)
         amounts = {"H": 1, "d_I": 2, "r": 2, "L": 1}
-        report = apply_surgery(model, select_prune_set(random_ledger(model, seed=3),
-                                                       model, amounts))
+        apply_surgery(model, select_prune_set(random_ledger(model, seed=3), model, amounts))
         for dim, count in amounts.items():
             assert getattr(model.config, dim) == getattr(cfg, dim) - count
-        assert model.config == report.config
         assert (model.config.d_X, model.config.vocab_size) == (cfg.d_X, cfg.vocab_size)
         assert count_params(model.config) == num_params(model)
 
@@ -450,12 +448,12 @@ class TestApplySurgery:
 
             ids, mask, _ = random_batch(cfg, rng)
             masked = zero_masked_clone(model, prune_set)
-            report = apply_surgery(model, prune_set)
+            apply_surgery(model, prune_set)
             pruned_logits = model.forward(ids, mask).logits.data
             masked_logits = masked.forward(ids, mask).logits.data
             assert np.abs(pruned_logits - masked_logits).max() <= 1e-10, \
                 f"trial {trial}: surgery diverged from zero-mask oracle"
-            assert count_params(report.config) == num_params(model)
+            assert count_params(model.config) == num_params(model)
 
     def test_forward_backward_count_after_surgery(self):
         cfg = small_config()
@@ -547,7 +545,7 @@ class TestApplySurgery:
                                        UnitId("attention_head", 1, 1),
                                        UnitId("attention_head", 2, 1), UnitId("layer", 1)])
         apply_surgery(oracle, [UnitId("attention_head", 0, 0), UnitId("layer", 1)])
-        assert (model.config.H, model.config.L) == (2, 1) and report.config == oracle.config
+        assert (model.config.H, model.config.L) == (2, 1) and model.config == oracle.config
         assert {k: v.data.tobytes() for k, v in model.params.items()} == \
             {k: v.data.tobytes() for k, v in oracle.params.items()}
         assert set(report.kept) == {f"layer0.{name}" for name in ("W_Q", "W_K", "W_V", "W_AO")}
@@ -586,7 +584,7 @@ class TestDropLayers:
         before = num_params(model)
         report = remove_last_layers(model, 3)
         assert before - num_params(model) == 3 * per_layer
-        assert report.config.L == 1 and len(report.removed) == 3 * 13
+        assert model.config.L == 1 and len(report.removed) == 3 * 13
 
     def test_out_of_range(self):
         model = Model.init(small_config(L=2), 48)
